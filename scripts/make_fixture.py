@@ -116,7 +116,6 @@ CONFIG_TEMPLATE = """\
 
 [run]
 seed = 42
-threads = 1
 
 [input]
 records = "records.jsonl"

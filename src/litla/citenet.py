@@ -178,11 +178,11 @@ def cd_index_all(cit: ProjectedGraph, window: int | None = None,
     return out
 
 
-def cd_index_yearly(cit: ProjectedGraph, window: int | None = None,
-                    exclude_self_citations: bool = True) -> YearSeries:
-    """Mean CD by publication year; years without a defined CD are omitted."""
+def cd_index_yearly(cit: ProjectedGraph, results: list[CdResult]) -> YearSeries:
+    """Mean CD by publication year of ``results`` (from :func:`cd_index_all`
+    on ``cit``); years without a defined CD are omitted."""
     by_year: dict[int, list[float]] = defaultdict(list)
-    for res in cd_index_all(cit, window, exclude_self_citations):
+    for res in results:
         by_year[cit.nodes[res.paper]["year"]].append(res.cd)
     years = sorted(by_year)
     return YearSeries(years, [sum(by_year[y]) / len(by_year[y]) for y in years])
@@ -400,20 +400,17 @@ class BackboneGraph:
 
 
 def weight_edges(trimmed_edges, full: ProjectedGraph,
-                 node_attrs: dict[str, dict] | None = None,
-                 normalization: str = "minmax") -> BackboneGraph:
+                 node_attrs: dict[str, dict] | None = None) -> BackboneGraph:
     """Weight surviving edges by co-citation and bibliographic coupling.
 
     cocite(u, v) counts papers citing both endpoints in the full citation
     graph; jaccard(u, v) compares in-corpus reference sets with the pair
     itself excluded (u citing v is the link being weighted, not shared
     background). The edge weight is the mean of the normalized co-citation
-    count and raw Jaccard. Default normalization is min-max over the
-    surviving edge set (all-equal counts map to 0), which keeps weights in
-    [0, 1]; "zscore" standardizes instead and can leave that range.
+    count and raw Jaccard. Co-citation counts are min-max normalized over
+    the surviving edge set (all-equal counts map to 0), which keeps weights
+    in [0, 1].
     """
-    if normalization not in ("minmax", "zscore"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     edges = sorted(set(trimmed_edges))
     cocites = {}
     jaccards = {}
@@ -428,12 +425,9 @@ def weight_edges(trimmed_edges, full: ProjectedGraph,
     counts = np.array([cocites[pair] for pair in edges], dtype=float)
     if len(counts) == 0:
         normalized = counts
-    elif normalization == "minmax":
+    else:
         span = counts.max() - counts.min()
         normalized = (counts - counts.min()) / span if span else np.zeros_like(counts)
-    else:
-        std = counts.std()
-        normalized = (counts - counts.mean()) / std if std else np.zeros_like(counts)
     out_edges = {}
     for pair, c_norm in zip(edges, normalized):
         out_edges[pair] = {

@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest -> stats -> topics -> citenet -> collabnet
 -> predict, driven by one config file.
 
-Each subcommand re-derives the knowledge graph from the input records (cheap
-at corpus scale and keeps stages independent), writes its reports into the
+Every stage of one invocation reads one lazy :class:`Corpus`: ``all`` parses,
+builds the knowledge graph, runs the CD index and DBSCAN once, and a single
+stage computes only what it reads. Each stage writes its reports into the
 output directory and appends an entry to ``run_manifest.json``. Outputs are
 byte-identical across re-runs for a fixed config and seed; durations in the
 manifest are the one exception.
@@ -14,6 +15,8 @@ import argparse
 import sys
 import time
 import traceback
+from collections import Counter
+from functools import cached_property
 
 from . import citenet as cn
 from . import collabnet as co
@@ -53,38 +56,63 @@ def _policy(cfg: RunConfig) -> ExclusionPolicy:
     )
 
 
-def _load_corpus(cfg: RunConfig):
-    records, errors = load_records(cfg.records_path)
-    kept, rejected = apply_exclusions(records, _policy(cfg))
-    kg = build_graph(kept)
-    return records, errors, kept, rejected, kg
+class Corpus:
+    """Everything the stages of one invocation read, each part computed on
+    first use and then shared.
 
+    A part whose computation raises is not cached, so every stage that
+    reads it fails the same way. Stages must not mutate what they read.
+    """
 
-def _paper_docs(kept) -> dict[str, str]:
-    return {r.id: r.title + " " + r.abstract for r in kept}
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
 
+    @cached_property
+    def parsed(self) -> tuple[list, list]:
+        """(records, parse errors) of the records file."""
+        return load_records(self.cfg.records_path)
 
-def _cluster_assignment(kg: KnowledgeGraph, cfg: RunConfig) -> topics.TopicAssignment:
-    ids, embs = [], []
-    missing = []
-    for ref in kg.nodes_of_type(NODE_PAPER):
-        emb = kg.nodes[ref]["embedding"]
-        if emb is None:
-            missing.append(ref.key)
-        else:
-            ids.append(ref.key)
-            embs.append(list(emb))
-    assignment = topics.cluster_embeddings(embs, cfg.topics.eps, cfg.topics.min_pts, ids=ids)
-    for pid in missing:
-        assignment.labels[pid] = topics.NOISE
-    return assignment
+    @cached_property
+    def screened(self) -> tuple[list, list]:
+        """(kept records, rejected (record, reason) pairs)."""
+        return apply_exclusions(self.parsed[0], _policy(self.cfg))
+
+    @cached_property
+    def kg(self) -> KnowledgeGraph:
+        return build_graph(self.screened[0])
+
+    @cached_property
+    def citation(self):
+        """The citation projection of ``kg``."""
+        return self.kg.project(PROJECTION_CITATION)
+
+    @cached_property
+    def cd_results(self) -> list[cn.CdResult]:
+        """CD index of every paper where it is defined, over the configured window."""
+        block = self.cfg.citenet
+        return cn.cd_index_all(self.citation, window=block.window(),
+                               exclude_self_citations=block.cd_exclude_self)
+
+    @cached_property
+    def assignment(self) -> topics.TopicAssignment:
+        """DBSCAN topics of the papers; papers without an embedding are noise."""
+        embs = {ref.key: self.kg.nodes[ref]["embedding"]
+                for ref in self.kg.nodes_of_type(NODE_PAPER)}
+        ids = [pid for pid, emb in embs.items() if emb is not None]
+        block = self.cfg.topics
+        assignment = topics.cluster_embeddings([list(embs[pid]) for pid in ids],
+                                               block.eps, block.min_pts, ids=ids)
+        assignment.labels.update((pid, topics.NOISE) for pid, emb in embs.items() if emb is None)
+        return assignment
 
 
 # --- stages ------------------------------------------------------------------------
 
 
-def stage_ingest(cfg: RunConfig, outdir) -> list[str]:
-    records, errors, kept, rejected, kg = _load_corpus(cfg)
+def stage_ingest(corpus: Corpus, outdir) -> list[str]:
+    kg = corpus.kg
+    records, errors = corpus.parsed
+    kept, rejected = corpus.screened
     write_csv(outdir / "parse_errors.csv", ["line", "message"],
               [(e.line, e.message) for e in errors])
     write_csv(outdir / "rejections.csv", ["id", "reason"],
@@ -100,7 +128,7 @@ def stage_ingest(cfg: RunConfig, outdir) -> list[str]:
         "corpus_year_range": list(kg.corpus_year_range),
         "node_counts": {t: kg.node_count(t) for t in
                         ("paper", "author", "venue", "keyword", "institution")},
-        "edge_counts": _edge_counts(kg),
+        "edge_counts": dict(sorted(Counter(e.edge_type for e in kg.edges).items())),
         "citation_flags": {
             "temporal_anomaly": sum(1 for e in flagged if "temporal_anomaly" in e.flags),
             "cycle": sum(1 for e in flagged if "cycle" in e.flags),
@@ -108,13 +136,6 @@ def stage_ingest(cfg: RunConfig, outdir) -> list[str]:
     })
     return ["parse_errors.csv", "rejections.csv", "graph.graphml", "graph.dot",
             "ingest_summary.json"]
-
-
-def _edge_counts(kg: KnowledgeGraph) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for e in kg.edges:
-        counts[e.edge_type] = counts.get(e.edge_type, 0) + 1
-    return dict(sorted(counts.items()))
 
 
 def _series_payload(series: stats.YearSeries) -> dict:
@@ -131,8 +152,8 @@ def _fit_payload(fn, *args):
     return {"a": fit.a, "b": fit.b, "c": fit.c, "r_squared": fit.r_squared}
 
 
-def stage_stats(cfg: RunConfig, outdir) -> list[str]:
-    _records, _errors, _kept, _rejected, kg = _load_corpus(cfg)
+def stage_stats(corpus: Corpus, outdir) -> list[str]:
+    kg = corpus.kg
     pubs = stats.publications_per_year(kg)
     per_year, cum_authors = stats.authors_per_year(kg)
     outputs = []
@@ -172,11 +193,12 @@ def stage_stats(cfg: RunConfig, outdir) -> list[str]:
     return outputs
 
 
-def stage_topics(cfg: RunConfig, outdir) -> list[str]:
-    _records, _errors, kept, _rejected, kg = _load_corpus(cfg)
-    docs = _paper_docs(kept)
+def stage_topics(corpus: Corpus, outdir) -> list[str]:
+    cfg, kg = corpus.cfg, corpus.kg
+    kept = corpus.screened[0]
+    docs = {r.id: r.title + " " + r.abstract for r in kept}
     years = {r.id: r.year for r in kept}
-    assignment = _cluster_assignment(kg, cfg)
+    assignment = corpus.assignment
     outputs = []
 
     write_csv(outdir / "assignments.csv", ["paper_id", "topic"],
@@ -224,18 +246,17 @@ def stage_topics(cfg: RunConfig, outdir) -> list[str]:
     else:
         trend_labels = assignment.labels
 
-    for mode, fname in (("count", "topic_trends_count.csv"),
-                        ("share", "topic_trends_share.csv")):
-        trends = topics.topic_trend(trend_labels, years, mode=mode)
+    trends = {mode: topics.topic_trend(trend_labels, years, mode=mode)
+              for mode in ("count", "share")}
+    for mode, series in trends.items():
         rows = []
-        for topic in sorted(trends, key=str):
-            for y, v in zip(trends[topic].years, trends[topic].values):
+        for topic in sorted(series, key=str):
+            for y, v in zip(series[topic].years, series[topic].values):
                 rows.append((str(topic), y, repr(v)))
-        write_csv(outdir / fname, ["topic", "year", "value"], rows)
-        outputs.append(fname)
+        write_csv(outdir / f"topic_trends_{mode}.csv", ["topic", "year", "value"], rows)
+        outputs.append(f"topic_trends_{mode}.csv")
 
-    count_trends = topics.topic_trend(trend_labels, years, mode="count")
-    emerging = topics.emerging_topics(count_trends, cfg.topics.trend_since,
+    emerging = topics.emerging_topics(trends["count"], cfg.topics.trend_since,
                                       cfg.topics.emerging_k)
     write_csv(outdir / "emerging.csv", ["topic", "growth_rate"],
               [(str(t), repr(rate)) for t, rate in emerging])
@@ -255,10 +276,9 @@ def stage_topics(cfg: RunConfig, outdir) -> list[str]:
     return outputs
 
 
-def stage_citenet(cfg: RunConfig, outdir) -> list[str]:
-    _records, _errors, kept, _rejected, kg = _load_corpus(cfg)
-    cit = kg.project(PROJECTION_CITATION)
-    block = cfg.citenet
+def stage_citenet(corpus: Corpus, outdir) -> list[str]:
+    kg, cit = corpus.kg, corpus.citation
+    block = corpus.cfg.citenet
     outputs = []
 
     years, n_t, e_t = cn.growth_series(cit)
@@ -283,18 +303,16 @@ def stage_citenet(cfg: RunConfig, outdir) -> list[str]:
     write_json(outdir / "fits.json", fits)
     outputs.append("fits.json")
 
-    window = block.window()
-    results = cn.cd_index_all(cit, window=window, exclude_self_citations=block.cd_exclude_self)
+    results = corpus.cd_results
     write_csv(outdir / "cd_papers.csv", ["paper_id", "cd", "n_t", "f_count", "b_count"],
               [(r.paper, repr(r.cd), r.n_t, r.f_count, r.b_count) for r in results])
-    yearly = cn.cd_index_yearly(cit, window=window,
-                                exclude_self_citations=block.cd_exclude_self)
+    yearly = cn.cd_index_yearly(cit, results)
     write_csv(outdir / "cd_yearly.csv", ["year", "mean_cd"],
               [(y, repr(v)) for y, v in zip(yearly.years, yearly.values)])
     outputs.extend(["cd_papers.csv", "cd_yearly.csv"])
 
     texts_by_year: dict[int, list[str]] = {}
-    for rec in kept:
+    for rec in corpus.screened[0]:
         texts_by_year.setdefault(rec.year, []).append(rec.title + " " + rec.abstract)
     ttr = cn.type_token_ratio(texts_by_year)
     write_csv(outdir / "ttr.csv", ["year", "type_token_ratio"],
@@ -312,13 +330,13 @@ def stage_citenet(cfg: RunConfig, outdir) -> list[str]:
     return outputs
 
 
-def stage_collabnet(cfg: RunConfig, outdir) -> list[str]:
-    _records, _errors, _kept, _rejected, kg = _load_corpus(cfg)
+def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
+    kg = corpus.kg
     coauth = kg.project(PROJECTION_COAUTHORSHIP)
-    block = cfg.collabnet
+    block = corpus.cfg.collabnet
     outputs = []
 
-    assignment = _cluster_assignment(kg, cfg)
+    assignment = corpus.assignment
     nationality = {}
     topic_label = {}
     for u in coauth.sorted_nodes():
@@ -355,7 +373,7 @@ def stage_collabnet(cfg: RunConfig, outdir) -> list[str]:
 
     report = co.components(coauth)
     write_csv(outdir / "component_sizes.csv", ["size", "count"],
-              sorted(_histogram(report.sizes[1:]).items()))
+              sorted(Counter(report.sizes[1:]).items()))
     outputs.append("component_sizes.csv")
     write_csv(outdir / "degree_distribution.csv", ["degree", "count"],
               co.degree_histogram(coauth))
@@ -389,15 +407,8 @@ def stage_collabnet(cfg: RunConfig, outdir) -> list[str]:
     return outputs
 
 
-def _histogram(values) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return out
-
-
-def stage_predict(cfg: RunConfig, outdir) -> list[str]:
-    _records, _errors, _kept, _rejected, kg = _load_corpus(cfg)
+def stage_predict(corpus: Corpus, outdir) -> list[str]:
+    cfg, kg = corpus.cfg, corpus.kg
     kw = kg.project(PROJECTION_KEYWORD)
     block = cfg.predict
     if kw.node_count() == 0:
@@ -483,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the run config (TOML)")
         p.add_argument("--output", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (stages currently run single-worker)")
     return parser
 
 
@@ -497,11 +506,12 @@ def run_stages(cfg: RunConfig, stage_names: list[str]) -> int:
         "stages": [],
     }
     failed = False
+    corpus = Corpus(cfg)
     for name in stage_names:
         start = time.monotonic()
         entry = {"stage": name, "status": "ok", "error": None, "outputs": []}
         try:
-            entry["outputs"] = _STAGE_FUNCS[name](cfg, outdir)
+            entry["outputs"] = _STAGE_FUNCS[name](corpus, outdir)
         except Exception as exc:  # record per-stage failures, keep going
             entry["status"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -518,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, output_override=args.output,
-                          seed_override=args.seed, threads_override=args.threads)
+                          seed_override=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -118,10 +118,8 @@ def hop_coverage(pg: ProjectedGraph) -> list[tuple[int, float]]:
     return out
 
 
-def degree_histogram(pg: ProjectedGraph, lcc_only: bool = False) -> list[tuple[int, int]]:
-    nodes = connected_components(pg)[0] if lcc_only and pg.nodes else pg.nodes
-    counts = Counter(pg.degree(u) for u in nodes)
-    return sorted(counts.items())
+def degree_histogram(pg: ProjectedGraph) -> list[tuple[int, int]]:
+    return sorted(Counter(pg.degree(u) for u in pg.nodes).items())
 
 
 # --- centralities ---------------------------------------------------------------

@@ -187,7 +187,6 @@ class RunConfig:
     records_path: Path
     output_dir: Path
     seed: int = 0
-    threads: int = 1
     queries_path: Path | None = None
     exclusions: ExclusionBlock = field(default_factory=ExclusionBlock)
     topics: TopicsBlock = field(default_factory=TopicsBlock)
@@ -235,8 +234,7 @@ def _build_block(cls, data: dict, section: str):
     return cls(**kwargs)
 
 
-def load_config(path, output_override=None, seed_override=None,
-                threads_override=None) -> RunConfig:
+def load_config(path, output_override=None, seed_override=None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -249,8 +247,8 @@ def load_config(path, output_override=None, seed_override=None,
         raise ConfigError(f"unknown config sections/keys: {sorted(unknown)}")
 
     run = data.get("run", {})
-    if not isinstance(run, dict) or set(run) - {"seed", "threads"}:
-        raise ConfigError("[run] allows only seed and threads")
+    if not isinstance(run, dict) or set(run) - {"seed"}:
+        raise ConfigError("[run] allows only seed")
     inp = data.get("input", {})
     if not isinstance(inp, dict) or set(inp) - {"records", "queries"}:
         raise ConfigError("[input] allows only records and queries")
@@ -284,12 +282,9 @@ def load_config(path, output_override=None, seed_override=None,
         blocks[section] = _build_block(cls, section_data, section)
 
     seed = seed_override if seed_override is not None else run.get("seed", 0)
-    threads = threads_override if threads_override is not None else run.get("threads", 1)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads must be a positive integer")
 
     return RunConfig(records_path=records_path, output_dir=output_dir,
-                     seed=seed, threads=threads, queries_path=queries_path,
+                     seed=seed, queries_path=queries_path,
                      **blocks)

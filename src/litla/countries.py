@@ -9,6 +9,7 @@ state name or postal abbreviation (optionally followed by a ZIP code).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 UNKNOWN = "UNKNOWN"
 
@@ -158,6 +159,7 @@ def _ends_with(text: str, suffix: str) -> bool:
     return text == suffix or text.endswith(" " + suffix)
 
 
+@lru_cache(maxsize=4096)  # a corpus repeats a few addresses across many authors
 def infer_country(address: str) -> str:
     """Resolve one affiliation address to an ISO-3166 alpha-2 code.
 

@@ -123,9 +123,6 @@ class KnowledgeGraph:
     def edges_of_type(self, edge_type: str) -> list[Edge]:
         return [e for e in self.edges if e.edge_type == edge_type]
 
-    def attrs(self, ref: NodeRef) -> dict:
-        return self.nodes[ref]
-
     def paper(self, paper_id: str) -> dict:
         return self.nodes[NodeRef(NODE_PAPER, paper_id)]
 
@@ -265,12 +262,6 @@ class ProjectedGraph:
 
     def degree(self, u: str) -> int:
         return len(self._adj[u])
-
-    def weighted_degree(self, u: str) -> float:
-        if self.directed:
-            raise ValueError("weighted_degree is defined for undirected graphs")
-        return sum(self.edges[(min(u, v), max(u, v))].get("weight", 1.0)
-                   for v in sorted(self._adj[u]))
 
     def in_degree(self, u: str) -> int:
         return len(self._radj[u])

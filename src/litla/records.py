@@ -8,6 +8,7 @@ batch; they are reported as :class:`ParseError` entries with line numbers.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -128,6 +129,9 @@ def _record_from_obj(obj: dict) -> PaperRecord:
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                         for v in embedding),
                 "embedding must be a non-empty list of numbers")
+        # false for NaN, +-Infinity and integers beyond the float range alike
+        _expect(all(abs(v) <= sys.float_info.max for v in embedding),
+                "embedding values must be finite")
         embedding = [float(v) for v in embedding]
 
     for name in ("abstract", "venue", "publisher", "language", "doc_type"):
@@ -197,11 +201,12 @@ def parse_records(stream: IO) -> tuple[list[PaperRecord], list[ParseError]]:
     Every well-formed line yields one record; malformed lines yield errors
     with 1-based line numbers. Records whose embedding dimension differs
     from the first embedding seen are rejected (dimension must be constant
-    per corpus).
+    per corpus), as is every record after the first with the same id.
     """
     records: list[PaperRecord] = []
     errors: list[ParseError] = []
     dim: int | None = None
+    id_lines: dict[str, int] = {}
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             try:
@@ -222,6 +227,10 @@ def parse_records(stream: IO) -> tuple[list[PaperRecord], list[ParseError]]:
         except SchemaError as exc:
             errors.append(ParseError(lineno, str(exc)))
             continue
+        if rec.id in id_lines:
+            errors.append(ParseError(
+                lineno, f"duplicate_id: {rec.id!r} first kept on line {id_lines[rec.id]}"))
+            continue
         if rec.embedding is not None:
             if dim is None:
                 dim = len(rec.embedding)
@@ -229,6 +238,7 @@ def parse_records(stream: IO) -> tuple[list[PaperRecord], list[ParseError]]:
                 errors.append(ParseError(
                     lineno, f"embedding dimension {len(rec.embedding)} != corpus dimension {dim}"))
                 continue
+        id_lines[rec.id] = lineno
         records.append(rec)
     return records, errors
 

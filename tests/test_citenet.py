@@ -165,19 +165,19 @@ class TestCdYearly:
     def test_single_paper_year(self):
         years = {"focal": 2000, "c": 2001}
         g = citation([("c", "focal")], years)
-        series = cd_index_yearly(g)
+        series = cd_index_yearly(g, cd_index_all(g))
         assert series.years == [2000]
         assert series.values == [1.0]
 
     def test_undefined_years_omitted(self):
         g = citation([], {"lonely": 2005})
-        series = cd_index_yearly(g)
+        series = cd_index_yearly(g, cd_index_all(g))
         assert series.years == []
 
     def test_fixture_mean_matches_per_paper_oracle(self, fixture_records):
         kg = build_graph(fixture_records[:80])
         cit = kg.project(PROJECTION_CITATION)
-        series = cd_index_yearly(cit)
+        series = cd_index_yearly(cit, cd_index_all(cit))
         by_year = {}
         for res in cd_index_all(cit):
             by_year.setdefault(cit.nodes[res.paper]["year"], []).append(res.cd)

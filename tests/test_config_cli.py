@@ -3,7 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from litla.cli import main
+from litla import citenet, cli, topics
+from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config, parse_toml
 from litla.exports import write_dot, write_graphml
 
@@ -69,8 +70,8 @@ class TestRunConfig:
 
     def test_overrides(self, fixture_dir, tmp_path):
         cfg = load_config(fixture_dir / "config.toml", output_override=tmp_path,
-                          seed_override=7, threads_override=2)
-        assert cfg.seed == 7 and cfg.threads == 2
+                          seed_override=7)
+        assert cfg.seed == 7
         assert cfg.output_dir == tmp_path
 
     def test_config_hash_stable(self, fixture_dir):
@@ -108,13 +109,50 @@ class TestCli:
         all_dir = tmp_path / "all"
         assert main(["all", "--config", str(fixture_dir / "config.toml"),
                      "--output", str(all_dir)]) == 0
-        for stage in ("ingest", "stats"):
+        for stage in STAGES:
             solo = tmp_path / stage
             assert main([stage, "--config", str(fixture_dir / "config.toml"),
                          "--output", str(solo)]) == 0
             manifest = json.loads((solo / "run_manifest.json").read_text())
             for name in manifest["stages"][0]["outputs"]:
                 assert (solo / name).read_bytes() == (all_dir / name).read_bytes()
+
+    def test_corpus_is_computed_once_per_run(self, fixture_dir, tmp_path, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "load_records")
+        counted(cli, "build_graph")
+        counted(citenet, "cd_index_all")
+        counted(topics, "dbscan_labels")
+        config = str(fixture_dir / "config.toml")
+        assert main(["all", "--config", config, "--output", str(tmp_path / "all")]) == 0
+        assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
+                         "dbscan_labels": 1}
+        calls.clear()
+        assert main(["stats", "--config", config, "--output", str(tmp_path / "stats")]) == 0
+        assert calls == {"load_records": 1, "build_graph": 1}
+
+    def test_failed_load_fails_every_stage_alike(self, fixture_dir, tmp_path, monkeypatch):
+        loads = []
+
+        def unreadable(path):
+            loads.append(path)
+            raise OSError(f"cannot read {path.name}")
+        monkeypatch.setattr(cli, "load_records", unreadable)
+        assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                     "--output", str(tmp_path)]) == 1
+        stages = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
+        assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
+            (stage, "failed", "OSError: cannot read records.jsonl") for stage in STAGES]
+        assert len(loads) == len(STAGES)  # a failed load is not cached
 
     def test_stage_failure_exits_one(self, tmp_path, fixture_dir):
         # a records file with zero keepable papers breaks downstream stages

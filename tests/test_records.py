@@ -68,6 +68,30 @@ class TestParse:
         assert [r.id for r in records] == ["a"]
         assert len(errors) == 1 and "dimension" in errors[0].message
 
+    def test_duplicate_id_keeps_first_occurrence(self):
+        records, errors = _parse(_line(id="a", title="first"), _line(id="b"), "",
+                                 _line(id="a", title="second"), _line(id="a"))
+        assert [(r.id, r.title) for r in records] == [("a", "first"), ("b", "A paper")]
+        assert [(e.line, e.message) for e in errors] == [
+            (4, "duplicate_id: 'a' first kept on line 1"),
+            (5, "duplicate_id: 'a' first kept on line 1")]
+
+    def test_id_of_rejected_line_stays_free(self):
+        records, errors = _parse(_line(id="a", embedding=[1.0, 2.0]),
+                                 _line(id="b", embedding=[1.0]),
+                                 _line(id="b", embedding=[3.0, 4.0]))
+        assert [r.id for r in records] == ["a", "b"]
+        assert [e.line for e in errors] == [2]
+
+    def test_non_finite_embedding_rejected(self):
+        bad = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]
+        lines = ['{"id": "p%d", "title": "t", "year": 2015, "embedding": [0.5, %s]}' % (k, v)
+                 for k, v in enumerate(bad)]
+        records, errors = _parse(*lines, _line(id="ok", embedding=[0.5, 1]))
+        assert [r.id for r in records] == ["ok"]
+        assert [e.line for e in errors] == [1, 2, 3, 4, 5]
+        assert all(e.message == "embedding values must be finite" for e in errors)
+
     def test_bytes_stream(self):
         records, errors = parse_records(io.BytesIO(_line().encode() + b"\n"))
         assert len(records) == 1 and not errors
