@@ -2,6 +2,9 @@
 attachment, CD disruptiveness, lexical novelty, and the three-step main-path
 backbone (mutual-reinforcement ranking, one-hop trimming, similarity
 weighting).
+
+Every analysis reads the citation projection alone: its paper nodes carry
+the year, authors and venue that the CD index and the ranking need.
 """
 
 from __future__ import annotations
@@ -13,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .graph import (
-    FLAG_CYCLE,
-    FLAG_TEMPORAL_ANOMALY,
-    NODE_PAPER,
-    PROJECTION_CITATION,
-    KnowledgeGraph,
-    ProjectedGraph,
-)
+from .graph import FLAG_CYCLE, FLAG_TEMPORAL_ANOMALY, ProjectedGraph
 from .powerlaw import PowerLawFit, fit_power_law_ls
 from .stats import YearSeries
 from .textutil import tokenize
@@ -53,9 +49,9 @@ def growth_series(cit: ProjectedGraph) -> tuple[list[int], list[int], list[int]]
     return years, n_t, e_t
 
 
-def densification_fit(cit: ProjectedGraph) -> PowerLawFit:
-    """Densification law e(t) ~ n(t)^alpha over yearly snapshots."""
-    _years, n_t, e_t = growth_series(cit)
+def densification_fit(n_t: list[int], e_t: list[int]) -> PowerLawFit:
+    """Densification law e(t) ~ n(t)^alpha over the yearly counts of
+    :func:`growth_series`."""
     pairs = [(n, e) for n, e in zip(n_t, e_t) if n > 0 and e > 0]
     return fit_power_law_ls([p[0] for p in pairs], [p[1] for p in pairs])
 
@@ -210,10 +206,11 @@ def type_token_ratio(texts_by_year: dict[int, list[str]]) -> YearSeries:
 # --- main path step 1: mutual-reinforcement ranking --------------------------------
 
 
-def rank_essential(kg: KnowledgeGraph, decay: float = 0.2, damping: float = 0.85,
+def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.85,
                    tol: float = 1e-10, max_iter: int = 500) -> dict[str, float]:
     """Paper importance via mutual reinforcement between papers, authors and
-    venues.
+    venues, read from the year, authors and venue of each paper node of the
+    citation projection ``cit``.
 
     Each iteration:
       paper  p(u) = damping * (citations(u) + mean-author(u) + venue(u)) / 3
@@ -222,32 +219,24 @@ def rank_essential(kg: KnowledgeGraph, decay: float = 0.2, damping: float = 0.85
       author a = mean of its papers' scores; venue v = mean of its papers'.
 
     All three vectors are renormalized to sum 1 every iteration; iteration
-    stops when the maximum absolute change falls below ``tol``.
+    stops when the maximum absolute change of any of them falls below
+    ``tol``. Returns the paper scores.
     """
-    papers, _authors, _venues = rank_essential_full(kg, decay, damping, tol, max_iter)
-    return papers
-
-
-def rank_essential_full(kg: KnowledgeGraph, decay: float = 0.2, damping: float = 0.85,
-                        tol: float = 1e-10, max_iter: int = 500
-                        ) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
-    """As :func:`rank_essential` but returning all three fixed-point vectors
-    (papers, authors, venues), each normalized to sum 1."""
-    papers = [ref.key for ref in kg.nodes_of_type(NODE_PAPER)]
+    papers = sorted(cit.nodes)
     if not papers:
-        return {}, {}, {}
+        return {}
     p_idx = {pid: i for i, pid in enumerate(papers)}
-    years = np.array([kg.paper(pid)["year"] for pid in papers], dtype=float)
+    years = np.array([cit.nodes[pid]["year"] for pid in papers], dtype=float)
     t_now = years.max()
 
-    authors = sorted({a for pid in papers for a in kg.paper(pid)["authors"]})
+    authors = sorted({a for pid in papers for a in cit.nodes[pid]["authors"]})
     a_idx = {a: i for i, a in enumerate(authors)}
-    venues = sorted({kg.paper(pid)["venue"] for pid in papers if kg.paper(pid)["venue"]})
+    venues = sorted({cit.nodes[pid]["venue"] for pid in papers if cit.nodes[pid]["venue"]})
     v_idx = {v: i for i, v in enumerate(venues)}
 
     pa_papers, pa_authors = [], []
     for pid in papers:
-        for a in kg.paper(pid)["authors"]:
+        for a in cit.nodes[pid]["authors"]:
             pa_papers.append(p_idx[pid])
             pa_authors.append(a_idx[a])
     pa_papers = np.array(pa_papers, dtype=int)
@@ -257,7 +246,7 @@ def rank_essential_full(kg: KnowledgeGraph, decay: float = 0.2, damping: float =
 
     pv_papers, pv_venues = [], []
     for pid in papers:
-        v = kg.paper(pid)["venue"]
+        v = cit.nodes[pid]["venue"]
         if v:
             pv_papers.append(p_idx[pid])
             pv_venues.append(v_idx[v])
@@ -265,9 +254,8 @@ def rank_essential_full(kg: KnowledgeGraph, decay: float = 0.2, damping: float =
     pv_venues = np.array(pv_venues, dtype=int)
     venue_paper_n = np.bincount(pv_venues, minlength=len(venues)).astype(float)
 
-    cit = kg.project(PROJECTION_CITATION)
     src_idx, dst_idx = [], []
-    for (u, v), _attrs in sorted(cit.edges.items()):
+    for u, v in sorted(cit.edges):
         src_idx.append(p_idx[u])
         dst_idx.append(p_idx[v])
     src_idx = np.array(src_idx, dtype=int)
@@ -317,11 +305,7 @@ def rank_essential_full(kg: KnowledgeGraph, decay: float = 0.2, damping: float =
             residual = max(residual, float(np.max(np.abs(v_new - v))))
         p, a, v = p_new, a_new, v_new
         if residual < tol:
-            return (
-                {pid: float(p[i]) for pid, i in p_idx.items()},
-                {aid: float(a[i]) for aid, i in a_idx.items()},
-                {vid: float(v[i]) for vid, i in v_idx.items()},
-            )
+            return {pid: float(p[i]) for pid, i in p_idx.items()}
     raise ConvergenceError(f"ranking failed to converge in {max_iter} iterations", residual)
 
 
@@ -365,31 +349,6 @@ def trim_network(nodes, edges) -> set[tuple[str, str]]:
     return kept
 
 
-def transitive_reduction(nodes, edges) -> set[tuple[str, str]]:
-    """Full reduction: drop u->w when any longer path u->...->w exists."""
-    kept = set(trim_network(nodes, edges))  # validates DAG, removes 2-hop
-    succ: dict[str, set[str]] = {u: set() for u in nodes}
-    for u, w in edges:
-        succ[u].add(w)
-
-    reach_cache: dict[str, set[str]] = {}
-
-    def reach(u: str) -> set[str]:
-        if u not in reach_cache:
-            acc = set()
-            for v in succ[u]:
-                acc.add(v)
-                acc |= reach(v)
-            reach_cache[u] = acc
-        return reach_cache[u]
-
-    out = set()
-    for u, w in kept:
-        if not any(w in reach(v) for v in succ[u] if v != w):
-            out.add((u, w))
-    return out
-
-
 # --- main path step 3: similarity weighting ----------------------------------------
 
 
@@ -399,8 +358,7 @@ class BackboneGraph:
     edges: dict[tuple[str, str], dict]         # (u, v) -> {weight, cocite, jaccard}
 
 
-def weight_edges(trimmed_edges, full: ProjectedGraph,
-                 node_attrs: dict[str, dict] | None = None) -> BackboneGraph:
+def weight_edges(trimmed_edges, full: ProjectedGraph) -> BackboneGraph:
     """Weight surviving edges by co-citation and bibliographic coupling.
 
     cocite(u, v) counts papers citing both endpoints in the full citation
@@ -435,37 +393,30 @@ def weight_edges(trimmed_edges, full: ProjectedGraph,
             "cocite": cocites[pair],
             "jaccard": jaccards[pair],
         }
-    node_ids = sorted({n for pair in edges for n in pair})
-    nodes = {n: dict(node_attrs.get(n, {})) if node_attrs else {} for n in node_ids}
+    nodes = {n: {} for n in sorted({n for pair in edges for n in pair})}
     return BackboneGraph(nodes=nodes, edges=out_edges)
 
 
-def main_path_backbone(kg: KnowledgeGraph, k: int, decay: float = 0.2,
+def main_path_backbone(cit: ProjectedGraph, k: int, decay: float = 0.2,
                        damping: float = 0.85, tol: float = 1e-10,
-                       max_iter: int = 500, full_reduction: bool = False
-                       ) -> BackboneGraph:
+                       max_iter: int = 500) -> BackboneGraph:
     """Rank papers, keep the top k, trim one-hop redundancy in their induced
     citation subgraph and weight the surviving links."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    scores = rank_essential(kg, decay=decay, damping=damping, tol=tol, max_iter=max_iter)
+    scores = rank_essential(cit, decay=decay, damping=damping, tol=tol, max_iter=max_iter)
     top = sorted(scores, key=lambda pid: (-scores[pid], pid))[:k]
     top_set = set(top)
-    cit = kg.project(PROJECTION_CITATION)
     induced = {
         (u, v) for (u, v), attrs in cit.edges.items()
         if u in top_set and v in top_set
         and not attrs.get("flags", frozenset()) & {FLAG_TEMPORAL_ANOMALY, FLAG_CYCLE}
     }
-    reducer = transitive_reduction if full_reduction else trim_network
-    trimmed = reducer(top, induced)
-    node_attrs = {
+    backbone = weight_edges(trim_network(top, induced), cit)
+    # isolated top-ranked papers stay in the backbone node set
+    backbone.nodes = {
         pid: {"score": scores[pid], "year": cit.nodes[pid]["year"],
               "citations": cit.in_degree(pid)}
         for pid in top
     }
-    backbone = weight_edges(trimmed, cit, node_attrs)
-    # isolated top-ranked papers stay in the backbone node set
-    for pid in top:
-        backbone.nodes[pid] = node_attrs[pid]
     return backbone

@@ -277,7 +277,7 @@ def stage_topics(corpus: Corpus, outdir) -> list[str]:
 
 
 def stage_citenet(corpus: Corpus, outdir) -> list[str]:
-    kg, cit = corpus.kg, corpus.citation
+    cit = corpus.citation
     block = corpus.cfg.citenet
     outputs = []
 
@@ -286,7 +286,7 @@ def stage_citenet(corpus: Corpus, outdir) -> list[str]:
               list(zip(years, n_t, e_t)))
     outputs.append("growth.csv")
 
-    fits: dict = {"densification": _fit_payload(cn.densification_fit, cit)}
+    fits: dict = {"densification": _fit_payload(cn.densification_fit, n_t, e_t)}
     degrees = [d for d in cn.in_degree_samples(cit) if d >= max(1, block.degree_xmin)]
     fits["degree_mle"] = _fit_payload(fit_power_law_mle, degrees, block.degree_xmin)
 
@@ -319,9 +319,9 @@ def stage_citenet(corpus: Corpus, outdir) -> list[str]:
               [(y, repr(v)) for y, v in zip(ttr.years, ttr.values)])
     outputs.append("ttr.csv")
 
-    k = min(block.backbone_k, kg.node_count("paper"))
+    k = min(block.backbone_k, len(cit.nodes))
     if k >= 2:
-        backbone = cn.main_path_backbone(kg, k, decay=block.decay, damping=block.damping,
+        backbone = cn.main_path_backbone(cit, k, decay=block.decay, damping=block.damping,
                                          tol=block.tol, max_iter=block.max_iter)
         write_graphml(outdir / "backbone.graphml", backbone.nodes,
                       [(u, v, attrs) for (u, v), attrs in sorted(backbone.edges.items())],
@@ -434,7 +434,7 @@ def stage_predict(corpus: Corpus, outdir) -> list[str]:
     model = pr.train_link_model(train_samples, n_trees=block.n_trees,
                                 max_depth=block.max_depth,
                                 learning_rate=block.learning_rate,
-                                min_leaf=block.min_leaf, seed=cfg.seed)
+                                min_leaf=block.min_leaf)
     model.save(outdir / "model.json")
 
     eval_payload = None

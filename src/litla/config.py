@@ -22,15 +22,17 @@ class ConfigError(ValueError):
 
 
 def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
+    in_string = escaped = False
+    for i, ch in enumerate(line):
+        if escaped:
+            escaped = False
+        elif in_string and ch == "\\":
+            escaped = True
+        elif ch == '"':
             in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
+        elif ch == "#" and not in_string:
+            return line[:i]
+    return line
 
 
 def _parse_scalar(text: str, lineno: int):

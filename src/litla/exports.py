@@ -125,8 +125,8 @@ def kg_to_dot(path, kg: KnowledgeGraph) -> None:
     write_dot(path, nodes, edges, directed=True)
 
 
-def projected_to_graphml(path, pg: ProjectedGraph, node_attrs: dict[str, dict] | None = None) -> None:
-    nodes = node_attrs if node_attrs is not None else {u: dict(pg.nodes[u]) for u in pg.sorted_nodes()}
+def projected_to_graphml(path, pg: ProjectedGraph) -> None:
+    nodes = {u: dict(pg.nodes[u]) for u in pg.sorted_nodes()}
     edges = [(u, v, {k: val for k, val in attrs.items() if not isinstance(val, (tuple, frozenset))})
              for (u, v), attrs in sorted(pg.edges.items())]
     write_graphml(path, nodes, edges, directed=pg.directed)

@@ -3,7 +3,7 @@
 Each round fits a depth-bounded regression tree to the negative gradients
 (residuals y - p) with exact greedy variance-reduction splits; leaf values
 are Newton steps sum(g)/sum(h) clipped to [-4, 4]. Deterministic for a
-fixed seed and input order; models serialize to versioned JSON exactly.
+fixed input order; models serialize to versioned JSON exactly.
 """
 
 from __future__ import annotations
@@ -149,16 +149,13 @@ class GbdtModel:
 
 
 def train_gbdt(X, y, n_trees: int = 100, max_depth: int = 3,
-               learning_rate: float = 0.1, min_leaf: int = 1,
-               seed: int = 0) -> GbdtModel:
+               learning_rate: float = 0.1, min_leaf: int = 1) -> GbdtModel:
     """Boost ``n_trees`` rounds of logistic-loss trees.
 
     The base score is the log-odds of the positive rate; training requires
     both classes. ``loss_curve`` records the training loss before boosting
-    and after every round. ``seed`` is reserved for subsampling variants
-    and does not currently affect the exact greedy fit.
+    and after every round.
     """
-    del seed
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y):

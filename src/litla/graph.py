@@ -2,14 +2,14 @@
 
 Nodes are papers, authors, venues, keywords and institutions; typed edges
 carry a first-appearance year plus the full list of occurrence years so that
-time-sliced snapshots can recount weights (e.g. joint-paper counts) exactly.
+the yearly snapshots of a projection can recount weights (e.g. joint-paper
+counts) exactly.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .countries import UNKNOWN, infer_country
@@ -108,12 +108,6 @@ class KnowledgeGraph:
         self.corpus_year_range = corpus_year_range
         self._type_counts = Counter(ref.node_type for ref in nodes)
 
-    def __eq__(self, other):
-        if not isinstance(other, KnowledgeGraph):
-            return NotImplemented
-        return (self.nodes == other.nodes and self.edges == other.edges
-                and self.corpus_year_range == other.corpus_year_range)
-
     def node_count(self, node_type: str) -> int:
         return self._type_counts.get(node_type, 0)
 
@@ -126,45 +120,13 @@ class KnowledgeGraph:
     def paper(self, paper_id: str) -> dict:
         return self.nodes[NodeRef(NODE_PAPER, paper_id)]
 
-    # -- time slicing ---------------------------------------------------------
-
-    def snapshot(self, year: int) -> "KnowledgeGraph":
-        """Induced subgraph of everything first appearing in or before ``year``.
-
-        Weights backed by occurrence-year lists (co-authorship frequency,
-        keyword co-mentions) are recounted over the retained years, so
-        ``snapshot(max_year)`` reproduces the graph exactly.
-        """
-        lo, hi = self.corpus_year_range
-        if year < lo:
-            warnings.warn(f"snapshot year {year} precedes corpus start {lo}; empty graph")
-            return KnowledgeGraph({}, [], (lo, lo))
-        nodes: dict[NodeRef, dict] = {}
-        for ref, attrs in self.nodes.items():
-            if attrs.get("year", lo) > year:
-                continue
-            if "incidences" in attrs:
-                attrs = dict(attrs)
-                attrs["incidences"] = tuple(
-                    inc for inc in attrs["incidences"] if inc[0] <= year)
-            nodes[ref] = attrs
-        edges: list[Edge] = []
-        for e in self.edges:
-            if e.year > year or e.src not in nodes or e.dst not in nodes:
-                continue
-            if e.years:
-                kept = tuple(t for t in e.years if t <= year)
-                edges.append(replace(e, years=kept, weight=float(len(kept))))
-            else:
-                edges.append(e)
-        return KnowledgeGraph(nodes, edges, (lo, min(year, hi)))
-
     # -- homogeneous views ----------------------------------------------------
 
     def project(self, kind: str) -> "ProjectedGraph":
         if kind == PROJECTION_CITATION:
             nodes = {
-                ref.key: {"year": attrs["year"], "authors": attrs["authors"]}
+                ref.key: {"year": attrs["year"], "authors": attrs["authors"],
+                          "venue": attrs["venue"]}
                 for ref, attrs in self.nodes.items() if ref.node_type == NODE_PAPER
             }
             edges = {
@@ -270,6 +232,13 @@ class ProjectedGraph:
         return len(self._adj[u])
 
     def snapshot(self, year: int) -> "ProjectedGraph":
+        """Induced subgraph of the nodes and edges first appearing in or
+        before ``year``.
+
+        Weights backed by occurrence-year lists (co-authorship frequency,
+        keyword co-mentions) are recounted over the retained years, so the
+        snapshot at the last year reproduces the graph exactly.
+        """
         nodes = {u: a for u, a in self.nodes.items() if a.get("year", year) <= year}
         edges = {}
         for (u, v), attrs in self.edges.items():

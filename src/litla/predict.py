@@ -155,16 +155,16 @@ def samples_to_matrices(samples: list[PairSample]) -> tuple[np.ndarray, np.ndarr
 
 def train_link_model(samples: list[PairSample], n_trees: int = 100,
                      max_depth: int = 3, learning_rate: float = 0.1,
-                     min_leaf: int = 1, seed: int = 0) -> GbdtModel:
+                     min_leaf: int = 1) -> GbdtModel:
     X, y = samples_to_matrices(samples)
     return train_gbdt(X, y, n_trees=n_trees, max_depth=max_depth,
-                      learning_rate=learning_rate, min_leaf=min_leaf, seed=seed)
+                      learning_rate=learning_rate, min_leaf=min_leaf)
 
 
-def all_unconnected_pairs(g: ProjectedGraph, min_degree: int = 1) -> list[tuple[str, str]]:
-    """Every canonical unconnected pair whose endpoints have degree >=
-    ``min_degree`` (degree-0 keywords carry no structural signal)."""
-    nodes = [u for u in g.sorted_nodes() if g.degree(u) >= min_degree]
+def all_unconnected_pairs(g: ProjectedGraph) -> list[tuple[str, str]]:
+    """Every canonical unconnected pair of nodes with at least one neighbour
+    (degree-0 keywords carry no structural signal)."""
+    nodes = [u for u in g.sorted_nodes() if g.degree(u) >= 1]
     out = []
     for i, u in enumerate(nodes):
         for v in nodes[i + 1:]:

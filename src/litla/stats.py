@@ -113,13 +113,11 @@ def _facet_values(attrs: dict, facet: str) -> list[str]:
     raise ValueError(f"unknown facet {facet!r}")
 
 
-def distribution(kg: KnowledgeGraph, facet: str, top_k: int | None = None
-                 ) -> list[tuple[str, int, float]]:
+def distribution(kg: KnowledgeGraph, facet: str) -> list[tuple[str, int, float]]:
     """(label, count, share) rows, count-descending then label-ascending.
 
-    Shares are computed over the full distribution before any top-k
-    truncation; multi-valued facets contribute one count per distinct
-    (paper, value) pair, intents one count per labeled citation statement.
+    Multi-valued facets contribute one count per distinct (paper, value)
+    pair, intents one count per labeled citation statement.
     """
     counts: Counter[str] = Counter()
     for ref in kg.nodes_of_type(NODE_PAPER):
@@ -128,8 +126,7 @@ def distribution(kg: KnowledgeGraph, facet: str, top_k: int | None = None
     if total == 0:
         return []
     rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    out = [(label, n, n / total) for label, n in rows]
-    return out[:top_k] if top_k is not None else out
+    return [(label, n, n / total) for label, n in rows]
 
 
 def author_country_tally(kg: KnowledgeGraph) -> list[tuple[str, int, float]]:

@@ -7,6 +7,12 @@ from litla import citenet, cli, topics
 from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config, parse_toml
 from litla.exports import write_dot, write_graphml
+from litla.graph import (
+    PROJECTION_CITATION,
+    PROJECTION_COAUTHORSHIP,
+    PROJECTION_KEYWORD,
+    KnowledgeGraph,
+)
 
 
 class TestTomlSubset:
@@ -28,6 +34,14 @@ class TestTomlSubset:
     def test_hash_inside_string_kept(self):
         data = parse_toml('[x]\nkey = "a#b"\n')
         assert data["x"]["key"] == "a#b"
+
+    def test_escaped_quote_does_not_end_string(self):
+        data = parse_toml('[x]\nkey = "a\\"#b"\n')
+        assert data["x"]["key"] == 'a"#b'
+
+    def test_hash_after_closed_string_starts_comment(self):
+        data = parse_toml('[x]\nkey = "a\\"b" # c "d"\n')
+        assert data["x"]["key"] == 'a"b'
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -132,13 +146,25 @@ class TestCli:
         counted(cli, "build_graph")
         counted(citenet, "cd_index_all")
         counted(topics, "dbscan_labels")
+        project = KnowledgeGraph.project
+
+        def counted_project(kg, kind):
+            calls[kind] = calls.get(kind, 0) + 1
+            return project(kg, kind)
+        monkeypatch.setattr(KnowledgeGraph, "project", counted_project)
+
         config = str(fixture_dir / "config.toml")
         assert main(["all", "--config", config, "--output", str(tmp_path / "all")]) == 0
         assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
-                         "dbscan_labels": 1}
+                         "dbscan_labels": 1, PROJECTION_CITATION: 1,
+                         PROJECTION_COAUTHORSHIP: 1, PROJECTION_KEYWORD: 1}
         calls.clear()
         assert main(["stats", "--config", config, "--output", str(tmp_path / "stats")]) == 0
         assert calls == {"load_records": 1, "build_graph": 1}
+        calls.clear()
+        assert main(["citenet", "--config", config, "--output", str(tmp_path / "citenet")]) == 0
+        assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
+                         PROJECTION_CITATION: 1}
 
     def test_failed_load_fails_every_stage_alike(self, fixture_dir, tmp_path, monkeypatch):
         loads = []

@@ -85,40 +85,50 @@ class TestBuild:
             assert forward or FLAG_TEMPORAL_ANOMALY in e.flags
 
 
+SNAPSHOT_KINDS = (PROJECTION_CITATION, PROJECTION_COAUTHORSHIP)
+
+
 class TestSnapshot:
     def make(self):
         return build_graph([
             rec("A", 2010, authors=[("N One", "X, UK")]),
-            rec("B", 2012, authors=[("N One", "X, UK")], refs=["A"]),
+            rec("B", 2012, authors=[("N One", "X, UK"), ("N Two", "Y, China")], refs=["A"]),
             rec("C", 2014, authors=[("N Two", "Y, China")], refs=["A", "B"]),
         ])
 
     def test_snapshot_at_max_year_is_identity(self):
         kg = self.make()
-        assert kg.snapshot(2014) == kg
+        for kind in SNAPSHOT_KINDS:
+            g = kg.project(kind)
+            snap = g.snapshot(2014)
+            assert snap.nodes == g.nodes
+            assert snap.edges == g.edges
 
     def test_snapshot_before_corpus_is_empty(self):
         kg = self.make()
-        with pytest.warns(UserWarning):
-            empty = kg.snapshot(2009)
-        assert empty.node_count(NODE_PAPER) == 0
-        assert empty.edges == []
+        for kind in SNAPSHOT_KINDS:
+            empty = kg.project(kind).snapshot(2009)
+            assert empty.node_count() == 0
+            assert empty.edges == {}
 
     def test_snapshot_induces_exact_subgraph(self):
         kg = self.make()
-        snap = kg.snapshot(2012)
-        assert {r.key for r in snap.nodes_of_type(NODE_PAPER)} == {"A", "B"}
-        cites = snap.edges_of_type(EDGE_CITES)
-        assert [(e.src.key, e.dst.key) for e in cites] == [("B", "A")]
+        cit = kg.project(PROJECTION_CITATION).snapshot(2012)
+        assert set(cit.nodes) == {"A", "B"}
+        assert list(cit.edges) == [("B", "A")]
+        co = kg.project(PROJECTION_COAUTHORSHIP)
+        assert set(co.snapshot(2011).nodes) == {"n one"}
+        assert co.snapshot(2011).edges == {}
+        assert list(co.snapshot(2012).edges) == [("n one", "n two")]
 
     def test_snapshot_monotone(self):
         kg = self.make()
-        for y1, y2 in combinations(range(2010, 2015), 2):
-            g1, g2 = kg.snapshot(y1), kg.snapshot(y2)
-            assert set(g1.nodes) <= set(g2.nodes)
-            e1 = {(e.src, e.dst, e.edge_type) for e in g1.edges}
-            e2 = {(e.src, e.dst, e.edge_type) for e in g2.edges}
-            assert e1 <= e2
+        for kind in SNAPSHOT_KINDS:
+            g = kg.project(kind)
+            for y1, y2 in combinations(range(2010, 2015), 2):
+                g1, g2 = g.snapshot(y1), g.snapshot(y2)
+                assert set(g1.nodes) <= set(g2.nodes)
+                assert set(g1.edges) <= set(g2.edges)
 
     def test_snapshot_recounts_coauthor_weight(self):
         kg = build_graph([
@@ -127,8 +137,9 @@ class TestSnapshot:
         ])
         full = kg.project(PROJECTION_COAUTHORSHIP)
         assert full.edge_attrs("p q", "r s")["weight"] == 2.0
-        early = kg.snapshot(2011).project(PROJECTION_COAUTHORSHIP)
+        early = full.snapshot(2011)
         assert early.edge_attrs("p q", "r s")["weight"] == 1.0
+        assert early.edge_attrs("p q", "r s")["years"] == (2010,)
 
 
 class TestProjections:
@@ -186,8 +197,9 @@ def test_snapshot_monotone_property(specs):
         prev_ids.append(f"r{i:02d}")
     kg = build_graph(records)
     lo, hi = kg.corpus_year_range
-    for y in range(lo, hi):
-        g1, g2 = kg.snapshot(y), kg.snapshot(y + 1)
-        assert set(g1.nodes) <= set(g2.nodes)
-        assert {(e.src, e.dst, e.edge_type) for e in g1.edges} <= \
-               {(e.src, e.dst, e.edge_type) for e in g2.edges}
+    for kind in SNAPSHOT_KINDS:
+        g = kg.project(kind)
+        for y in range(lo, hi):
+            g1, g2 = g.snapshot(y), g.snapshot(y + 1)
+            assert set(g1.nodes) <= set(g2.nodes)
+            assert set(g1.edges) <= set(g2.edges)

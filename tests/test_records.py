@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,6 +104,13 @@ class TestParse:
         reparsed, errors = parse_records(io.StringIO(canonical))
         assert not errors
         assert serialize_records(reparsed) == canonical
+
+    def test_fixture_regenerates_byte_identically(self, fixture_dir, tmp_path):
+        script = fixture_dir.parent / "scripts" / "make_fixture.py"
+        subprocess.run([sys.executable, str(script), "--out", str(tmp_path)],
+                       check=True, capture_output=True)
+        for name in ("records.jsonl", "queries.txt", "config.toml"):
+            assert (tmp_path / name).read_bytes() == (fixture_dir / name).read_bytes(), name
 
 
 class TestExclusions:

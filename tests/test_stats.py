@@ -159,12 +159,6 @@ class TestDistribution:
             if rows:
                 assert abs(sum(share for _l, _n, share in rows) - 1.0) < 1e-12
 
-    def test_top_k_truncates_after_shares(self, fixture_records):
-        kg = build_graph(fixture_records)
-        full = distribution(kg, "subject_category")
-        top2 = distribution(kg, "subject_category", top_k=2)
-        assert top2 == full[:2]
-
     def test_author_country_tally_shares(self, fixture_records):
         kg = build_graph(fixture_records)
         rows = author_country_tally(kg)
