@@ -25,33 +25,9 @@ from .textutil import tokenize
 # --- growth ----------------------------------------------------------------------
 
 
-def growth_series(cit: ProjectedGraph) -> tuple[list[int], list[int], list[int]]:
-    """Cumulative (years, node counts, edge counts) of yearly snapshots."""
-    if not cit.nodes:
-        return [], [], []
-    node_years = sorted(attrs["year"] for attrs in cit.nodes.values())
-    lo, hi = node_years[0], node_years[-1]
-    years = list(range(lo, hi + 1))
-    # an edge exists once the edge year and both endpoints have appeared
-    edge_years = sorted(
-        max(attrs["year"], cit.nodes[u]["year"], cit.nodes[v]["year"])
-        for (u, v), attrs in cit.edges.items()
-    )
-    n_t, e_t = [], []
-    ni = ei = 0
-    for y in years:
-        while ni < len(node_years) and node_years[ni] <= y:
-            ni += 1
-        while ei < len(edge_years) and edge_years[ei] <= y:
-            ei += 1
-        n_t.append(ni)
-        e_t.append(ei)
-    return years, n_t, e_t
-
-
 def densification_fit(n_t: list[int], e_t: list[int]) -> PowerLawFit:
-    """Densification law e(t) ~ n(t)^alpha over the yearly counts of
-    :func:`growth_series`."""
+    """Densification law e(t) ~ n(t)^alpha over yearly node and edge counts;
+    years with no node or no edge are left out."""
     pairs = [(n, e) for n, e in zip(n_t, e_t) if n > 0 and e > 0]
     return fit_power_law_ls([p[0] for p in pairs], [p[1] for p in pairs])
 

@@ -39,21 +39,10 @@ from .graph import (
     KnowledgeGraph,
     build_graph,
 )
-from .powerlaw import fit_power_law_ls, fit_power_law_mle
-from .records import ExclusionPolicy, apply_exclusions, load_records, rejection_counts
+from .powerlaw import fit_power_law_mle
+from .records import apply_exclusions, load_records, rejection_counts
 
 STAGES = ("ingest", "stats", "topics", "citenet", "collabnet", "predict")
-
-
-def _policy(cfg: RunConfig) -> ExclusionPolicy:
-    ex = cfg.exclusions
-    return ExclusionPolicy(
-        min_pages=ex.min_pages,
-        allowed_languages=frozenset(ex.allowed_languages),
-        excluded_doc_types=frozenset(ex.excluded_doc_types),
-        drop_extended_versions=ex.drop_extended_versions,
-        extended_version_ids=frozenset(ex.extended_version_ids),
-    )
 
 
 class Corpus:
@@ -75,7 +64,7 @@ class Corpus:
     @cached_property
     def screened(self) -> tuple[list, list]:
         """(kept records, rejected (record, reason) pairs)."""
-        return apply_exclusions(self.parsed[0], _policy(self.cfg))
+        return apply_exclusions(self.parsed[0], self.cfg.exclusions)
 
     @cached_property
     def kg(self) -> KnowledgeGraph:
@@ -156,28 +145,18 @@ def stage_stats(corpus: Corpus, outdir) -> list[str]:
     kg = corpus.kg
     pubs = stats.publications_per_year(kg)
     per_year, cum_authors = stats.authors_per_year(kg)
+    tables = {facet: stats.distribution(kg, facet) for facet in stats.FACETS}
+    tables["author_countries"] = stats.author_country_tally(kg)
     outputs = []
-    facet_files = {
-        "venue": "venue.csv",
-        "pub_type": "pub_type.csv",
-        "subject_category": "subject_category.csv",
-        "intent": "intent.csv",
-        "country": "country.csv",
-    }
-    summary_dists = {}
-    for facet, fname in facet_files.items():
-        rows = stats.distribution(kg, facet)
-        write_csv(outdir / fname, ["label", "count", "share"],
+    for name, rows in tables.items():
+        write_csv(outdir / f"{name}.csv", ["label", "count", "share"],
                   [(label, count, repr(share)) for label, count, share in rows])
-        summary_dists[facet] = [
-            {"label": label, "count": count, "share": share}
-            for label, count, share in rows[:20]
-        ]
-        outputs.append(fname)
-    author_rows = stats.author_country_tally(kg)
-    write_csv(outdir / "author_countries.csv", ["label", "count", "share"],
-              [(label, count, repr(share)) for label, count, share in author_rows])
-    outputs.append("author_countries.csv")
+        outputs.append(f"{name}.csv")
+    summary_dists = {
+        facet: [{"label": label, "count": count, "share": share}
+                for label, count, share in tables[facet][:20]]
+        for facet in stats.FACETS
+    }
     write_json(outdir / "stats_summary.json", {
         "publications_per_year": _series_payload(pubs),
         "publications_cumulative": _series_payload(pubs.cumulative()) if pubs.years else {},
@@ -281,7 +260,11 @@ def stage_citenet(corpus: Corpus, outdir) -> list[str]:
     block = corpus.cfg.citenet
     outputs = []
 
-    years, n_t, e_t = cn.growth_series(cit)
+    node_years = [attrs["year"] for attrs in cit.nodes.values()]
+    years = range(min(node_years), max(node_years) + 1) if node_years else []
+    snapshots = [cit.snapshot(y) for y in years]
+    n_t = [snap.node_count() for snap in snapshots]
+    e_t = [snap.edge_count() for snap in snapshots]
     write_csv(outdir / "growth.csv", ["year", "nodes", "edges"],
               list(zip(years, n_t, e_t)))
     outputs.append("growth.csv")
@@ -290,7 +273,6 @@ def stage_citenet(corpus: Corpus, outdir) -> list[str]:
     degrees = [d for d in cn.in_degree_samples(cit) if d >= max(1, block.degree_xmin)]
     fits["degree_mle"] = _fit_payload(fit_power_law_mle, degrees, block.degree_xmin)
 
-    snapshots = [cit.snapshot(y) for y in years]
     if len(snapshots) >= 2:
         curve, pa_fit = cn.preferential_attachment_curve(snapshots)
         write_csv(outdir / "pref_attachment.csv", ["mean_prior_citations", "mean_gain"],
@@ -346,6 +328,7 @@ def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
 
     lo, hi = kg.corpus_year_range
     per_year = []
+    report = None  # ends as the last snapshot's, which is the whole network
     for y in range(lo, hi + 1):
         snap = coauth.snapshot(y)
         if snap.node_count() == 0:
@@ -365,13 +348,14 @@ def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
             entry[f"assortativity_{name}"] = res.r if res else None
         per_year.append(entry)
 
-    pairs = [(e["nodes"], e["edges"]) for e in per_year if e["nodes"] > 0 and e["edges"] > 0]
-    growth_fit = None
-    if len(pairs) >= 3:
-        growth_fit = fit_power_law_ls([p[0] for p in pairs],
-                                      [p[1] for p in pairs]).as_dict()
+    try:
+        growth_fit = cn.densification_fit([e["nodes"] for e in per_year],
+                                          [e["edges"] for e in per_year]).as_dict()
+    except ValueError:  # fewer than 3 years with co-authorships
+        growth_fit = None
 
-    report = co.components(coauth)
+    if report is None:  # no author at all
+        report = co.components(coauth)
     write_csv(outdir / "component_sizes.csv", ["size", "count"],
               sorted(Counter(report.sizes[1:]).items()))
     outputs.append("component_sizes.csv")

@@ -13,7 +13,7 @@ import numpy as np
 from .countries import UNKNOWN
 from .errors import ConvergenceError
 from .graph import NODE_AUTHOR, KnowledgeGraph, NodeRef, ProjectedGraph
-from .stats import modal_country
+from .stats import modal_country, modal_label
 
 
 @dataclass
@@ -256,14 +256,7 @@ def author_attribute(kg: KnowledgeGraph, author_key: str, kind: str,
     if kind == "primary_topic":
         if topic_labels is None:
             raise ValueError("primary_topic requires topic_labels")
-        counts = Counter()
-        for _year, pid, _c in incidences:
-            label = topic_labels.get(pid, -1)
-            if label != -1:
-                counts[label] += 1
-        if not counts:
-            return UNKNOWN
-        return str(min(counts, key=lambda t: (-counts[t], str(t))))
+        return modal_label((topic_labels.get(pid, -1) for _y, pid, _c in incidences), -1)
     raise ValueError(f"unknown attribute kind {kind!r}")
 
 

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .records import ExclusionPolicy
+
 
 class ConfigError(ValueError):
     pass
@@ -115,16 +117,6 @@ def parse_toml(text: str) -> dict:
 
 
 @dataclass
-class ExclusionBlock:
-    min_pages: int = 4
-    allowed_languages: list[str] = field(default_factory=lambda: ["English"])
-    excluded_doc_types: list[str] = field(
-        default_factory=lambda: ["book", "keynote", "workshop paper", "unpublished"])
-    drop_extended_versions: bool = False
-    extended_version_ids: list[str] = field(default_factory=list)
-
-
-@dataclass
 class TopicsBlock:
     eps: float = 0.5
     min_pts: int = 5
@@ -175,7 +167,7 @@ class PredictBlock:
 
 
 _BLOCK_TYPES = {
-    "exclusions": ExclusionBlock,
+    "exclusions": ExclusionPolicy,
     "topics": TopicsBlock,
     "linkage": LinkageBlock,
     "citenet": CitenetBlock,
@@ -190,7 +182,7 @@ class RunConfig:
     output_dir: Path
     seed: int = 0
     queries_path: Path | None = None
-    exclusions: ExclusionBlock = field(default_factory=ExclusionBlock)
+    exclusions: ExclusionPolicy = field(default_factory=ExclusionPolicy)
     topics: TopicsBlock = field(default_factory=TopicsBlock)
     linkage: LinkageBlock = field(default_factory=LinkageBlock)
     citenet: CitenetBlock = field(default_factory=CitenetBlock)

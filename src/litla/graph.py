@@ -303,19 +303,13 @@ def _tarjan_scc(adj: dict[str, list[str]]) -> list[list[str]]:
     return sccs
 
 
-def match_text_keywords(record: PaperRecord) -> list[str]:
-    """Canonical keywords of a record that occur in its title or abstract.
-
-    The candidate set is the union of extracted and author keywords; a
-    keyword matches when its token sequence appears contiguously in the
-    lowercased title+abstract token stream.
-    """
+def match_text_keywords(record: PaperRecord, keywords: list[str]) -> list[str]:
+    """The canonical ``keywords`` of a record that occur in its title or
+    abstract: a keyword matches when its token sequence appears contiguously
+    in the lowercased title+abstract token stream."""
     text_tokens = tokenize(record.title + " " + record.abstract, drop_stopwords=False)
-    matched = []
-    for kw in sorted({canonical(k) for k in record.extracted_keywords + record.author_keywords if k.strip()}):
-        if contains_phrase(text_tokens, tokenize(kw, drop_stopwords=False)):
-            matched.append(kw)
-    return matched
+    return [kw for kw in keywords
+            if contains_phrase(text_tokens, tokenize(kw, drop_stopwords=False))]
 
 
 def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
@@ -344,8 +338,10 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     inst_meta: dict[str, dict] = {}
     coauthor_years: dict[tuple[str, str], list[int]] = {}
     affil_years: dict[tuple[str, str], list[int]] = {}
+    cites_pairs: list[tuple[str, str]] = []
 
-    for rec in sorted(records, key=lambda r: r.id):
+    records = sorted(records, key=lambda r: r.id)
+    for rec in records:
         paper_ref = NodeRef(NODE_PAPER, rec.id)
         author_keys = []
         countries = []
@@ -375,7 +371,7 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
                                if k.strip()})
         for kw in all_keywords:
             keyword_first[kw] = min(keyword_first.get(kw, rec.year), rec.year)
-        text_kws = match_text_keywords(rec)
+        text_kws = match_text_keywords(rec, all_keywords)
 
         in_refs = sorted(r for r in set(rec.references) if r in corpus_ids and r != rec.id)
         known_countries = sorted({c for c in countries if c != UNKNOWN})
@@ -404,7 +400,18 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
         for u, v in combinations(sorted(author_keys), 2):
             coauthor_years.setdefault((u, v), []).append(rec.year)
 
-    # entity nodes and per-paper edges
+        for akey in author_keys:
+            edges.append(Edge(NodeRef(NODE_AUTHOR, akey), paper_ref, EDGE_AUTHOR_OF,
+                              1.0, rec.year))
+        if vkey:
+            edges.append(Edge(paper_ref, NodeRef(NODE_VENUE, vkey), EDGE_PUBLISHED_AT,
+                              1.0, rec.year))
+        for kw in all_keywords:
+            edges.append(Edge(paper_ref, NodeRef(NODE_KEYWORD, kw), EDGE_MENTIONS_KEYWORD,
+                              1.0, rec.year))
+        cites_pairs.extend((rec.id, tgt) for tgt in in_refs)
+
+    # entity nodes
     for akey, meta in sorted(author_meta.items()):
         incidences = tuple(sorted(meta["incidences"]))
         nodes[NodeRef(NODE_AUTHOR, akey)] = {
@@ -422,25 +429,8 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     for ikey, meta in sorted(inst_meta.items()):
         nodes[NodeRef(NODE_INSTITUTION, ikey)] = {"name": meta["name"], "year": meta["year"]}
 
-    by_id = {ref.key: ref for ref in nodes if ref.node_type == NODE_PAPER}
-    cites_pairs: list[tuple[str, str]] = []
-    for rec in sorted(records, key=lambda r: r.id):
-        ref = by_id[rec.id]
-        attrs = nodes[ref]
-        year = attrs["year"]
-        for akey in attrs["authors"]:
-            edges.append(Edge(NodeRef(NODE_AUTHOR, akey), ref, EDGE_AUTHOR_OF, 1.0, year))
-        if attrs["venue"]:
-            edges.append(Edge(ref, NodeRef(NODE_VENUE, attrs["venue"]),
-                              EDGE_PUBLISHED_AT, 1.0, year))
-        for kw in attrs["keywords"]:
-            edges.append(Edge(ref, NodeRef(NODE_KEYWORD, kw), EDGE_MENTIONS_KEYWORD, 1.0, year))
-        for tgt in sorted(set(rec.references)):
-            if tgt in corpus_ids and tgt != rec.id:
-                cites_pairs.append((rec.id, tgt))
-
     # cycle detection runs on temporally valid edges only
-    paper_years = {ref.key: nodes[ref]["year"] for ref in by_id.values()}
+    paper_years = {rec.id: rec.year for rec in records}
     valid_adj: dict[str, list[str]] = {pid: [] for pid in paper_years}
     for src, dst in cites_pairs:
         if paper_years[src] >= paper_years[dst]:
@@ -456,7 +446,7 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             flags.add(FLAG_TEMPORAL_ANOMALY)
         elif src in cycle_nodes and cycle_nodes.get(dst) == cycle_nodes[src]:
             flags.add(FLAG_CYCLE)
-        edges.append(Edge(by_id[src], by_id[dst], EDGE_CITES, 1.0,
+        edges.append(Edge(NodeRef(NODE_PAPER, src), NodeRef(NODE_PAPER, dst), EDGE_CITES, 1.0,
                           paper_years[src], flags=frozenset(flags)))
 
     for (u, v), years in sorted(coauthor_years.items()):

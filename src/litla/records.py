@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Collection, Iterable
 
 PUB_TYPES = ("journal", "conference", "other")
 INTENT_LABELS = ("background", "method", "extension", "comparison")
@@ -96,6 +96,9 @@ def _record_from_obj(obj: dict) -> PaperRecord:
             and YEAR_MIN <= year <= YEAR_MAX,
             f"year must be an integer in [{YEAR_MIN}, {YEAR_MAX}]")
 
+    _expect(isinstance(obj.get("authors", []), list), "authors must be a list")
+    _expect(isinstance(obj.get("citation_statements", []), list),
+            "citation_statements must be a list")
     authors = []
     for a in obj.get("authors", []):
         _expect(isinstance(a, dict) and isinstance(a.get("name"), str) and a["name"],
@@ -250,8 +253,6 @@ def load_records(path) -> tuple[list[PaperRecord], list[ParseError]]:
 
 # --- exclusion protocol ------------------------------------------------------
 
-DEFAULT_EXCLUDED_DOC_TYPES = frozenset({"book", "keynote", "workshop paper", "unpublished"})
-
 REASON_LANGUAGE = "language"
 REASON_MIN_PAGES = "min_pages"
 REASON_DOC_TYPE = "doc_type"
@@ -260,11 +261,14 @@ REASON_EXTENDED = "extended_version"
 
 @dataclass
 class ExclusionPolicy:
+    """The ``[exclusions]`` block of the run config. Languages and document
+    types compare case-insensitively."""
     min_pages: int = 4
-    allowed_languages: frozenset[str] = frozenset({"english"})
-    excluded_doc_types: frozenset[str] = DEFAULT_EXCLUDED_DOC_TYPES
+    allowed_languages: Collection[str] = field(default_factory=lambda: ["English"])
+    excluded_doc_types: Collection[str] = field(
+        default_factory=lambda: ["book", "keynote", "workshop paper", "unpublished"])
     drop_extended_versions: bool = False
-    extended_version_ids: frozenset[str] = frozenset()
+    extended_version_ids: Collection[str] = field(default_factory=list)
 
 
 def rejection_reason(rec: PaperRecord, policy: ExclusionPolicy) -> str | None:

@@ -122,29 +122,31 @@ def distribution(kg: KnowledgeGraph, facet: str) -> list[tuple[str, int, float]]
     counts: Counter[str] = Counter()
     for ref in kg.nodes_of_type(NODE_PAPER):
         counts.update(_facet_values(kg.nodes[ref], facet))
-    total = sum(counts.values())
-    if total == 0:
-        return []
-    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(label, n, n / total) for label, n in rows]
+    return _ranked_shares(counts)
 
 
 def author_country_tally(kg: KnowledgeGraph) -> list[tuple[str, int, float]]:
     """Researchers per country, each author assigned their modal country."""
-    counts: Counter[str] = Counter()
-    for ref in kg.nodes_of_type(NODE_AUTHOR):
-        counts[modal_country(kg.nodes[ref]["incidences"])] += 1
+    return _ranked_shares(Counter(modal_country(kg.nodes[ref]["incidences"])
+                                 for ref in kg.nodes_of_type(NODE_AUTHOR)))
+
+
+def _ranked_shares(counts: Counter[str]) -> list[tuple[str, int, float]]:
+    """(label, count, share) rows, count-descending then label-ascending."""
     total = sum(counts.values())
-    if total == 0:
-        return []
     rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [(label, n, n / total) for label, n in rows]
 
 
-def modal_country(incidences) -> str:
-    """Most frequent known country across incidences; lexicographic ties;
-    UNKNOWN when nothing resolved."""
-    known = Counter(c for _y, _p, c in incidences if c != UNKNOWN)
-    if not known:
+def modal_label(labels, missing) -> str:
+    """Most frequent label other than ``missing``, as a string; ties break
+    in string order; UNKNOWN when no label is left."""
+    counts = Counter(str(label) for label in labels if label != missing)
+    if not counts:
         return UNKNOWN
-    return min(known, key=lambda c: (-known[c], c))
+    return min(counts, key=lambda label: (-counts[label], label))
+
+
+def modal_country(incidences) -> str:
+    """Most frequent resolved country across (year, paper, country) incidences."""
+    return modal_label((c for _y, _p, c in incidences), UNKNOWN)

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,6 @@ from litla.citenet import (
     cd_index,
     cd_index_all,
     cd_index_yearly,
-    growth_series,
     main_path_backbone,
     preferential_attachment_curve,
     rank_essential,
@@ -15,8 +16,10 @@ from litla.citenet import (
     weight_edges,
 )
 from litla.errors import ConvergenceError
-from litla.graph import PROJECTION_CITATION, ProjectedGraph, build_graph
-from litla.records import Author, PaperRecord
+from litla.graph import PROJECTION_CITATION, build_graph
+from litla.cli import main
+from litla.config import load_config
+from litla.records import Author, PaperRecord, apply_exclusions, serialize_records
 
 from conftest import attachment_snapshots, citation, random_dag
 
@@ -30,28 +33,42 @@ def rec(id, year, authors=(), refs=(), venue="V"):
 # --- growth -----------------------------------------------------------------------
 
 
+def growth_rows(tmp_path, config) -> list[tuple[int, int, int]]:
+    """(year, nodes, edges) rows of growth.csv from ``litla citenet``."""
+    out = tmp_path / "out"
+    assert main(["citenet", "--config", str(config), "--output", str(out)]) == 0
+    with open(out / "growth.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["year", "nodes", "edges"]
+    return [tuple(int(v) for v in row) for row in rows[1:]]
+
+
+def records_config(tmp_path, records):
+    (tmp_path / "records.jsonl").write_text(serialize_records(records))
+    config = tmp_path / "config.toml"
+    config.write_text('[input]\nrecords = "records.jsonl"\n')
+    return config
+
+
 class TestGrowth:
-    def test_empty(self):
-        g = ProjectedGraph(True, {}, {})
-        assert growth_series(g) == ([], [], [])
+    def test_empty(self, tmp_path):
+        rejected = [PaperRecord(id="a", title="a", year=2010, page_count=1)]
+        assert growth_rows(tmp_path, records_config(tmp_path, rejected)) == []
 
-    def test_three_paper_chain(self):
-        g = citation([("b", "a"), ("c", "b")],
-                     years={"a": 2010, "b": 2011, "c": 2012})
-        years, n_t, e_t = growth_series(g)
-        assert years == [2010, 2011, 2012]
-        assert n_t == [1, 2, 3]
-        assert e_t == [0, 1, 2]
+    def test_three_paper_chain(self, tmp_path):
+        chain = [rec("a", 2010), rec("b", 2011, refs=["a"]), rec("c", 2012, refs=["b"])]
+        assert growth_rows(tmp_path, records_config(tmp_path, chain)) == [
+            (2010, 1, 0), (2011, 2, 1), (2012, 3, 2)]
 
-    def test_fixture_matches_snapshot_oracle(self, fixture_records):
-        kg = build_graph(fixture_records)
-        cit = kg.project(PROJECTION_CITATION)
-        years, n_t, e_t = growth_series(cit)
-        for y, n, e in zip(years, n_t, e_t):
+    def test_fixture_matches_snapshot_oracle(self, fixture_dir, fixture_records, tmp_path):
+        config = fixture_dir / "config.toml"
+        kept, _ = apply_exclusions(fixture_records, load_config(config).exclusions)
+        cit = build_graph(kept).project(PROJECTION_CITATION)
+        rows = growth_rows(tmp_path, config)
+        assert [y for y, _n, _e in rows] == list(range(2008, 2024))
+        for y, n, e in rows:
             snap = cit.snapshot(y)
-            assert n == snap.node_count()
-            assert e == snap.edge_count()
-        assert n_t == sorted(n_t) and e_t == sorted(e_t)
+            assert (n, e) == (snap.node_count(), snap.edge_count())
 
 
 # --- preferential attachment --------------------------------------------------------

@@ -1,4 +1,6 @@
-from collections import deque
+import csv
+import json
+from collections import Counter, deque
 from itertools import combinations
 
 import numpy as np
@@ -18,9 +20,11 @@ from litla.collabnet import (
     pagerank,
     top_active_subnetwork,
 )
+from litla.cli import main
+from litla.config import load_config
 from litla.errors import ConvergenceError
-from litla.graph import build_graph
-from litla.records import Author, PaperRecord
+from litla.graph import PROJECTION_COAUTHORSHIP, build_graph
+from litla.records import Author, PaperRecord, apply_exclusions
 
 from conftest import random_undirected, undirected
 
@@ -165,6 +169,19 @@ class TestComponents:
         pg = random_undirected(seed, n_lo=2, n_hi=25, p=0.12)
         got = {frozenset(c) for c in connected_components(pg)}
         assert got == components_oracle(pg)
+
+    def test_stage_whole_network_figures(self, fixture_dir, fixture_records, tmp_path):
+        config = fixture_dir / "config.toml"
+        kept, _ = apply_exclusions(fixture_records, load_config(config).exclusions)
+        oracle = components(build_graph(kept).project(PROJECTION_COAUTHORSHIP))
+        assert main(["collabnet", "--config", str(config), "--output", str(tmp_path)]) == 0
+        metrics = json.loads((tmp_path / "collab_metrics.json").read_text())
+        assert (metrics["components"], metrics["largest_component"], metrics["diameter"]) == (
+            oracle.count, oracle.largest_size, oracle.diameter_of_largest)
+        with open(tmp_path / "component_sizes.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["size", "count"]] + [
+            [str(size), str(n)] for size, n in sorted(Counter(oracle.sizes[1:]).items())]
 
 
 class TestDiameter:
@@ -385,6 +402,11 @@ class TestAuthorAttribute:
                      ("p3", 2012, [("A B", "CN")])])
         labels = {"p1": 2, "p2": 2, "p3": -1}
         assert author_attribute(kg, "a b", "primary_topic", topic_labels=labels) == "2"
+
+    def test_modal_topic_ties_break_in_string_order(self):
+        kg = kgraph([("p1", 2010, [("A B", "CN")]), ("p2", 2011, [("A B", "CN")])])
+        labels = {"p1": 9, "p2": 10}
+        assert author_attribute(kg, "a b", "primary_topic", topic_labels=labels) == "10"
 
     def test_counting_oracle(self):
         kg = kgraph([(f"p{i}", 2010 + i, [("A B", c)])

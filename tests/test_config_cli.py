@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from litla import citenet, cli, topics
+from litla import citenet, cli, collabnet, topics
 from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config, parse_toml
 from litla.exports import write_dot, write_graphml
@@ -95,6 +97,14 @@ class TestRunConfig:
         c = load_config(fixture_dir / "config.toml", seed_override=9)
         assert c.config_hash() != a.config_hash()
 
+    def test_fixture_config_hash_pinned(self, fixture_dir):
+        # the hash covers the resolved input paths, so pin it with checkout-independent ones
+        cfg = dataclasses.replace(load_config(fixture_dir / "config.toml"),
+                                  records_path=Path("records.jsonl"),
+                                  queries_path=Path("queries.txt"))
+        assert cfg.config_hash() == (
+            "021eb8c240b4e603d9e0cd076cf651145b0941549b83c98ac9488e5624eb9023")
+
 
 class TestCli:
     def test_invalid_config_exits_two(self, tmp_path, capsys):
@@ -146,6 +156,7 @@ class TestCli:
         counted(cli, "build_graph")
         counted(citenet, "cd_index_all")
         counted(topics, "dbscan_labels")
+        counted(collabnet, "components")
         project = KnowledgeGraph.project
 
         def counted_project(kg, kind):
@@ -156,7 +167,7 @@ class TestCli:
         config = str(fixture_dir / "config.toml")
         assert main(["all", "--config", config, "--output", str(tmp_path / "all")]) == 0
         assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
-                         "dbscan_labels": 1, PROJECTION_CITATION: 1,
+                         "dbscan_labels": 1, "components": 16, PROJECTION_CITATION: 1,
                          PROJECTION_COAUTHORSHIP: 1, PROJECTION_KEYWORD: 1}
         calls.clear()
         assert main(["stats", "--config", config, "--output", str(tmp_path / "stats")]) == 0
@@ -165,6 +176,12 @@ class TestCli:
         assert main(["citenet", "--config", config, "--output", str(tmp_path / "citenet")]) == 0
         assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
                          PROJECTION_CITATION: 1}
+        calls.clear()
+        # one components() per non-empty yearly snapshot; the last one is the whole network
+        assert main(["collabnet", "--config", config,
+                     "--output", str(tmp_path / "collabnet")]) == 0
+        assert calls == {"load_records": 1, "build_graph": 1, "dbscan_labels": 1,
+                         "components": 16, PROJECTION_COAUTHORSHIP: 1}
 
     def test_failed_load_fails_every_stage_alike(self, fixture_dir, tmp_path, monkeypatch):
         loads = []

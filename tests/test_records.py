@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -93,6 +94,13 @@ class TestParse:
         assert [r.id for r in records] == ["ok"]
         assert [e.line for e in errors] == [1, 2, 3, 4, 5]
         assert all(e.message == "embedding values must be finite" for e in errors)
+
+    @pytest.mark.parametrize("field, value", [
+        ("authors", 5), ("authors", None), ("citation_statements", 3)])
+    def test_non_list_field_is_line_error(self, field, value):
+        records, errors = _parse(_line(id="bad", **{field: value}), _line(id="good"))
+        assert [r.id for r in records] == ["good"]
+        assert [(e.line, e.message) for e in errors] == [(1, f"{field} must be a list")]
 
     def test_bytes_stream(self):
         records, errors = parse_records(io.BytesIO(_line().encode() + b"\n"))
