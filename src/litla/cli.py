@@ -30,6 +30,7 @@ from .exports import (
     write_csv,
     write_graphml,
     write_json,
+    write_text,
 )
 from .graph import (
     NODE_PAPER,
@@ -419,7 +420,7 @@ def stage_predict(corpus: Corpus, outdir) -> list[str]:
                                 max_depth=block.max_depth,
                                 learning_rate=block.learning_rate,
                                 min_leaf=block.min_leaf)
-    model.save(outdir / "model.json")
+    write_text(outdir / "model.json", model.to_json() + "\n")
 
     eval_payload = None
     try:

@@ -188,6 +188,8 @@ class RunConfig:
     citenet: CitenetBlock = field(default_factory=CitenetBlock)
     collabnet: CollabnetBlock = field(default_factory=CollabnetBlock)
     predict: PredictBlock = field(default_factory=PredictBlock)
+    # [input] paths as written, relative to the config file's directory
+    input_refs: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         def plain(obj):
@@ -204,8 +206,13 @@ class RunConfig:
         return plain(self)
 
     def config_hash(self) -> str:
-        # output_dir is where results land, not part of what they contain
-        payload = {k: v for k, v in self.as_dict().items() if k != "output_dir"}
+        # output_dir is where results land, not part of what they contain;
+        # inputs count as written, so every checkout of a config hashes alike
+        payload = self.as_dict()
+        del payload["output_dir"]
+        refs = payload.pop("input_refs")
+        payload["records_path"] = refs.get("records", payload["records_path"])
+        payload["queries_path"] = refs.get("queries", payload["queries_path"])
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -281,4 +288,4 @@ def load_config(path, output_override=None, seed_override=None) -> RunConfig:
 
     return RunConfig(records_path=records_path, output_dir=output_dir,
                      seed=seed, queries_path=queries_path,
-                     **blocks)
+                     input_refs=dict(inp), **blocks)

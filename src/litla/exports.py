@@ -2,17 +2,41 @@
 
 All writers emit byte-identical output for identical inputs (sorted keys,
 fixed attribute ordering, repr-exact floats), which the CLI relies on for
-reproducible runs.
+reproducible runs. Each file is written beside its target and renamed onto
+it, so a writer that fails midway never leaves a half-written report.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
 from .graph import KnowledgeGraph, ProjectedGraph
+
+
+@contextmanager
+def _replacing(path):
+    """Text handle on a temporary file beside ``path`` that is moved onto
+    ``path`` only once the writer returns, so a writer that raises leaves
+    the earlier file (or none) in place and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def _attr_type(value) -> str:
@@ -72,7 +96,7 @@ def write_graphml(path, nodes: dict[str, dict], edges: list[tuple[str, str, dict
         lines.append('    </edge>')
     lines.append('  </graph>')
     lines.append('</graphml>')
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _dot_id(name: str) -> str:
@@ -95,7 +119,7 @@ def write_dot(path, nodes: dict[str, dict], edges: list[tuple[str, str, dict]],
         suffix = f' [weight={_attr_str(w)}]' if w is not None else ""
         lines.append(f'  {_dot_id(u)} {arrow} {_dot_id(v)}{suffix};')
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def kg_to_graphml(path, kg: KnowledgeGraph) -> None:
@@ -133,13 +157,11 @@ def projected_to_graphml(path, pg: ProjectedGraph) -> None:
 
 
 def write_csv(path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")

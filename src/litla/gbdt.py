@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -139,13 +138,6 @@ class GbdtModel:
             raise ValueError(f"unsupported model version {payload.get('version')}")
         return cls(trees=payload["trees"], learning_rate=payload["learning_rate"],
                    base_score=payload["base_score"], n_features=payload["n_features"])
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "GbdtModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def train_gbdt(X, y, n_trees: int = 100, max_depth: int = 3,

@@ -19,6 +19,9 @@ from .textutil import contains_phrase, tokenize
 
 NOISE = -1
 
+# Size of one block of the DBSCAN difference tensor (rows x n x d float64).
+_DBSCAN_BLOCK_BYTES = 8 * 2 ** 20
+
 
 @dataclass
 class TopicAssignment:
@@ -77,9 +80,14 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
     n = len(pts)
     if n == 0:
         return []
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    within = d2 <= eps * eps
-    neighbor_lists = [np.flatnonzero(within[i]) for i in range(n)]
+    # Rows are compared with every point a block at a time, so memory stays
+    # O(block * n); each squared distance is the same elementwise expression
+    # and last-axis sum as a one-shot n*n*d tensor would give, bit for bit.
+    rows = max(1, _DBSCAN_BLOCK_BYTES // (8 * n * max(pts.shape[1], 1)))
+    neighbor_lists = []
+    for s in range(0, n, rows):
+        d2 = np.sum((pts[s:s + rows, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        neighbor_lists.extend(np.flatnonzero(row) for row in d2 <= eps * eps)
     is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
 
     labels: list[int | None] = [None] * n

@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -11,6 +12,14 @@ hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("ci")
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def pytest_configure(config):
+    # `python -m litla` subprocesses find the package as pytest's own
+    # `pythonpath = ["src"]` does, also when it is not installed
+    src = str(FIXTURE_DIR.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,13 @@
-import dataclasses
 import json
+import shutil
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
 from litla import citenet, cli, collabnet, topics
 from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config, parse_toml
-from litla.exports import write_dot, write_graphml
+from litla.exports import write_csv, write_dot, write_graphml
 from litla.graph import (
     PROJECTION_CITATION,
     PROJECTION_COAUTHORSHIP,
@@ -98,12 +97,18 @@ class TestRunConfig:
         assert c.config_hash() != a.config_hash()
 
     def test_fixture_config_hash_pinned(self, fixture_dir):
-        # the hash covers the resolved input paths, so pin it with checkout-independent ones
-        cfg = dataclasses.replace(load_config(fixture_dir / "config.toml"),
-                                  records_path=Path("records.jsonl"),
-                                  queries_path=Path("queries.txt"))
+        cfg = load_config(fixture_dir / "config.toml")
         assert cfg.config_hash() == (
             "021eb8c240b4e603d9e0cd076cf651145b0941549b83c98ac9488e5624eb9023")
+
+    def test_config_hash_independent_of_checkout(self, fixture_dir, tmp_path):
+        hashes = set()
+        for where in ("a/fixtures", "b/deeper/copy"):
+            shutil.copytree(fixture_dir, tmp_path / where)
+            cfg = load_config(tmp_path / where / "config.toml")
+            assert cfg.records_path == (tmp_path / where / "records.jsonl").resolve()
+            hashes.add(cfg.config_hash())
+        assert hashes == {load_config(fixture_dir / "config.toml").config_hash()}
 
 
 class TestCli:
@@ -224,6 +229,20 @@ class TestExports:
         assert edges[0].get("source") == "n1"
         data = {d.get("key"): d.text for d in edges[0].findall(f"{ns}data")}
         assert data["e_weight"] == "0.25"
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a"], [(1,)])
+        before = path.read_bytes()
+
+        def rows():
+            yield (2,)
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            write_csv(path, ["a"], rows())
+        assert path.read_bytes() == before == b"a\n1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_dot_escapes_quotes(self, tmp_path):
         path = tmp_path / "g.dot"

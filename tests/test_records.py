@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from litla.graph import build_graph
 from litla.records import (
     ExclusionPolicy,
     PaperRecord,
@@ -167,3 +168,62 @@ class TestExclusions:
         kept, _ = apply_exclusions(records, policy)
         kept2, rejected2 = apply_exclusions(kept, policy)
         assert kept2 == kept and rejected2 == []
+
+
+# --- ingest fuzzing: parse -> exclusions -> build_graph --------------------------
+
+_IDS = [f"p{i}" for i in range(6)]
+_NAMES = ["Ana Ruiz", "Bo Li", "Chen Wei"]
+
+_valid_obj = st.fixed_dictionaries(
+    {"id": st.sampled_from(_IDS), "title": st.text(max_size=12),
+     "year": st.integers(1990, 2030)},
+    optional={
+        "authors": st.lists(st.builds(lambda n, a: {"name": n, "affiliation": a},
+                                      st.sampled_from(_NAMES),
+                                      st.sampled_from(["", "MIT, USA", "X"])), max_size=3),
+        "references": st.lists(st.sampled_from(_IDS + ["ext-1"]), max_size=4),
+        "author_keywords": st.lists(st.sampled_from(["moead", "pareto", "MOEAD"]),
+                                    max_size=3),
+        "language": st.sampled_from(["English", "english", "French"]),
+        "doc_type": st.sampled_from(["article", "Book", "keynote"]),
+        "page_count": st.integers(0, 12),
+        "embedding": st.lists(st.floats(-5, 5), min_size=2, max_size=3),
+        "citation_statements": st.lists(st.builds(
+            lambda t, i: {"text": t, "intent": i}, st.text(max_size=5),
+            st.sampled_from([None, "method"])), max_size=2),
+    })
+
+# each is wrong on its own line, whatever the rest of the corpus holds
+_malformed_line = st.one_of(
+    st.sampled_from([b"{", b"not json", b'{"id": "p1", "title"', b"[1, 2]", b"null",
+                     b"\xff\xfe{}"]),
+    st.sampled_from([
+        {"id": 5, "title": "t", "year": 2015},
+        {"id": "m", "title": "t", "year": "2015"},
+        {"id": "m", "title": "t", "year": 2015, "authors": "Ana Ruiz"},
+        {"id": "m", "title": "t", "year": 2015, "authors": 5},
+        {"id": "m", "title": "t", "year": 2015, "citation_statements": None},
+        {"id": "m", "title": "t", "year": 2015, "embedding": [1.0, float("nan")]},
+        {"id": "m", "title": "t", "year": 2015, "embedding": [float("inf"), 0.0]},
+        {"id": "m", "title": "t", "year": 2015, "embedding": ["1.0", 2.0]},
+        {"id": "m", "title": "t", "year": 2015, "page_count": -1},
+        {"id": "m", "title": "t", "year": 2015, "colour": "red"},
+    ]).map(lambda obj: json.dumps(obj).encode()))
+
+
+@given(st.lists(st.one_of(_valid_obj.map(lambda obj: (True, json.dumps(obj).encode())),
+                          _malformed_line.map(lambda line: (False, line))),
+                max_size=25))
+def test_ingest_fuzz_counts_every_line_once(lines):
+    stream = io.BytesIO(b"".join(line + b"\n" for _, line in lines))
+    records, errors = parse_records(stream)
+    kept, rejected = apply_exclusions(records, ExclusionPolicy())
+    build_graph(kept)
+
+    error_lines = [e.line for e in errors]
+    assert len(set(error_lines)) == len(error_lines)
+    assert len(kept) + len(rejected) + len(errors) == len(lines)
+    assert {i for i, (valid, _) in enumerate(lines, start=1) if not valid} <= set(error_lines)
+    ids = [r.id for r in kept] + [r.id for r, _ in rejected]
+    assert len(set(ids)) == len(ids)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter, deque
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from litla import topics
 from litla.stats import YearSeries
 from litla.textutil import contains_phrase, tokenize
 from litla.topics import (
@@ -80,6 +83,87 @@ class TestDbscan:
                     out.setdefault(lab, set()).add(index[pos])
             return {frozenset(v) for v in out.values()}
         assert clusters(base, list(range(len(pts)))) == clusters(shuffled, perm)
+
+
+def dbscan_one_shot(points, eps, min_pts):
+    """DBSCAN over one n*n*d difference tensor, written out independently of
+    ``dbscan_labels``: same neighbourhoods, expansion and size ranking."""
+    pts = np.asarray(points, dtype=float)
+    within = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1) <= eps * eps
+    n = len(pts)
+    core = within.sum(axis=1) >= min_pts
+    labels = [None] * n
+    k = 0
+    for seed in range(n):
+        if labels[seed] is not None or not core[seed]:
+            continue
+        labels[seed] = k
+        queue = deque([seed])
+        while queue:
+            i = queue.popleft()
+            if core[i]:
+                for j in np.flatnonzero(within[i]):
+                    if labels[j] is None:
+                        labels[j] = k
+                        queue.append(j)
+        k += 1
+    sizes = Counter(l for l in labels if l is not None)
+    first = {l: labels.index(l) for l in sizes}
+    rank = {l: r for r, l in enumerate(sorted(sizes, key=lambda l: (-sizes[l], first[l])))}
+    return [NOISE if l is None else rank[l] for l in labels]
+
+
+def exact_radii(pts, count):
+    """Pairwise distances r among the closest tenth of the pairs with r*r
+    equal to the pair's squared distance bit for bit, so that pair sits
+    exactly on the eps = r boundary."""
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)[np.triu_indices(len(pts), 1)]
+    close = np.quantile(d2, 0.1)
+    radii = sorted({math.sqrt(v) for v in d2 if v <= close and math.sqrt(v) ** 2 == v})
+    return radii[::max(1, len(radii) // count)][:count]
+
+
+class TestDbscanBlocks:
+    @pytest.mark.parametrize("n, d, rows", [
+        (37, 3, 5),      # 37 is not a multiple of the block's 5 rows
+        (37, 3, 1),      # one row per block
+        (64, 7, 64),     # the whole matrix in one block
+        (50, 4, 0.4),    # a single row already exceeds the budget
+    ])
+    def test_equals_one_shot_tensor_at_exact_eps(self, monkeypatch, n, d, rows):
+        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", int(rows * 8 * n * d))
+        rng = np.random.default_rng(n * d)
+        pts = np.round(rng.normal(size=(n, d)), 1)
+        radii = exact_radii(pts, 6)
+        assert radii
+        for eps in radii:
+            for min_pts in (2, 3, 5):
+                assert dbscan_labels(pts, eps, min_pts) == dbscan_one_shot(pts, eps, min_pts)
+
+    def test_grid_points_at_eps_join(self, monkeypatch):
+        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", 3 * 8 * 11 * 2)
+        pts = np.array([[float(i), 0.0] for i in range(10)] + [[30.0, 0.0]])
+        assert dbscan_labels(pts, 1.0, 3) == [0] * 10 + [NOISE]
+        assert dbscan_labels(pts, 1.0, 3) == dbscan_one_shot(pts, 1.0, 3)
+
+    def test_default_budget_matches_one_shot_at_embedding_width(self):
+        # 210 x 384 under the default budget: 13 rows per block, 17 blocks
+        rng = np.random.default_rng(5)
+        centers = rng.normal(size=(3, 384)) * 3
+        pts = np.concatenate([c + rng.normal(scale=0.05, size=(70, 384)) for c in centers])
+        assert dbscan_labels(pts, 1.4, 4) == dbscan_one_shot(pts, 1.4, 4)
+
+    def test_memory_bounded_at_400_by_384(self):
+        # a one-shot 400 x 400 x 384 float64 tensor alone would be ~470 MiB
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(400, 384))
+        tracemalloc.start()
+        try:
+            dbscan_labels(pts, 27.0, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestCtfidf:
