@@ -91,63 +91,62 @@ def _valid_edge(attrs: dict) -> bool:
     return FLAG_TEMPORAL_ANOMALY not in attrs.get("flags", frozenset())
 
 
+def _cd_results(cit: ProjectedGraph, focals, window: int | None,
+                exclude_self_citations: bool) -> list[CdResult]:
+    """CD of the ``focals`` (indices of ``cit.indexed``). Each paper's valid
+    references and citers are listed once, in one pass over the edges; the
+    sets F and B are built per focal."""
+    g = cit.indexed
+    refs: list[list[int]] = [[] for _ in g.names]
+    citers: list[list[int]] = [[] for _ in g.names]
+    for (u, v), attrs in cit.edges.items():
+        if _valid_edge(attrs):
+            refs[g.pos[u]].append(g.pos[v])
+            citers[g.pos[v]].append(g.pos[u])
+    years = [cit.nodes[u]["year"] for u in g.names]
+    authors = [cit.nodes[u].get("authors", ()) for u in g.names]
+
+    out = []
+    for i in focals:
+        t0 = years[i]
+        t1 = t0 + window if window is not None else math.inf
+        own = set(authors[i]) if exclude_self_citations else set()
+        f_all = set(citers[i])
+        b_all = set().union(*(citers[r] for r in refs[i]))
+        kept = {c for c in f_all | b_all if t0 < years[c] <= t1 and own.isdisjoint(authors[c])}
+        if kept:
+            f, b = kept & f_all, kept & b_all
+            out.append(CdResult(paper=g.names[i], cd=(len(f) - 2 * len(f & b)) / len(kept),
+                                n_t=len(kept), f_count=len(f), b_count=len(b)))
+    return out
+
+
 def cd_index(cit: ProjectedGraph, focal: str, window: int | None = None,
              exclude_self_citations: bool = True) -> CdResult | None:
     """CD disruptiveness index of a focal paper.
 
-    With R the focal's in-corpus references and S the later papers citing
-    the focal or any member of R (restricted to ``window`` years after the
-    focal when given):
+    With R the focal's in-corpus references, F the later papers citing the
+    focal and B the later papers citing any member of R (both restricted to
+    ``window`` years after the focal when given):
 
-        CD = (1/|S|) * sum_i (f_i - 2 f_i b_i)
+        CD = (|F| - 2 |F & B|) / |F | B|     (& intersection, | union)
 
-    where f_i / b_i flag whether citer i cites the focal / any reference.
-    Papers sharing an author with the focal are dropped from S by default.
+    which is (1/|S|) * sum_i (f_i - 2 f_i b_i) over S = F | B, where f_i /
+    b_i flag whether citer i cites the focal / any reference. Temporally
+    anomalous citations count for neither R nor the citer sets. Papers
+    sharing an author with the focal are dropped from F and B by default.
     Returns None when S is empty (the index is undefined, never 0).
     """
     if focal not in cit.nodes:
         raise KeyError(f"unknown paper {focal!r}")
-    t0 = cit.nodes[focal]["year"]
-    focal_authors = set(cit.nodes[focal].get("authors", ()))
-    refs = {v for v in cit.successors(focal) if _valid_edge(cit.edge_attrs(focal, v))}
-
-    candidates = {u for u in cit.predecessors(focal) if _valid_edge(cit.edge_attrs(u, focal))}
-    for r in refs:
-        candidates.update(u for u in cit.predecessors(r) if _valid_edge(cit.edge_attrs(u, r)))
-    candidates.discard(focal)
-
-    total = f_count = b_count = 0
-    acc = 0
-    for i in sorted(candidates):
-        yi = cit.nodes[i]["year"]
-        if yi <= t0:
-            continue
-        if window is not None and yi > t0 + window:
-            continue
-        if exclude_self_citations and focal_authors and \
-                focal_authors & set(cit.nodes[i].get("authors", ())):
-            continue
-        f = 1 if (cit.has_edge(i, focal) and _valid_edge(cit.edge_attrs(i, focal))) else 0
-        b = 1 if any(cit.has_edge(i, r) and _valid_edge(cit.edge_attrs(i, r))
-                     for r in refs) else 0
-        total += 1
-        f_count += f
-        b_count += b
-        acc += f - 2 * f * b
-    if total == 0:
-        return None
-    return CdResult(paper=focal, cd=acc / total, n_t=total,
-                    f_count=f_count, b_count=b_count)
+    results = _cd_results(cit, [cit.indexed.pos[focal]], window, exclude_self_citations)
+    return results[0] if results else None
 
 
 def cd_index_all(cit: ProjectedGraph, window: int | None = None,
                  exclude_self_citations: bool = True) -> list[CdResult]:
-    out = []
-    for pid in sorted(cit.nodes):
-        res = cd_index(cit, pid, window, exclude_self_citations)
-        if res is not None:
-            out.append(res)
-    return out
+    """:func:`cd_index` of every paper with a defined index, in paper order."""
+    return _cd_results(cit, range(len(cit.nodes)), window, exclude_self_citations)
 
 
 def cd_index_yearly(cit: ProjectedGraph, results: list[CdResult]) -> YearSeries:
@@ -198,10 +197,10 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
     stops when the maximum absolute change of any of them falls below
     ``tol``. Returns the paper scores.
     """
-    papers = sorted(cit.nodes)
+    g = cit.indexed
+    papers = g.names
     if not papers:
         return {}
-    p_idx = {pid: i for i, pid in enumerate(papers)}
     years = np.array([cit.nodes[pid]["year"] for pid in papers], dtype=float)
     t_now = years.max()
 
@@ -211,9 +210,9 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
     v_idx = {v: i for i, v in enumerate(venues)}
 
     pa_papers, pa_authors = [], []
-    for pid in papers:
+    for i, pid in enumerate(papers):
         for a in cit.nodes[pid]["authors"]:
-            pa_papers.append(p_idx[pid])
+            pa_papers.append(i)
             pa_authors.append(a_idx[a])
     pa_papers = np.array(pa_papers, dtype=int)
     pa_authors = np.array(pa_authors, dtype=int)
@@ -221,23 +220,20 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
     author_paper_n = np.bincount(pa_authors, minlength=len(authors)).astype(float)
 
     pv_papers, pv_venues = [], []
-    for pid in papers:
+    for i, pid in enumerate(papers):
         v = cit.nodes[pid]["venue"]
         if v:
-            pv_papers.append(p_idx[pid])
+            pv_papers.append(i)
             pv_venues.append(v_idx[v])
     pv_papers = np.array(pv_papers, dtype=int)
     pv_venues = np.array(pv_venues, dtype=int)
     venue_paper_n = np.bincount(pv_venues, minlength=len(venues)).astype(float)
 
-    src_idx, dst_idx = [], []
-    for u, v in sorted(cit.edges):
-        src_idx.append(p_idx[u])
-        dst_idx.append(p_idx[v])
-    src_idx = np.array(src_idx, dtype=int)
-    dst_idx = np.array(dst_idx, dtype=int)
-    out_deg = np.bincount(src_idx, minlength=len(papers)).astype(float)
-    edge_factor = np.exp(-decay * (t_now - years[src_idx])) / np.maximum(out_deg[src_idx], 1.0)
+    # every citation edge, in (citer, cited) order
+    out_deg = np.array([len(refs) for refs in g.succ])
+    src_idx = np.repeat(np.arange(len(papers)), out_deg)
+    dst_idx = np.array([j for refs in g.succ for j in refs], dtype=int)
+    edge_factor = np.exp(-decay * (t_now - years[src_idx])) / out_deg[src_idx]
 
     n_p, n_a, n_v = len(papers), len(authors), len(venues)
     p = np.full(n_p, 1.0 / n_p)
@@ -281,7 +277,7 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
             residual = max(residual, float(np.max(np.abs(v_new - v))))
         p, a, v = p_new, a_new, v_new
         if residual < tol:
-            return {pid: float(p[i]) for pid, i in p_idx.items()}
+            return {pid: float(p[i]) for i, pid in enumerate(papers)}
     raise ConvergenceError(f"ranking failed to converge in {max_iter} iterations", residual)
 
 

@@ -322,7 +322,7 @@ def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
     assignment = corpus.assignment
     nationality = {}
     topic_label = {}
-    for u in coauth.sorted_nodes():
+    for u in sorted(coauth.nodes):
         nationality[u] = co.author_attribute(kg, u, "nationality")
         topic_label[u] = co.author_attribute(kg, u, "primary_topic",
                                              topic_labels=assignment.labels)

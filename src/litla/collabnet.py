@@ -35,38 +35,32 @@ class AssortativityResult:
 # --- connectivity ---------------------------------------------------------------
 
 
-def connected_components(pg: ProjectedGraph) -> list[list[str]]:
-    """Components as sorted node lists, largest first (ties by first node)."""
-    seen: set[str] = set()
-    comps: list[list[str]] = []
-    for start in pg.sorted_nodes():
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in pg.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
-
-
-def _bfs_distances(pg: ProjectedGraph, source: str) -> dict[str, int]:
+def _bfs(succ: list[list[int]], source: int) -> dict[int, int]:
+    """Hop distance from ``source`` to every node it reaches."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in pg.neighbors(u):
+        for v in succ[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def connected_components(pg: ProjectedGraph) -> list[list[str]]:
+    """Components as sorted node lists, largest first (ties by first node)."""
+    g = pg.indexed
+    seen: set[int] = set()
+    comps: list[list[str]] = []
+    for start in range(len(g.names)):
+        if start in seen:
+            continue
+        comp = sorted(_bfs(g.succ, start))
+        seen.update(comp)
+        comps.append([g.names[i] for i in comp])
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
 
 
 def components(pg: ProjectedGraph) -> ComponentReport:
@@ -83,11 +77,8 @@ def components(pg: ProjectedGraph) -> ComponentReport:
 
 
 def _diameter_of(pg: ProjectedGraph, component: list[str]) -> int:
-    best = 0
-    for u in component:
-        ecc = max(_bfs_distances(pg, u).values())
-        best = max(best, ecc)
-    return best
+    g = pg.indexed
+    return max(max(_bfs(g.succ, g.pos[u]).values()) for u in component)
 
 
 def diameter_lcc(pg: ProjectedGraph) -> int:
@@ -106,7 +97,8 @@ def hop_coverage(pg: ProjectedGraph) -> list[tuple[int, float]]:
         raise ValueError("empty graph")
     lcc = comps[0]
     source = min(lcc, key=lambda u: (-pg.degree(u), u))
-    dist = _bfs_distances(pg, source)
+    g = pg.indexed
+    dist = _bfs(g.succ, g.pos[source])
     n = len(lcc)
     ecc = max(dist.values())
     layer_counts = Counter(dist.values())
@@ -136,23 +128,23 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85, tol: float = 1e-10,
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie in (0, 1)")
-    nodes = pg.sorted_nodes()
+    g = pg.indexed
+    nodes = g.names
     n = len(nodes)
     if n == 0:
         return {}
-    idx = {u: i for i, u in enumerate(nodes)}
     src, dst, prob = [], [], []
     dangling = np.zeros(n, dtype=bool)
-    for u in nodes:
-        nbrs = sorted(pg.neighbors(u))
-        weights = [pg.edge_attrs(u, v).get("weight", 1.0) for v in nbrs]
+    for i, u in enumerate(nodes):
+        nbrs = g.succ[i]
+        weights = [pg.edge_attrs(u, nodes[j]).get("weight", 1.0) for j in nbrs]
         wsum = float(sum(weights))
         if wsum <= 0.0 or not nbrs:
-            dangling[idx[u]] = True
+            dangling[i] = True
             continue
-        for v, w in zip(nbrs, weights):
-            src.append(idx[u])
-            dst.append(idx[v])
+        for j, w in zip(nbrs, weights):
+            src.append(i)
+            dst.append(j)
             prob.append(w / wsum)
     src = np.array(src, dtype=int)
     dst = np.array(dst, dtype=int)
@@ -168,34 +160,35 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85, tol: float = 1e-10,
         residual = float(np.max(np.abs(p_new - p)))
         p = p_new
         if residual < tol:
-            return {u: float(p[idx[u]]) for u in nodes}
+            return {u: float(p[i]) for i, u in enumerate(nodes)}
     raise ConvergenceError(f"pagerank failed to converge in {max_iter} iterations", residual)
 
 
 def betweenness(pg: ProjectedGraph) -> dict[str, float]:
     """Exact shortest-path betweenness (Brandes accumulation, hop metric),
     normalized by (n-1)(n-2)/2 so a star center scores 1."""
-    nodes = pg.sorted_nodes()
-    n = len(nodes)
-    cb = {u: 0.0 for u in nodes}
-    for s in nodes:
-        stack: list[str] = []
-        preds: dict[str, list[str]] = {u: [] for u in nodes}
-        sigma = {u: 0.0 for u in nodes}
+    g = pg.indexed
+    n = len(g.names)
+    cb = [0.0] * n
+    for s in range(n):
+        stack: list[int] = []
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
         sigma[s] = 1.0
-        dist = {s: 0}
+        dist = [-1] * n
+        dist[s] = 0
         queue = deque([s])
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in sorted(pg.neighbors(v)):
-                if w not in dist:
+            for w in g.succ[v]:
+                if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = {u: 0.0 for u in nodes}
+        delta = [0.0] * n
         while stack:
             w = stack.pop()
             for v in preds[w]:
@@ -204,9 +197,9 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
                 cb[w] += delta[w]
     norm = (n - 1) * (n - 2) / 2.0
     if norm <= 0:
-        return {u: 0.0 for u in nodes}
+        return {u: 0.0 for u in g.names}
     # each unordered pair is accumulated from both endpoints
-    return {u: cb[u] / 2.0 / norm for u in nodes}
+    return {u: cb[i] / 2.0 / norm for i, u in enumerate(g.names)}
 
 
 # --- cliques ---------------------------------------------------------------------
@@ -217,25 +210,16 @@ def count_k_cliques(pg: ProjectedGraph, k: int) -> int:
     over neighbor intersections (intended for k in {3, 4, 5})."""
     if k < 1:
         raise ValueError("k must be positive")
-    nodes = pg.sorted_nodes()
-    if k == 1:
-        return len(nodes)
-    adj = {u: pg.neighbors(u) for u in nodes}
+    g = pg.indexed
+    # each clique is counted once, from its lowest index upward
+    later = [{v for v in nbrs if v > u} for u, nbrs in enumerate(g.succ)]
 
-    count = 0
-
-    def extend(last: str, common: set[str], size: int):
-        nonlocal count
+    def extend(common: set[int], size: int) -> int:
         if size == k:
-            count += 1
-            return
-        for v in sorted(common):
-            if v > last:
-                extend(v, common & adj[v], size + 1)
+            return 1
+        return sum(extend(common & later[v], size + 1) for v in common)
 
-    for u in nodes:
-        extend(u, set(adj[u]), 1)
-    return count
+    return sum(extend(later[u], 1) for u in range(len(later)))
 
 
 # --- node attributes and mixing ----------------------------------------------------

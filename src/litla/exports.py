@@ -150,7 +150,7 @@ def kg_to_dot(path, kg: KnowledgeGraph) -> None:
 
 
 def projected_to_graphml(path, pg: ProjectedGraph) -> None:
-    nodes = {u: dict(pg.nodes[u]) for u in pg.sorted_nodes()}
+    nodes = {u: dict(pg.nodes[u]) for u in sorted(pg.nodes)}
     edges = [(u, v, {k: val for k, val in attrs.items() if not isinstance(val, (tuple, frozenset))})
              for (u, v), attrs in sorted(pg.edges.items())]
     write_graphml(path, nodes, edges, directed=pg.directed)

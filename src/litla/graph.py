@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .countries import UNKNOWN, infer_country
@@ -169,9 +170,25 @@ class KnowledgeGraph:
         return ProjectedGraph(directed=False, nodes=nodes, edges=edges)
 
 
+@dataclass(frozen=True)
+class IndexedGraph:
+    """Integer view of a :class:`ProjectedGraph`: node ``i`` is ``names[i]``
+    (sorted, so index order is name order), ``pos`` maps a name back to its
+    index, and ``succ[i]`` / ``pred[i]`` are the sorted indices of its
+    successors / predecessors. Undirected graphs share one list: ``pred is
+    succ``."""
+
+    names: list[str]
+    pos: dict[str, int]
+    succ: list[list[int]]
+    pred: list[list[int]]
+
+
 class ProjectedGraph:
     """Homogeneous graph view. Undirected edges are keyed by canonical
-    (u < v) pairs; adjacency is precomputed for read-heavy analysis."""
+    (u < v) pairs; adjacency is precomputed for read-heavy analysis. The
+    graph is immutable after construction, which the cached
+    :attr:`indexed` view relies on."""
 
     def __init__(self, directed: bool, nodes: dict[str, dict],
                  edges: dict[tuple[str, str], dict]):
@@ -200,9 +217,6 @@ class ProjectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_nodes(self) -> list[str]:
-        return sorted(self.nodes)
-
     def has_edge(self, u: str, v: str) -> bool:
         if not self.directed and u > v:
             u, v = v, u
@@ -230,6 +244,16 @@ class ProjectedGraph:
 
     def out_degree(self, u: str) -> int:
         return len(self._adj[u])
+
+    @cached_property
+    def indexed(self) -> IndexedGraph:
+        """The integer view every graph algorithm runs on, built on first use."""
+        names = sorted(self.nodes)
+        pos = {u: i for i, u in enumerate(names)}
+        succ = [sorted(pos[v] for v in self._adj[u]) for u in names]
+        pred = [sorted(pos[v] for v in self._radj[u]) for u in names] \
+            if self.directed else succ
+        return IndexedGraph(names, pos, succ, pred)
 
     def snapshot(self, year: int) -> "ProjectedGraph":
         """Induced subgraph of the nodes and edges first appearing in or

@@ -164,7 +164,7 @@ def train_link_model(samples: list[PairSample], n_trees: int = 100,
 def all_unconnected_pairs(g: ProjectedGraph) -> list[tuple[str, str]]:
     """Every canonical unconnected pair of nodes with at least one neighbour
     (degree-0 keywords carry no structural signal)."""
-    nodes = [u for u in g.sorted_nodes() if g.degree(u) >= 1]
+    nodes = [u for u in sorted(g.nodes) if g.degree(u) >= 1]
     out = []
     for i, u in enumerate(nodes):
         for v in nodes[i + 1:]:

@@ -271,44 +271,27 @@ class ExclusionPolicy:
     extended_version_ids: Collection[str] = field(default_factory=list)
 
 
-def _screen(policy: ExclusionPolicy):
-    """The policy as one reason-or-None function, its sets case-folded once."""
-    languages = {l.casefold() for l in policy.allowed_languages}
-    doc_types = {d.casefold() for d in policy.excluded_doc_types}
-
-    def reason(rec: PaperRecord) -> str | None:
-        if rec.language.casefold() not in languages:
-            return REASON_LANGUAGE
-        if rec.page_count < policy.min_pages:
-            return REASON_MIN_PAGES
-        if rec.doc_type.casefold() in doc_types:
-            return REASON_DOC_TYPE
-        if policy.drop_extended_versions and rec.id in policy.extended_version_ids:
-            return REASON_EXTENDED
-        return None
-
-    return reason
-
-
-def rejection_reason(rec: PaperRecord, policy: ExclusionPolicy) -> str | None:
-    """First violated predicate, in protocol order, or None when kept."""
-    return _screen(policy)(rec)
-
-
 def apply_exclusions(
     records: list[PaperRecord], policy: ExclusionPolicy
 ) -> tuple[list[PaperRecord], list[tuple[PaperRecord, str]]]:
     """Split records into (kept, rejected-with-reason). Pure and idempotent:
-    each rejected record carries exactly one primary reason."""
-    reason_of = _screen(policy)
+    each rejected record carries exactly one primary reason, the first
+    violated predicate in protocol order."""
+    languages = {l.casefold() for l in policy.allowed_languages}
+    doc_types = {d.casefold() for d in policy.excluded_doc_types}
     kept: list[PaperRecord] = []
     rejected: list[tuple[PaperRecord, str]] = []
     for rec in records:
-        reason = reason_of(rec)
-        if reason is None:
-            kept.append(rec)
+        if rec.language.casefold() not in languages:
+            rejected.append((rec, REASON_LANGUAGE))
+        elif rec.page_count < policy.min_pages:
+            rejected.append((rec, REASON_MIN_PAGES))
+        elif rec.doc_type.casefold() in doc_types:
+            rejected.append((rec, REASON_DOC_TYPE))
+        elif policy.drop_extended_versions and rec.id in policy.extended_version_ids:
+            rejected.append((rec, REASON_EXTENDED))
         else:
-            rejected.append((rec, reason))
+            kept.append(rec)
     return kept, rejected
 
 

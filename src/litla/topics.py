@@ -87,28 +87,31 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
     neighbor_lists = []
     for s in range(0, n, rows):
         d2 = np.sum((pts[s:s + rows, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        neighbor_lists.extend(np.flatnonzero(row) for row in d2 <= eps * eps)
+        within = d2 <= eps * eps
+        # one int32 array per block, split into per-row views (an int32 copy
+        # per row interleaves small allocations and raises the peak RSS)
+        cols = np.nonzero(within)[1].astype(np.int32)
+        neighbor_lists.extend(np.split(cols, np.cumsum(within.sum(axis=1))[:-1]))
     is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
 
-    labels: list[int | None] = [None] * n
+    # NOISE marks a point no cluster has reached yet; one never reached stays noise
+    reached = np.full(n, NOISE)
     cluster = 0
-    for seed in range(n):
-        if labels[seed] is not None or not is_core[seed]:
+    for seed in np.flatnonzero(is_core):
+        if reached[seed] != NOISE:
             continue
-        labels[seed] = cluster
+        reached[seed] = cluster
         queue = deque([seed])
         while queue:
             i = queue.popleft()
             if not is_core[i]:
                 continue  # border points join but never expand
-            for j in neighbor_lists[i]:
-                if labels[j] is None:
-                    labels[j] = cluster
-                    queue.append(j)
+            nb = neighbor_lists[i]
+            new = nb[reached[nb] == NOISE]
+            reached[new] = cluster
+            queue.extend(new)
         cluster += 1
-    for i in range(n):
-        if labels[i] is None:
-            labels[i] = NOISE
+    labels = reached.tolist()
 
     sizes = Counter(l for l in labels if l != NOISE)
     first_member = {}

@@ -1,10 +1,12 @@
 import csv
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litla.citenet import (
+    CdResult,
     cd_index,
     cd_index_all,
     cd_index_yearly,
@@ -16,7 +18,7 @@ from litla.citenet import (
     weight_edges,
 )
 from litla.errors import ConvergenceError
-from litla.graph import PROJECTION_CITATION, build_graph
+from litla.graph import FLAG_TEMPORAL_ANOMALY, PROJECTION_CITATION, build_graph
 from litla.cli import main
 from litla.config import load_config
 from litla.records import Author, PaperRecord, apply_exclusions, serialize_records
@@ -117,6 +119,48 @@ def cd_oracle(nodes, edges, years, focal, window=None):
     return acc / total if total else None
 
 
+def cd_reference(cit, focal, window=None, exclude_self_citations=True):
+    """The per-candidate CD loop: every later citer of the focal or of one of
+    its references is checked edge by edge for f_i and b_i."""
+    def valid(u, v):
+        return FLAG_TEMPORAL_ANOMALY not in cit.edge_attrs(u, v).get("flags", frozenset())
+
+    t0 = cit.nodes[focal]["year"]
+    focal_authors = set(cit.nodes[focal].get("authors", ()))
+    refs = {v for v in cit.successors(focal) if valid(focal, v)}
+    candidates = {u for u in cit.predecessors(focal) if valid(u, focal)}
+    for r in refs:
+        candidates.update(u for u in cit.predecessors(r) if valid(u, r))
+    candidates.discard(focal)
+    total = f_count = b_count = acc = 0
+    for i in sorted(candidates):
+        yi = cit.nodes[i]["year"]
+        if yi <= t0 or (window is not None and yi > t0 + window):
+            continue
+        if exclude_self_citations and focal_authors & set(cit.nodes[i].get("authors", ())):
+            continue
+        f = 1 if cit.has_edge(i, focal) and valid(i, focal) else 0
+        b = 1 if any(cit.has_edge(i, r) and valid(i, r) for r in refs) else 0
+        total += 1
+        f_count += f
+        b_count += b
+        acc += f - 2 * f * b
+    if total == 0:
+        return None
+    return CdResult(paper=focal, cd=acc / total, n_t=total, f_count=f_count, b_count=b_count)
+
+
+def random_citation_graph(seed):
+    """Small citation graph with same-year, backward (flagged) and mutual
+    citations, and authors drawn from a pool of three."""
+    rng = random.Random(seed)
+    nodes = [f"p{i}" for i in range(rng.randint(2, 9))]
+    years = {u: rng.randint(2000, 2004) for u in nodes}
+    authors = {u: rng.sample(["x", "y", "z"], rng.randint(0, 2)) for u in nodes}
+    edges = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.35]
+    return citation(edges, years, authors=authors)
+
+
 class TestCdIndex:
     def test_all_citers_focal_only_is_plus_one(self):
         years = {"focal": 2000, "c1": 2001, "c2": 2002, "c3": 2003}
@@ -175,6 +219,37 @@ class TestCdIndex:
             else:
                 assert got.cd == pytest.approx(expected, abs=1e-12)
                 assert -1.0 <= got.cd <= 1.0
+
+
+class TestCdSetAlgebra:
+    """``cd_index_all`` and ``cd_index`` against :func:`cd_reference` on the
+    cases the acceptance DAGs never hold: flagged edges and self-citations."""
+
+    @pytest.mark.parametrize("window", [None, 1, 2])
+    @pytest.mark.parametrize("exclude_self_citations", [True, False])
+    def test_matches_reference_with_flags_and_shared_authors(self, window,
+                                                             exclude_self_citations):
+        flagged = self_cited = 0
+        for seed in range(300):
+            g = random_citation_graph(seed)
+            expected = [cd_reference(g, u, window, exclude_self_citations)
+                        for u in sorted(g.nodes)]
+            assert cd_index_all(g, window, exclude_self_citations) == \
+                [r for r in expected if r is not None]
+            for u, res in zip(sorted(g.nodes), expected):
+                assert cd_index(g, u, window, exclude_self_citations) == res
+                if res != cd_reference(g, u, window, not exclude_self_citations):
+                    self_cited += 1
+            flagged += any(FLAG_TEMPORAL_ANOMALY in a["flags"] for a in g.edges.values())
+        # the sample really exercises both filters
+        assert flagged > 100 and self_cited > 50
+
+    def test_flagged_citation_counts_for_neither_side(self):
+        years = {"ref": 2001, "focal": 2000, "c": 2002}
+        g = citation([("focal", "ref"), ("c", "ref"), ("c", "focal")], years)
+        assert g.edge_attrs("focal", "ref")["flags"] == {FLAG_TEMPORAL_ANOMALY}
+        res = cd_index(g, "focal")
+        assert (res.cd, res.n_t, res.f_count, res.b_count) == (1.0, 1, 1, 0)
 
 
 class TestCdYearly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import xml.etree.ElementTree as ET
@@ -145,6 +146,26 @@ class TestCli:
             manifest = json.loads((solo / "run_manifest.json").read_text())
             for name in manifest["stages"][0]["outputs"]:
                 assert (solo / name).read_bytes() == (all_dir / name).read_bytes()
+
+    def test_graph_reports_pinned(self, fixture_dir, tmp_path):
+        # sha256 of the reports the graph algorithms write for the fixture at
+        # seed 7; backbone.graphml is left out because it goes through np.exp
+        pinned = {
+            "cd_papers.csv": "1f90401b641fa01ada1f2f6484d37378a0db774f1855ec7bc75e962ea339674b",
+            "cd_yearly.csv": "97bbb50f904f92604009ecc9ee418f82df06856a2ee6d75a03824d8377d5a584",
+            "collab_metrics.json":
+                "20054b41df9f1101d70c899816b440cfa71983bb79d1744d4a52423165acc649",
+            "component_sizes.csv":
+                "7c10f9dda5ea8ddd61a1cd0c13466b5d60e15dc93617cd93299b7cc4f3b34216",
+            "degree_distribution.csv":
+                "bd694790166fa5d4e1878a078aece096b54334a790a887a6a07d9b2cd8fe6fb0",
+            "top_authors.graphml":
+                "808bc1b75cf2b1e8306145d110b1cb93283c7853572221d381735d134ec68368",
+        }
+        assert main(["all", "--config", str(fixture_dir / "config.toml"), "--seed", "7",
+                     "--output", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in pinned} == pinned
 
     def test_corpus_is_computed_once_per_run(self, fixture_dir, tmp_path, monkeypatch):
         calls = {}

@@ -15,6 +15,7 @@ from litla.graph import (
     PROJECTION_CITATION,
     PROJECTION_COAUTHORSHIP,
     PROJECTION_KEYWORD,
+    ProjectedGraph,
     build_graph,
     canonical,
     institution_key,
@@ -183,6 +184,61 @@ class TestProjections:
         co = kg.project(PROJECTION_COAUTHORSHIP)
         for (u, v), attrs in co.edges.items():
             assert attrs["weight"] == co.edge_attrs(v, u)["weight"]
+
+
+class TestIndexed:
+    # insertion order, string order and numeric order all differ
+    NAMES = ["9", "10", "b", "a", "100"]
+
+    def graph(self, directed):
+        nodes = {u: {"year": 2000 + i} for i, u in enumerate(self.NAMES)}
+        edges = {("9", "10"): {"year": 2000}, ("b", "9"): {"year": 2003},
+                 ("100", "9"): {"year": 2004}, ("a", "10"): {"year": 2003}}
+        return ProjectedGraph(directed, nodes, edges)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_names_sorted_and_positions_invert_them(self, directed):
+        g = self.graph(directed).indexed
+        assert g.names == ["10", "100", "9", "a", "b"]
+        assert all(g.pos[u] == i for i, u in enumerate(g.names))
+        assert len(g.pos) == len(g.names)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_adjacency_sorted_and_matches_sets(self, directed):
+        pg = self.graph(directed)
+        g = pg.indexed
+        for i, u in enumerate(g.names):
+            assert g.succ[i] == sorted(g.succ[i])
+            assert g.pred[i] == sorted(g.pred[i])
+            assert {g.names[j] for j in g.succ[i]} == pg.successors(u)
+            assert {g.names[j] for j in g.pred[i]} == pg.predecessors(u)
+
+    def test_directed_pred_is_reverse_of_succ(self):
+        g = self.graph(True).indexed
+        forward = {(i, j) for i, nbrs in enumerate(g.succ) for j in nbrs}
+        backward = {(i, j) for j, nbrs in enumerate(g.pred) for i in nbrs}
+        assert forward == backward
+        assert g.pred is not g.succ
+        assert g.succ[g.pos["9"]] == [g.pos["10"]]
+        assert g.pred[g.pos["9"]] == [g.pos["100"], g.pos["b"]]
+
+    def test_undirected_pred_is_succ(self):
+        g = self.graph(False).indexed
+        assert g.pred is g.succ
+        assert g.succ[g.pos["9"]] == [g.pos["10"], g.pos["100"], g.pos["b"]]
+
+    def test_view_built_once(self):
+        pg = self.graph(True)
+        assert pg.indexed is pg.indexed
+
+    def test_snapshot_gets_its_own_view(self):
+        pg = self.graph(True)
+        full = pg.indexed
+        snap = pg.snapshot(2002)
+        assert snap.indexed is not full
+        assert snap.indexed.names == ["10", "9", "b"]
+        assert snap.indexed.succ == [[], [0], []]
+        assert pg.indexed is full
 
 
 @given(st.lists(st.tuples(st.integers(2008, 2020), st.booleans()),

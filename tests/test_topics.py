@@ -165,6 +165,19 @@ class TestDbscanBlocks:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
+    def test_memory_of_dense_neighbour_lists(self):
+        # 3,000 points all within eps: 9M neighbour entries, ~69 MiB at 8 bytes each
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(size=(3000, 5))
+        tracemalloc.start()
+        try:
+            labels = dbscan_labels(pts, 10.0, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels == [0] * 3000
+        assert peak < 60 * 2 ** 20
+
 
 class TestCtfidf:
     corpus = {
