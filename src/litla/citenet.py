@@ -197,6 +197,8 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
     stops when the maximum absolute change of any of them falls below
     ``tol``. Returns the paper scores.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     g = cit.indexed
     papers = g.names
     if not papers:

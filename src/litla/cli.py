@@ -364,7 +364,6 @@ def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
               co.degree_histogram(coauth))
     outputs.append("degree_distribution.csv")
 
-    hops = co.hop_coverage(coauth) if coauth.node_count() else []
     scores = co.pagerank(coauth, damping=block.damping, tol=block.tol,
                          max_iter=block.max_iter) if coauth.node_count() else {}
     between = co.betweenness(coauth) if coauth.node_count() else {}
@@ -384,7 +383,7 @@ def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
         "components": report.count,
         "largest_component": report.largest_size,
         "diameter": report.diameter_of_largest,
-        "hop_coverage": [[k_, repr(f)] for k_, f in hops],
+        "hop_coverage": [[k_, repr(f)] for k_, f in report.hop_coverage],
         "clique_counts_top_subnetwork": cliques,
         "top_betweenness": [[u, v] for u, v in top_between],
     })

@@ -7,6 +7,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,6 +23,7 @@ class ComponentReport:
     count: int
     largest_size: int
     diameter_of_largest: int
+    hop_coverage: list[tuple[int, float]]  # see hop_coverage()
 
 
 @dataclass
@@ -64,50 +66,59 @@ def connected_components(pg: ProjectedGraph) -> list[list[str]]:
 
 
 def components(pg: ProjectedGraph) -> ComponentReport:
+    """Component sizes, and the largest component's diameter and hop coverage."""
     comps = connected_components(pg)
-    sizes = [len(c) for c in comps]
     if not comps:
-        return ComponentReport(sizes=[], count=0, largest_size=0, diameter_of_largest=0)
+        return ComponentReport(sizes=[], count=0, largest_size=0, diameter_of_largest=0,
+                               hop_coverage=[])
+    g = pg.indexed
+    # highest degree first, ties by index (= name order)
+    source = min((g.pos[u] for u in comps[0]), key=lambda i: (-len(g.succ[i]), i))
+    dist = _bfs(g.succ, source)
+    layer_counts = Counter(dist.values())
+    reached = accumulate(layer_counts[k] for k in range(len(layer_counts)))
+    sizes = [len(c) for c in comps]
     return ComponentReport(
         sizes=sizes,
         count=len(comps),
         largest_size=sizes[0],
-        diameter_of_largest=_diameter_of(pg, comps[0]),
+        diameter_of_largest=_diameter_of(g.succ, dist),
+        hop_coverage=[(k, r / sizes[0]) for k, r in enumerate(reached)],
     )
 
 
-def _diameter_of(pg: ProjectedGraph, component: list[str]) -> int:
-    g = pg.indexed
-    return max(max(_bfs(g.succ, g.pos[u]).values()) for u in component)
+def _diameter_of(succ: list[list[int]], dist: dict[int, int]) -> int:
+    """Exact diameter of the component spanned by the BFS distances
+    ``dist``, by iFUB (Crescenzi et al., TCS 2013).
+
+    Eccentricities are taken from the deepest BFS level up. Before a node
+    at level i, every pair not yet covered has both ends within i hops of
+    the source, so is at most 2*i apart: once the lower bound reaches 2*i,
+    it is the diameter.
+    """
+    lower = max(dist.values())
+    for v in reversed(dist):  # BFS order, so deepest level first
+        if lower >= 2 * dist[v]:
+            break
+        lower = max(lower, max(_bfs(succ, v).values()))
+    return lower
 
 
 def diameter_lcc(pg: ProjectedGraph) -> int:
-    """Exact diameter of the largest connected component via all-sources BFS."""
-    comps = connected_components(pg)
-    if not comps:
+    """Exact diameter of the largest connected component (iFUB)."""
+    report = components(pg)
+    if not report.count:
         raise ValueError("empty graph has no diameter")
-    return _diameter_of(pg, comps[0])
+    return report.diameter_of_largest
 
 
 def hop_coverage(pg: ProjectedGraph) -> list[tuple[int, float]]:
     """Fraction of the largest component reached within k hops of its
     highest-degree node (degree ties broken lexicographically)."""
-    comps = connected_components(pg)
-    if not comps:
+    report = components(pg)
+    if not report.count:
         raise ValueError("empty graph")
-    lcc = comps[0]
-    source = min(lcc, key=lambda u: (-pg.degree(u), u))
-    g = pg.indexed
-    dist = _bfs(g.succ, g.pos[source])
-    n = len(lcc)
-    ecc = max(dist.values())
-    layer_counts = Counter(dist.values())
-    out = []
-    reached = 0
-    for k in range(ecc + 1):
-        reached += layer_counts.get(k, 0)
-        out.append((k, reached / n))
-    return out
+    return report.hop_coverage
 
 
 def degree_histogram(pg: ProjectedGraph) -> list[tuple[int, int]]:
@@ -128,6 +139,8 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85, tol: float = 1e-10,
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie in (0, 1)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     g = pg.indexed
     nodes = g.names
     n = len(nodes)
@@ -170,31 +183,34 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
     g = pg.indexed
     n = len(g.names)
     cb = [0.0] * n
+    # allocated once; after each source only the nodes it reached are reset
+    preds: list[list[int]] = [[] for _ in range(n)]
+    sigma = [0.0] * n
+    dist = [-1] * n
+    delta = [0.0] * n
     for s in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0.0] * n
         sigma[s] = 1.0
-        dist = [-1] * n
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
+        order = [s]  # BFS queue while it grows, then read back as the stack
+        for v in order:
+            step = dist[v] + 1
             for w in g.succ[v]:
                 if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
+                    dist[w] = step
+                    order.append(w)
+                if dist[w] == step:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = [0.0] * n
-        while stack:
-            w = stack.pop()
+        for w in reversed(order):
             for v in preds[w]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
             if w != s:
                 cb[w] += delta[w]
+        for v in order:
+            preds[v].clear()
+            sigma[v] = 0.0
+            dist[v] = -1
+            delta[v] = 0.0
     norm = (n - 1) * (n - 2) / 2.0
     if norm <= 0:
         return {u: 0.0 for u in g.names}

@@ -390,6 +390,12 @@ class TestRankEssential:
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(s > 0 for s in scores.values())
 
+    def test_zero_max_iter_rejected(self):
+        cit = build_graph([rec("a", 2010, authors=["x x"]),
+                           rec("b", 2011, authors=["y y"], refs=["a"])]).project(PROJECTION_CITATION)
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            rank_essential(cit, max_iter=0)
+
     def test_nonconvergence_raises_with_residual(self):
         cit = build_graph([rec("a", 2010, authors=["x x"]),
                            rec("b", 2011, authors=["y y"], refs=["a"])]).project(PROJECTION_CITATION)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from litla import collabnet
 from litla.collabnet import (
+    _bfs,
     assortativity_categorical,
     author_attribute,
     betweenness,
@@ -150,6 +152,102 @@ def clique_count_oracle(pg, k):
     return int((sub.sum(axis=(1, 2)) == k * (k - 1)).sum())
 
 
+def diameter_reference(pg):
+    """Largest eccentricity over the largest component: one BFS per node."""
+    g = pg.indexed
+    return max(max(_bfs(g.succ, g.pos[u]).values()) for u in connected_components(pg)[0])
+
+
+def brandes_reference(pg):
+    """Brandes with fresh per-source lists, the float operations in the
+    order ``betweenness`` must keep."""
+    g = pg.indexed
+    n = len(g.names)
+    cb = [0.0] * n
+    for s in range(n):
+        stack = []
+        preds = [[] for _ in range(n)]
+        sigma = [0.0] * n
+        sigma[s] = 1.0
+        dist = [-1] * n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in g.succ[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                cb[w] += delta[w]
+    norm = (n - 1) * (n - 2) / 2.0
+    if norm <= 0:
+        return {u: 0.0 for u in g.names}
+    return {u: cb[i] / 2.0 / norm for i, u in enumerate(g.names)}
+
+
+def reprs(scores):
+    """Exact float bits, as the reports write them."""
+    return {u: repr(v) for u, v in scores.items()}
+
+
+def path(n):
+    return undirected([(f"p{i:02d}", f"p{i + 1:02d}") for i in range(n - 1)],
+                      nodes=[f"p{i:02d}" for i in range(n)])
+
+
+def cycle(n):
+    return undirected([(f"c{i:02d}", f"c{(i + 1) % n:02d}") for i in range(n)])
+
+
+def barbell(k, bridge):
+    """Two k-cliques joined by a path of ``bridge`` inner nodes."""
+    left = [f"l{i}" for i in range(k)]
+    right = [f"r{i}" for i in range(k)]
+    chain = [left[-1]] + [f"m{i}" for i in range(bridge)] + [right[0]]
+    return undirected(list(combinations(left, 2)) + list(combinations(right, 2))
+                      + list(zip(chain, chain[1:])))
+
+
+def lollipop(k, tail):
+    """A k-clique with a path of ``tail`` nodes hanging off one member."""
+    head = [f"h{i}" for i in range(k)]
+    chain = [head[0]] + [f"t{i:02d}" for i in range(tail)]
+    return undirected(list(combinations(head, 2)) + list(zip(chain, chain[1:])))
+
+
+def grid(rows, cols):
+    name = "g{}_{}".format
+    edges = [(name(r, c), name(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(name(r, c), name(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return undirected(edges)
+
+
+def star(leaves):
+    return undirected([("hub", f"s{i}") for i in range(leaves)])
+
+
+SHAPES = {
+    "single node": undirected([], nodes=["a"]),
+    "single edge": undirected([("a", "b")]),
+    "path 2": path(2), "path 3": path(3), "path 10": path(10), "path 31": path(31),
+    "odd cycle 7": cycle(7), "even cycle 8": cycle(8), "odd cycle 21": cycle(21),
+    "barbell": barbell(5, 3), "barbell no bridge": barbell(4, 0),
+    "lollipop": lollipop(6, 9),
+    "grid 1x6": grid(1, 6), "grid 4x7": grid(4, 7), "grid 6x6": grid(6, 6),
+    "star": star(9),
+}
+
+
 # --- connectivity -------------------------------------------------------------------
 
 
@@ -228,6 +326,43 @@ class TestDiameter:
         assert diameter_lcc(pg) == lower_bound
 
 
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shapes_match_all_sources_reference(self, shape):
+        pg = SHAPES[shape]
+        assert diameter_lcc(pg) == diameter_reference(pg)
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.03, 0.08, 0.2, 0.5, 0.9]))
+    @settings(max_examples=80)
+    def test_random_matches_all_sources_reference(self, seed, p):
+        pg = random_undirected(seed, n_lo=1, n_hi=40, p=p)
+        assert diameter_lcc(pg) == diameter_reference(pg)
+        assert components(pg).diameter_of_largest == diameter_reference(pg)
+
+    def test_fewer_bfs_than_lcc_nodes_on_fixture_snapshots(self, fixture_dir, fixture_records,
+                                                          monkeypatch):
+        kept, _ = apply_exclusions(fixture_records,
+                                   load_config(fixture_dir / "config.toml").exclusions)
+        kg = build_graph(kept)
+        coauth = kg.project(PROJECTION_COAUTHORSHIP)
+        lo, hi = kg.corpus_year_range
+        snapshots = [snap for snap in (coauth.snapshot(y) for y in range(lo, hi + 1))
+                     if snap.node_count()]
+        assert len(snapshots) == 16
+        runs = []
+
+        def counted(succ, source):
+            runs.append(source)
+            return _bfs(succ, source)
+        monkeypatch.setattr(collabnet, "_bfs", counted)
+        lcc_total = 0
+        for snap in snapshots:
+            report = components(snap)
+            assert report.diameter_of_largest == diameter_reference(snap)
+            lcc_total += report.largest_size
+        # one BFS per component, one from the source, then iFUB's eccentricities
+        assert len(runs) < lcc_total
+
+
 class TestHopCoverage:
     def test_star_full_coverage_at_one(self):
         pg = undirected([("hub", f"s{i}") for i in range(6)])
@@ -263,6 +398,19 @@ class TestHopCoverage:
             expected.append((k, len(reached) / len(lcc)))
         assert [(k_, pytest.approx(f)) for k_, f in expected] == cover
         assert cover[-1][1] == 1.0
+
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_report_carries_hop_coverage(self, shape):
+        pg = SHAPES[shape]
+        cover = components(pg).hop_coverage
+        assert cover == hop_coverage(pg)
+        assert cover[0][0] == 0 and cover[-1] == (len(cover) - 1, 1.0)
+
+    def test_empty_graph(self):
+        assert components(undirected([])).hop_coverage == []
+        with pytest.raises(ValueError):
+            hop_coverage(undirected([]))
 
 
 # --- centralities --------------------------------------------------------------------
@@ -319,6 +467,11 @@ class TestPagerank:
         assert err.value.residual > 0
 
 
+    def test_zero_max_iter_rejected(self):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            pagerank(undirected([("a", "b")]), max_iter=0)
+
+
 class TestBetweenness:
     def test_star_center_is_one(self):
         pg = undirected([("hub", f"s{i}") for i in range(5)])
@@ -338,6 +491,31 @@ class TestBetweenness:
         expected = betweenness_oracle(pg)
         for u in expected:
             assert got[u] == pytest.approx(expected[u], abs=1e-10)
+
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.05, 0.15, 0.4, 0.8]),
+           st.integers(0, 3))
+    @settings(max_examples=80)
+    def test_bit_identical_to_reference(self, seed, p, isolated):
+        pg = random_undirected(seed, n_lo=0, n_hi=30, p=p)
+        pg = undirected(list(pg.edges), nodes=list(pg.nodes) + [f"z{i}" for i in range(isolated)])
+        assert reprs(betweenness(pg)) == reprs(brandes_reference(pg))
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shapes_bit_identical_to_reference(self, shape):
+        pg = SHAPES[shape]
+        assert reprs(betweenness(pg)) == reprs(brandes_reference(pg))
+
+    def test_many_shortest_paths_bit_identical(self):
+        # complete bipartite layers: sigma grows as a product along the chain,
+        # plus a second component and an isolated node
+        layers = [[f"x{i}{j}" for j in range(w)] for i, w in enumerate((1, 3, 4, 3, 5, 1))]
+        edges = [(u, v) for a, b in zip(layers, layers[1:]) for u in a for v in b]
+        pg = undirected(edges + [("y0", "y1"), ("y1", "y2"), ("y0", "y3"), ("y3", "y2")],
+                        nodes=["lone"])
+        got = betweenness(pg)
+        assert reprs(got) == reprs(brandes_reference(pg))
+        assert got["x10"] > 0.0 and got["lone"] == 0.0
 
 
 class TestCliques:

@@ -183,6 +183,7 @@ class TestCli:
         counted(citenet, "cd_index_all")
         counted(topics, "dbscan_labels")
         counted(collabnet, "components")
+        counted(collabnet, "connected_components")
         project = KnowledgeGraph.project
 
         def counted_project(kg, kind):
@@ -193,7 +194,8 @@ class TestCli:
         config = str(fixture_dir / "config.toml")
         assert main(["all", "--config", config, "--output", str(tmp_path / "all")]) == 0
         assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
-                         "dbscan_labels": 1, "components": 16, PROJECTION_CITATION: 1,
+                         "dbscan_labels": 1, "components": 16, "connected_components": 16,
+                         PROJECTION_CITATION: 1,
                          PROJECTION_COAUTHORSHIP: 1, PROJECTION_KEYWORD: 1}
         calls.clear()
         assert main(["stats", "--config", config, "--output", str(tmp_path / "stats")]) == 0
@@ -203,11 +205,13 @@ class TestCli:
         assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
                          PROJECTION_CITATION: 1}
         calls.clear()
-        # one components() per non-empty yearly snapshot; the last one is the whole network
+        # one components() per non-empty yearly snapshot; the last one is the
+        # whole network, and hop coverage comes from its report
         assert main(["collabnet", "--config", config,
                      "--output", str(tmp_path / "collabnet")]) == 0
         assert calls == {"load_records": 1, "build_graph": 1, "dbscan_labels": 1,
-                         "components": 16, PROJECTION_COAUTHORSHIP: 1}
+                         "components": 16, "connected_components": 16,
+                         PROJECTION_COAUTHORSHIP: 1}
 
     def test_failed_load_fails_every_stage_alike(self, fixture_dir, tmp_path, monkeypatch):
         loads = []
@@ -222,6 +226,19 @@ class TestCli:
         assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
             (stage, "failed", "OSError: cannot read records.jsonl") for stage in STAGES]
         assert len(loads) == len(STAGES)  # a failed load is not cached
+
+    def test_zero_max_iter_names_itself(self, fixture_dir, tmp_path):
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        text = config.read_text()
+        block = "[collabnet]\ndamping = 0.85\ntol = 1e-10\nmax_iter = 500\n"
+        assert block in text
+        config.write_text(text.replace(block, block.replace("500", "0")))
+        assert main(["collabnet", "--config", str(config),
+                     "--output", str(tmp_path / "out")]) == 1
+        stages = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["stages"]
+        assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
+            ("collabnet", "failed", "ValueError: max_iter must be positive")]
 
     def test_stage_failure_exits_one(self, tmp_path, fixture_dir):
         # a records file with zero keepable papers breaks downstream stages
