@@ -268,10 +268,11 @@ def assortativity_categorical(pg: ProjectedGraph, labels: dict[str, str],
 
     The mixing matrix counts each undirected edge once in each direction.
     Returns None (with a warning) when every endpoint falls in a single
-    category, which makes the denominator vanish.
+    category, which makes the denominator vanish. The counts are integers,
+    exact in float64, so edge order cannot change the result.
     """
     pairs = []
-    for (u, v) in sorted(pg.edges):
+    for (u, v) in pg.edges:
         cu, cv = labels[u], labels[v]
         if exclude_unknown and (cu == UNKNOWN or cv == UNKNOWN):
             continue

@@ -13,7 +13,6 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from .graph import KnowledgeGraph, ProjectedGraph
 
@@ -39,6 +38,23 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _escape(text: str) -> str:
+    """``text`` with &, < and > as entities, as ``xml.sax.saxutils.escape``
+    gives it (that module imports ``urllib`` and ``email`` on load)."""
+    if "&" in text or "<" in text or ">" in text:
+        text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text
+
+
+def _quoteattr(text: str) -> str:
+    """``text`` escaped and quoted as an attribute value, as
+    ``xml.sax.saxutils.quoteattr`` gives it."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' in text and "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def _attr_type(value) -> str:
     if isinstance(value, bool):
         return "boolean"
@@ -61,7 +77,7 @@ def _attr_str(value) -> str:
 
 def write_graphml(path, nodes: dict[str, dict], edges: list[tuple[str, str, dict]],
                   directed: bool) -> None:
-    """Write a graph with scalar node/edge attributes as GraphML."""
+    """Write a graph with scalar node/edge attributes as GraphML (edges join keys of ``nodes``)."""
     node_keys = sorted({k for attrs in nodes.values() for k in attrs})
     edge_keys = sorted({k for _, _, attrs in edges for k in attrs})
     lines = [
@@ -76,23 +92,24 @@ def write_graphml(path, nodes: dict[str, dict], edges: list[tuple[str, str, dict
             t = _attr_type(value)
             key_types[(domain, k)] = t
             lines.append(f'  <key id="{domain[0]}_{k}" for="{domain}" '
-                         f'attr.name={quoteattr(k)} attr.type="{t}"/>')
+                         f'attr.name={_quoteattr(k)} attr.type="{t}"/>')
     kind = "directed" if directed else "undirected"
     lines.append(f'  <graph edgedefault="{kind}">')
+    node_ids = {node: _quoteattr(node) for node in nodes}
     for node in sorted(nodes):
         attrs = nodes[node]
-        lines.append(f'    <node id={quoteattr(node)}>')
+        lines.append(f'    <node id={node_ids[node]}>')
         for k in sorted(attrs):
             if attrs[k] is None:
                 continue
-            lines.append(f'      <data key="n_{k}">{escape(_attr_str(attrs[k]))}</data>')
+            lines.append(f'      <data key="n_{k}">{_escape(_attr_str(attrs[k]))}</data>')
         lines.append('    </node>')
     for u, v, attrs in sorted(edges, key=lambda e: (e[0], e[1])):
-        lines.append(f'    <edge source={quoteattr(u)} target={quoteattr(v)}>')
+        lines.append(f'    <edge source={node_ids[u]} target={node_ids[v]}>')
         for k in sorted(attrs):
             if attrs[k] is None:
                 continue
-            lines.append(f'      <data key="e_{k}">{escape(_attr_str(attrs[k]))}</data>')
+            lines.append(f'      <data key="e_{k}">{_escape(_attr_str(attrs[k]))}</data>')
         lines.append('    </edge>')
     lines.append('  </graph>')
     lines.append('</graphml>')

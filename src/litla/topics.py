@@ -80,19 +80,30 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
     n = len(pts)
     if n == 0:
         return []
-    # Rows are compared with every point a block at a time, so memory stays
-    # O(block * n); each squared distance is the same elementwise expression
+    # Rows are compared with the later points a block at a time, so memory
+    # stays O(block * n) and each pair is computed once: (a - b)**2 equals
+    # (b - a)**2, and each squared distance is the same elementwise expression
     # and last-axis sum as a one-shot n*n*d tensor would give, bit for bit.
     rows = max(1, _DBSCAN_BLOCK_BYTES // (8 * n * max(pts.shape[1], 1)))
-    neighbor_lists = []
+    upper = []  # upper[i]: the neighbours j > i, ascending
+    n_lower = np.zeros(n, dtype=np.int64)
     for s in range(0, n, rows):
-        d2 = np.sum((pts[s:s + rows, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        within = d2 <= eps * eps
+        d2 = np.sum((pts[s:s + rows, None, :] - pts[None, s:, :]) ** 2, axis=-1)
+        within = np.triu(d2 <= eps * eps, 1)
         # one int32 array per block, split into per-row views (an int32 copy
         # per row interleaves small allocations and raises the peak RSS)
-        cols = np.nonzero(within)[1].astype(np.int32)
-        neighbor_lists.extend(np.split(cols, np.cumsum(within.sum(axis=1))[:-1]))
-    is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
+        cols = (np.nonzero(within)[1] + s).astype(np.int32)
+        upper.extend(np.split(cols, np.cumsum(within.sum(axis=1))[:-1]))
+        n_lower += np.bincount(cols, minlength=n)
+    # the mirrored neighbours i < j of each j, CSR-style, ascending because
+    # the sources are visited in ascending order
+    start = np.concatenate(([0], np.cumsum(n_lower)))
+    lower = np.empty(start[-1], dtype=np.int32)
+    fill = start[:-1].copy()
+    for i, nb in enumerate(upper):
+        lower[fill[nb]] = i
+        fill[nb] += 1
+    is_core = n_lower + 1 + np.array([len(nb) for nb in upper]) >= min_pts  # + 1: the point itself
 
     # NOISE marks a point no cluster has reached yet; one never reached stays noise
     reached = np.full(n, NOISE)
@@ -106,10 +117,11 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
             i = queue.popleft()
             if not is_core[i]:
                 continue  # border points join but never expand
-            nb = neighbor_lists[i]
-            new = nb[reached[nb] == NOISE]
-            reached[new] = cluster
-            queue.extend(new)
+            # lower then upper is the ascending order of the whole neighbourhood
+            for nb in (lower[start[i]:start[i + 1]], upper[i]):
+                new = nb[reached[nb] == NOISE]
+                reached[new] = cluster
+                queue.extend(new)
         cluster += 1
     labels = reached.tolist()
 

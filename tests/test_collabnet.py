@@ -634,6 +634,19 @@ class TestAssortativity:
         res = assortativity_categorical(undirected(edges), labels)
         assert res.r < 1.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("exclude_unknown", [False, True])
+    def test_edge_insertion_order_does_not_matter(self, seed, exclude_unknown):
+        rng = np.random.default_rng(seed)
+        pg = random_undirected(seed, n_lo=40, n_hi=60, p=0.3)
+        labels = {n: str(rng.choice(["A", "B", "C", collabnet.UNKNOWN])) for n in pg.nodes}
+        edges = list(pg.edges)
+        rng.shuffle(edges)
+        shuffled = undirected(edges, nodes=pg.nodes)
+        assert list(shuffled.edges) != list(pg.edges)
+        assert repr(assortativity_categorical(shuffled, labels, exclude_unknown=exclude_unknown)) \
+            == repr(assortativity_categorical(pg, labels, exclude_unknown=exclude_unknown))
+
 
 class TestTopActive:
     def test_k_equals_n_keeps_whole_graph(self):

@@ -1,14 +1,19 @@
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from litla import citenet, cli, collabnet, topics
 from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config, parse_toml
-from litla.exports import write_csv, write_dot, write_graphml
+from litla.exports import _escape, _quoteattr, write_csv, write_dot, write_graphml
 from litla.graph import (
     PROJECTION_CITATION,
     PROJECTION_COAUTHORSHIP,
@@ -281,6 +286,20 @@ class TestExports:
             write_csv(path, ["a"], rows())
         assert path.read_bytes() == before == b"a\n1\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"'\n\r\t"), st.characters())))
+    def test_escape_and_quoteattr_match_saxutils(self, text):
+        assert _escape(text) == saxutils.escape(text)
+        assert _quoteattr(text) == saxutils.quoteattr(text)
+
+    def test_cli_import_loads_no_network_modules(self):
+        # xml.sax.saxutils imports urllib.request, http.client and email,
+        # about 30-45 ms at the start of every litla process
+        code = ("import sys, litla.cli; print(sorted(m for m in sys.modules if m in "
+                "('xml.sax', 'urllib.request', 'http.client', 'email')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "[]\n"
 
     def test_dot_escapes_quotes(self, tmp_path):
         path = tmp_path / "g.dot"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litla.gbdt import GbdtModel, train_gbdt
+from litla import gbdt
+from litla.gbdt import LEAF_CLIP, GbdtModel, train_gbdt
 from litla.graph import ProjectedGraph
 from litla.predict import (
     DegenerateYearError,
@@ -124,6 +125,91 @@ class TestTrainingSet:
 
 
 # --- gradient boosting ----------------------------------------------------------------
+
+
+def fit_tree_per_node_sort(X, grad, hess, max_depth, min_leaf):
+    """The tree fit that stable-sorts every column again at every node, kept
+    as the reference for the presorted ``gbdt._fit_tree``."""
+
+    def leaf(idx):
+        g = grad[idx].sum()
+        h = hess[idx].sum()
+        value = g / max(h, 1e-12)
+        return {"leaf": float(np.clip(value, -LEAF_CLIP, LEAF_CLIP))}
+
+    def best_split(idx):
+        g = grad[idx]
+        total = g.sum()
+        n = len(idx)
+        if n < 2 * min_leaf:
+            return None
+        best = None  # (gain, feature, threshold)
+        pos = np.arange(1, n)
+        sizes_ok = (pos >= min_leaf) & (n - pos >= min_leaf)
+        for f in range(X.shape[1]):
+            col = X[idx, f]
+            order = np.argsort(col, kind="stable")
+            col_sorted = col[order]
+            prefix = np.cumsum(g[order])[:-1]
+            ok = sizes_ok & (col_sorted[:-1] != col_sorted[1:])
+            if not ok.any():
+                continue
+            gain = (prefix ** 2 / pos + (total - prefix) ** 2 / (n - pos)
+                    - total * total / n)
+            gain[~ok] = -np.inf
+            at = int(np.argmax(gain))
+            if best is None or gain[at] > best[0]:
+                thr = (col_sorted[at] + col_sorted[at + 1]) / 2.0
+                best = (float(gain[at]), f, float(thr))
+        return best
+
+    def build(idx, depth):
+        if depth >= max_depth or len(idx) < 2 * min_leaf:
+            return leaf(idx)
+        split = best_split(idx)
+        if split is None or split[0] <= 1e-12:
+            return leaf(idx)
+        _gain, f, thr = split
+        mask = X[idx, f] <= thr
+        return {
+            "feature": int(f),
+            "threshold": thr,
+            "left": build(idx[mask], depth + 1),
+            "right": build(idx[~mask], depth + 1),
+        }
+
+    return build(np.arange(len(grad)), 0)
+
+
+def random_training_set(rng):
+    """Columns of every kind a split search meets, n from below 2 * min_leaf
+    up. A few-valued column ``a`` has heavy ties, and ``a`` with its ties
+    broken by row index gives the same gain at each of ``a``'s run ends, so
+    the first feature wins only if both prefix sums add in the same order."""
+    n = int(rng.choice([3, 7, 12, 40, 150, 400]))
+    a = rng.integers(0, 4, size=n).astype(float)
+    c = rng.normal(size=n)
+    cols = [a, a + np.arange(n) * 1e-9, c, np.round(rng.normal(size=n), 1),
+            rng.integers(0, 3, size=n).astype(float), np.full(n, 3.0)]
+    X = np.stack(cols, axis=1)[:, rng.permutation(len(cols))]
+    y = ((a >= 2) ^ (c > 1.0)).astype(float)
+    y[:2] = [0.0, 1.0]
+    return X, y
+
+
+def test_presorted_trees_equal_per_node_sort(monkeypatch):
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        X, y = random_training_set(rng)
+        kw = dict(n_trees=int(rng.integers(1, 6)), max_depth=int(rng.integers(1, 5)),
+                  learning_rate=0.3, min_leaf=int(rng.integers(1, 7)))
+        model = train_gbdt(X, y, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(gbdt, "_fit_tree", lambda X, _order, grad, hess, depth, leaf:
+                      fit_tree_per_node_sort(X, grad, hess, depth, leaf))
+            reference = train_gbdt(X, y, **kw)
+        assert model.to_json() == reference.to_json()
+        assert repr(model.loss_curve) == repr(reference.loss_curve)
 
 
 class TestGbdt:

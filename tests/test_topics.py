@@ -140,6 +140,31 @@ class TestDbscanBlocks:
             for min_pts in (2, 3, 5):
                 assert dbscan_labels(pts, eps, min_pts) == dbscan_one_shot(pts, eps, min_pts)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_duplicates_and_exact_eps_pairs_across_blocks(self, monkeypatch, rows):
+        # each pair's distance comes from the block of its first point alone;
+        # duplicates sit at distance exactly 0
+        n, d = 41, 3
+        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", rows * 8 * n * d)
+        rng = np.random.default_rng(11)
+        base = np.round(rng.normal(size=(29, d)), 1)
+        pts = base[rng.permutation(np.concatenate([np.arange(29), rng.integers(0, 29, 12)]))]
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        i, j = np.triu_indices(n, 1)
+        assert (d2[i, j] == 0).sum() >= 12
+        radii = [r for r in exact_radii(pts, 6) if r > 0]
+        assert radii
+        for eps in [1e-3] + radii:
+            on_eps = d2[i, j] == eps * eps
+            assert eps == 1e-3 or (on_eps & (i // rows != j // rows)).any()
+            for min_pts in (2, 3, 4):
+                assert dbscan_labels(pts, eps, min_pts) == dbscan_one_shot(pts, eps, min_pts)
+
+    @pytest.mark.parametrize("min_pts", [2, 3])
+    def test_single_point(self, min_pts):
+        pts = np.array([[0.5, -1.0, 2.0]])
+        assert dbscan_labels(pts, 1.0, min_pts) == dbscan_one_shot(pts, 1.0, min_pts) == [NOISE]
+
     def test_grid_points_at_eps_join(self, monkeypatch):
         monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", 3 * 8 * 11 * 2)
         pts = np.array([[float(i), 0.0] for i in range(10)] + [[30.0, 0.0]])
