@@ -180,8 +180,3 @@ def infer_country(address: str) -> str:
     if last in _US_STATE_CODES and tail != last:
         return "US"
     return UNKNOWN
-
-
-def infer_countries(addresses: list[str]) -> list[str]:
-    """Vector form of :func:`infer_country`, one code per address."""
-    return [infer_country(a) for a in addresses]

@@ -12,9 +12,10 @@ import csv
 import json
 import os
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 
-from .graph import KnowledgeGraph, ProjectedGraph
+from .graph import Edge, KnowledgeGraph, NodeRef, ProjectedGraph
 
 
 @contextmanager
@@ -75,95 +76,97 @@ def _attr_str(value) -> str:
     return str(value)
 
 
+_GRAPHML_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+                 '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">')
+
+
+def _key_line(domain: str, key: str, values) -> str:
+    """The ``<key>`` line of an attribute, typed by its first value that is not None."""
+    t = _attr_type(next((v for v in values if v is not None), ""))
+    return (f'  <key id="{domain[0]}_{key}" for="{domain}" '
+            f'attr.name={_quoteattr(key)} attr.type="{t}"/>')
+
+
+def _data_lines(domain: str, attrs: dict) -> list[str]:
+    return [f'      <data key="{domain[0]}_{k}">{_escape(_attr_str(v))}</data>'
+            for k, v in sorted(attrs.items()) if v is not None]
+
+
 def write_graphml(path, nodes: dict[str, dict], edges: list[tuple[str, str, dict]],
                   directed: bool) -> None:
     """Write a graph with scalar node/edge attributes as GraphML (edges join keys of ``nodes``)."""
     node_keys = sorted({k for attrs in nodes.values() for k in attrs})
     edge_keys = sorted({k for _, _, attrs in edges for k in attrs})
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-    ]
-    key_types: dict[tuple[str, str], str] = {}
-    for domain, keys, sample in (("node", node_keys, nodes.values()),
-                                 ("edge", edge_keys, [a for _, _, a in edges])):
-        for k in keys:
-            value = next((attrs[k] for attrs in sample if k in attrs and attrs[k] is not None), "")
-            t = _attr_type(value)
-            key_types[(domain, k)] = t
-            lines.append(f'  <key id="{domain[0]}_{k}" for="{domain}" '
-                         f'attr.name={_quoteattr(k)} attr.type="{t}"/>')
+    lines = [_GRAPHML_HEAD]
+    lines += [_key_line("node", k, (attrs.get(k) for attrs in nodes.values()))
+              for k in node_keys]
+    lines += [_key_line("edge", k, (attrs.get(k) for _, _, attrs in edges)) for k in edge_keys]
     kind = "directed" if directed else "undirected"
     lines.append(f'  <graph edgedefault="{kind}">')
     node_ids = {node: _quoteattr(node) for node in nodes}
     for node in sorted(nodes):
-        attrs = nodes[node]
         lines.append(f'    <node id={node_ids[node]}>')
-        for k in sorted(attrs):
-            if attrs[k] is None:
-                continue
-            lines.append(f'      <data key="n_{k}">{_escape(_attr_str(attrs[k]))}</data>')
+        lines += _data_lines("node", nodes[node])
         lines.append('    </node>')
     for u, v, attrs in sorted(edges, key=lambda e: (e[0], e[1])):
         lines.append(f'    <edge source={node_ids[u]} target={node_ids[v]}>')
-        for k in sorted(attrs):
-            if attrs[k] is None:
-                continue
-            lines.append(f'      <data key="e_{k}">{_escape(_attr_str(attrs[k]))}</data>')
+        lines += _data_lines("edge", attrs)
         lines.append('    </edge>')
-    lines.append('  </graph>')
-    lines.append('</graphml>')
-    write_text(path, "\n".join(lines) + "\n")
+    lines.append('  </graph>\n</graphml>\n')
+    write_text(path, "\n".join(lines))
 
 
 def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def write_dot(path, nodes: dict[str, dict], edges: list[tuple[str, str, dict]],
-              directed: bool) -> None:
-    arrow = "->" if directed else "--"
-    lines = [("digraph" if directed else "graph") + " G {"]
-    for node in sorted(nodes):
-        attrs = nodes[node]
-        label_bits = [f"{k}={_attr_str(v)}" for k, v in sorted(attrs.items()) if v is not None]
-        if label_bits:
-            lines.append(f'  {_dot_id(node)} [label={_dot_id(node + chr(10) + " ".join(label_bits))}];')
-        else:
-            lines.append(f'  {_dot_id(node)};')
-    for u, v, attrs in sorted(edges, key=lambda e: (e[0], e[1])):
-        w = attrs.get("weight")
-        suffix = f' [weight={_attr_str(w)}]' if w is not None else ""
-        lines.append(f'  {_dot_id(u)} {arrow} {_dot_id(v)}{suffix};')
-    lines.append("}")
-    write_text(path, "\n".join(lines) + "\n")
+def _kg_order(kg: KnowledgeGraph, quote) -> tuple[list[NodeRef], dict[NodeRef, str], list[Edge]]:
+    """The KG's nodes sorted, each one's ``type:key`` id through ``quote``,
+    and its edges stably sorted by (source id, target id). No node type is a
+    prefix of another, so sorting refs sorts their ids and the sorts run on tuples."""
+    refs = sorted(kg.nodes)
+    ids = {ref: quote(f"{ref.node_type}:{ref.key}") for ref in refs}
+    return refs, ids, sorted(kg.edges, key=itemgetter(0, 1))
 
 
 def kg_to_graphml(path, kg: KnowledgeGraph) -> None:
-    nodes = {}
-    for ref in sorted(kg.nodes):
-        attrs = kg.nodes[ref]
-        nodes[f"{ref.node_type}:{ref.key}"] = {
-            "node_type": ref.node_type,
-            "year": attrs.get("year"),
-            "name": attrs.get("name") or attrs.get("title"),
-        }
-    edges = [
-        (f"{e.src.node_type}:{e.src.key}", f"{e.dst.node_type}:{e.dst.key}",
-         {"edge_type": e.edge_type, "weight": e.weight, "year": e.year})
-        for e in kg.edges
-    ]
-    write_graphml(path, nodes, edges, directed=True)
+    """The KG as ``write_graphml`` writes it with node attributes name,
+    node_type and year and edge attributes edge_type, weight and year,
+    written straight from that fixed schema."""
+    refs, quoted, edges = _kg_order(kg, _quoteattr)
+    names = [kg.nodes[ref].get("name") or kg.nodes[ref].get("title") for ref in refs]
+    years = [kg.nodes[ref].get("year") for ref in refs]
+    lines = [_GRAPHML_HEAD]
+    if refs:
+        lines += [_key_line("node", "name", names),
+                  _key_line("node", "node_type", (ref.node_type for ref in refs)),
+                  _key_line("node", "year", years)]
+    if edges:  # typed in the KG's own edge order, as write_graphml types them
+        lines += [_key_line("edge", k, (getattr(e, k) for e in kg.edges))
+                  for k in ("edge_type", "weight", "year")]
+    lines.append('  <graph edgedefault="directed">')
+    for ref, name, year in zip(refs, names, years):
+        lines.append(f'    <node id={quoted[ref]}>')
+        lines += _data_lines("node", {"name": name, "node_type": ref.node_type, "year": year})
+        lines.append('    </node>')
+    lines += [f'    <edge source={quoted[e.src]} target={quoted[e.dst]}>\n'
+              f'      <data key="e_edge_type">{_escape(e.edge_type)}</data>\n'
+              f'      <data key="e_weight">{_escape(_attr_str(e.weight))}</data>\n'
+              f'      <data key="e_year">{_escape(_attr_str(e.year))}</data>\n'
+              '    </edge>' for e in edges]
+    lines.append('  </graph>\n</graphml>\n')
+    write_text(path, "\n".join(lines))
 
 
 def kg_to_dot(path, kg: KnowledgeGraph) -> None:
-    nodes = {f"{ref.node_type}:{ref.key}": {} for ref in sorted(kg.nodes)}
-    edges = [
-        (f"{e.src.node_type}:{e.src.key}", f"{e.dst.node_type}:{e.dst.key}",
-         {"weight": e.weight})
-        for e in kg.edges
-    ]
-    write_dot(path, nodes, edges, directed=True)
+    """The KG as a DOT digraph: its node ids, then its weighted edges in
+    the order ``kg_to_graphml`` writes them."""
+    refs, quoted, edges = _kg_order(kg, _dot_id)
+    lines = ["digraph G {"] + [f"  {quoted[ref]};" for ref in refs]
+    lines += [f"  {quoted[e.src]} -> {quoted[e.dst]} [weight={_attr_str(e.weight)}];"
+              for e in edges]
+    lines.append("}\n")
+    write_text(path, "\n".join(lines))
 
 
 def projected_to_graphml(path, pg: ProjectedGraph) -> None:

@@ -129,16 +129,6 @@ class GbdtModel:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GbdtModel":
-        payload = json.loads(text)
-        if payload.get("format") != MODEL_FORMAT:
-            raise ValueError("not a litla-gbdt model")
-        if payload.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {payload.get('version')}")
-        return cls(trees=payload["trees"], learning_rate=payload["learning_rate"],
-                   base_score=payload["base_score"], n_features=payload["n_features"])
-
 
 def train_gbdt(X, y, n_trees: int = 100, max_depth: int = 3,
                learning_rate: float = 0.1, min_leaf: int = 1) -> GbdtModel:

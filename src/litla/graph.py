@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .countries import UNKNOWN, infer_country
 from .records import PaperRecord
@@ -59,38 +60,39 @@ def institution_key(affiliation: str) -> str:
     return canonical(affiliation.split(",", 1)[0])
 
 
-@dataclass(frozen=True, order=True)
-class NodeRef:
-    node_type: str
-    key: str
+class NodeRef(NamedTuple("NodeRef", [("node_type", str), ("key", str)])):
+    """A typed node key. A tuple, so hashing and ordering run in C; it
+    compares equal to the plain ``(node_type, key)`` pair."""
 
-    def __post_init__(self):
-        if self.node_type not in NODE_TYPES:
-            raise ValueError(f"unknown node type {self.node_type!r}")
-        if not self.key:
+    __slots__ = ()
+
+    def __new__(cls, node_type: str, key: str):
+        if node_type not in NODE_TYPES:
+            raise ValueError(f"unknown node type {node_type!r}")
+        if not key:
             raise ValueError("node key must be non-empty")
+        return tuple.__new__(cls, (node_type, key))
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: NodeRef
-    dst: NodeRef
-    edge_type: str
-    weight: float = 1.0
-    year: int = 0
-    years: tuple[int, ...] = ()
-    flags: frozenset[str] = frozenset()
+class Edge(NamedTuple("Edge", [("src", NodeRef), ("dst", NodeRef), ("edge_type", str),
+                               ("weight", float), ("year", int), ("years", tuple[int, ...]),
+                               ("flags", frozenset[str])])):
+    """A typed, weighted edge; a tuple like :class:`NodeRef`."""
 
-    def __post_init__(self):
-        expect = _EDGE_ENDPOINTS.get(self.edge_type)
+    __slots__ = ()
+
+    def __new__(cls, src: NodeRef, dst: NodeRef, edge_type: str, weight: float = 1.0,
+                year: int = 0, years: tuple[int, ...] = (), flags: frozenset[str] = frozenset()):
+        expect = _EDGE_ENDPOINTS.get(edge_type)
         if expect is None:
-            raise ValueError(f"unknown edge type {self.edge_type!r}")
-        if (self.src.node_type, self.dst.node_type) != expect:
+            raise ValueError(f"unknown edge type {edge_type!r}")
+        if (src.node_type, dst.node_type) != expect:
             raise ValueError(
-                f"{self.edge_type} edge requires endpoints {expect}, got "
-                f"({self.src.node_type}, {self.dst.node_type})")
-        if self.weight < 0:
+                f"{edge_type} edge requires endpoints {expect}, got "
+                f"({src.node_type}, {dst.node_type})")
+        if weight < 0:
             raise ValueError("edge weight must be non-negative")
+        return tuple.__new__(cls, (src, dst, edge_type, weight, year, years, flags))
 
     def sort_key(self):
         return (self.edge_type, self.src, self.dst, self.year)
@@ -327,13 +329,32 @@ def _tarjan_scc(adj: dict[str, list[str]]) -> list[list[str]]:
     return sccs
 
 
+class _Interned(dict):
+    """A dict that makes a missing value from its key on first lookup and
+    returns that same object on every later one."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+_phrase = partial(tokenize, drop_stopwords=False)
+
+
 def match_text_keywords(record: PaperRecord, keywords: list[str]) -> list[str]:
     """The canonical ``keywords`` of a record that occur in its title or
     abstract: a keyword matches when its token sequence appears contiguously
     in the lowercased title+abstract token stream."""
-    text_tokens = tokenize(record.title + " " + record.abstract, drop_stopwords=False)
-    return [kw for kw in keywords
-            if contains_phrase(text_tokens, tokenize(kw, drop_stopwords=False))]
+    return _text_keywords(record, keywords, _Interned(_phrase))
+
+
+def _text_keywords(record: PaperRecord, keywords: list[str], phrases: _Interned) -> list[str]:
+    text_tokens = _phrase(record.title + " " + record.abstract)
+    return [kw for kw in keywords if contains_phrase(text_tokens, phrases[kw])]
 
 
 def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
@@ -354,6 +375,9 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     year_lo = min(r.year for r in records)
     year_hi = max(r.year for r in records)
 
+    refs = _Interned(lambda key: NodeRef(*key))  # one NodeRef per node
+    phrases = _Interned(_phrase)  # keyword -> its tokens
+    canon = _Interned(canonical)  # name -> its canonical key
     nodes: dict[NodeRef, dict] = {}
     edges: list[Edge] = []
     author_meta: dict[str, dict] = {}
@@ -366,11 +390,11 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
 
     records = sorted(records, key=lambda r: r.id)
     for rec in records:
-        paper_ref = NodeRef(NODE_PAPER, rec.id)
+        paper_ref = refs[NODE_PAPER, rec.id]
         author_keys = []
         countries = []
         for a in rec.authors:
-            akey = canonical(a.name)
+            akey = canon[a.name]
             if not akey:
                 continue
             country = infer_country(a.affiliation) if a.affiliation else UNKNOWN
@@ -386,16 +410,16 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
                 affil_years.setdefault((akey, ikey), []).append(rec.year)
         author_keys = list(dict.fromkeys(author_keys))  # dedupe, keep order
 
-        vkey = canonical(rec.venue)
+        vkey = canon[rec.venue]
         if vkey:
             meta = venue_meta.setdefault(vkey, {"name": rec.venue, "paper_years": []})
             meta["paper_years"].append(rec.year)
 
-        all_keywords = sorted({canonical(k) for k in rec.extracted_keywords + rec.author_keywords
+        all_keywords = sorted({canon[k] for k in rec.extracted_keywords + rec.author_keywords
                                if k.strip()})
         for kw in all_keywords:
             keyword_first[kw] = min(keyword_first.get(kw, rec.year), rec.year)
-        text_kws = match_text_keywords(rec, all_keywords)
+        text_kws = _text_keywords(rec, all_keywords, phrases)
 
         in_refs = sorted(r for r in set(rec.references) if r in corpus_ids and r != rec.id)
         known_countries = sorted({c for c in countries if c != UNKNOWN})
@@ -425,33 +449,31 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             coauthor_years.setdefault((u, v), []).append(rec.year)
 
         for akey in author_keys:
-            edges.append(Edge(NodeRef(NODE_AUTHOR, akey), paper_ref, EDGE_AUTHOR_OF,
-                              1.0, rec.year))
+            edges.append(Edge(refs[NODE_AUTHOR, akey], paper_ref, EDGE_AUTHOR_OF, 1.0, rec.year))
         if vkey:
-            edges.append(Edge(paper_ref, NodeRef(NODE_VENUE, vkey), EDGE_PUBLISHED_AT,
-                              1.0, rec.year))
+            edges.append(Edge(paper_ref, refs[NODE_VENUE, vkey], EDGE_PUBLISHED_AT, 1.0, rec.year))
         for kw in all_keywords:
-            edges.append(Edge(paper_ref, NodeRef(NODE_KEYWORD, kw), EDGE_MENTIONS_KEYWORD,
+            edges.append(Edge(paper_ref, refs[NODE_KEYWORD, kw], EDGE_MENTIONS_KEYWORD,
                               1.0, rec.year))
         cites_pairs.extend((rec.id, tgt) for tgt in in_refs)
 
     # entity nodes
     for akey, meta in sorted(author_meta.items()):
         incidences = tuple(sorted(meta["incidences"]))
-        nodes[NodeRef(NODE_AUTHOR, akey)] = {
+        nodes[refs[NODE_AUTHOR, akey]] = {
             "name": meta["name"],
             "year": incidences[0][0],
             "incidences": incidences,
         }
     for vkey, meta in sorted(venue_meta.items()):
         years = tuple(sorted(meta["paper_years"]))
-        nodes[NodeRef(NODE_VENUE, vkey)] = {
+        nodes[refs[NODE_VENUE, vkey]] = {
             "name": meta["name"], "year": years[0], "incidences": tuple((y,) for y in years),
         }
     for kw, first in sorted(keyword_first.items()):
-        nodes[NodeRef(NODE_KEYWORD, kw)] = {"year": first}
+        nodes[refs[NODE_KEYWORD, kw]] = {"year": first}
     for ikey, meta in sorted(inst_meta.items()):
-        nodes[NodeRef(NODE_INSTITUTION, ikey)] = {"name": meta["name"], "year": meta["year"]}
+        nodes[refs[NODE_INSTITUTION, ikey]] = {"name": meta["name"], "year": meta["year"]}
 
     # cycle detection runs on temporally valid edges only
     paper_years = {rec.id: rec.year for rec in records}
@@ -470,15 +492,15 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             flags.add(FLAG_TEMPORAL_ANOMALY)
         elif src in cycle_nodes and cycle_nodes.get(dst) == cycle_nodes[src]:
             flags.add(FLAG_CYCLE)
-        edges.append(Edge(NodeRef(NODE_PAPER, src), NodeRef(NODE_PAPER, dst), EDGE_CITES, 1.0,
+        edges.append(Edge(refs[NODE_PAPER, src], refs[NODE_PAPER, dst], EDGE_CITES, 1.0,
                           paper_years[src], flags=frozenset(flags)))
 
     for (u, v), years in sorted(coauthor_years.items()):
-        edges.append(Edge(NodeRef(NODE_AUTHOR, u), NodeRef(NODE_AUTHOR, v),
+        edges.append(Edge(refs[NODE_AUTHOR, u], refs[NODE_AUTHOR, v],
                           EDGE_COAUTHORS_WITH, float(len(years)), min(years),
                           years=tuple(sorted(years))))
     for (akey, ikey), years in sorted(affil_years.items()):
-        edges.append(Edge(NodeRef(NODE_AUTHOR, akey), NodeRef(NODE_INSTITUTION, ikey),
+        edges.append(Edge(refs[NODE_AUTHOR, akey], refs[NODE_INSTITUTION, ikey],
                           EDGE_AFFILIATED_WITH, float(len(years)), min(years),
                           years=tuple(sorted(years))))
 

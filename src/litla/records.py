@@ -1,4 +1,4 @@
-"""Bibliographic records: JSONL parsing, canonical serialization, exclusions.
+"""Bibliographic records: JSONL parsing and exclusions.
 
 The input format is line-delimited JSON, one record per line, with field
 names exactly matching :class:`PaperRecord`. Malformed lines never abort a
@@ -8,9 +8,11 @@ batch; they are reported as :class:`ParseError` entries with line numbers.
 from __future__ import annotations
 
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass, field
-from typing import IO, Collection, Iterable
+from typing import IO, Collection
 
 PUB_TYPES = ("journal", "conference", "other")
 INTENT_LABELS = ("background", "method", "extension", "comparison")
@@ -71,6 +73,11 @@ class SchemaError(ValueError):
     pass
 
 
+# a lone surrogate (no UTF-8 encoding), or a C0 control other than tab, line
+# feed and carriage return, U+FFFE or U+FFFF (none allowed in XML 1.0)
+_UNSAFE_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise SchemaError(message)
@@ -128,19 +135,19 @@ def _record_from_obj(obj: dict) -> PaperRecord:
 
     embedding = obj.get("embedding")
     if embedding is not None:
-        _expect(isinstance(embedding, list) and len(embedding) > 0
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in embedding),
+        # exact types, as json.loads gives them: a bool is not an int here
+        kinds = set(map(type, embedding)) if isinstance(embedding, list) else {None}
+        _expect(embedding and kinds <= {int, float},
                 "embedding must be a non-empty list of numbers")
-        # false for NaN, +-Infinity and integers beyond the float range alike
-        _expect(all(abs(v) <= sys.float_info.max for v in embedding),
-                "embedding values must be finite")
-        embedding = [float(v) for v in embedding]
+        # int/float comparison is exact, so integers beyond the float range fail too
+        _expect(all(abs(v) <= sys.float_info.max for v in embedding) if int in kinds
+                else all(map(math.isfinite, embedding)), "embedding values must be finite")
+        embedding = list(map(float, embedding))
 
     for name in ("abstract", "venue", "publisher", "language", "doc_type"):
         _expect(isinstance(obj.get(name, ""), str), f"{name} must be a string")
 
-    return PaperRecord(
+    rec = PaperRecord(
         id=obj["id"],
         title=obj["title"],
         year=year,
@@ -160,42 +167,25 @@ def _record_from_obj(obj: dict) -> PaperRecord:
         extracted_keywords=_str_list(obj.get("extracted_keywords", []), "extracted_keywords"),
         embedding=embedding,
     )
+    _check_chars(rec)
+    return rec
 
 
-def record_to_obj(rec: PaperRecord) -> dict:
-    return {
-        "id": rec.id,
-        "title": rec.title,
-        "abstract": rec.abstract,
-        "authors": [{"name": a.name, "affiliation": a.affiliation} for a in rec.authors],
-        "year": rec.year,
-        "venue": rec.venue,
-        "pub_type": rec.pub_type,
-        "author_keywords": list(rec.author_keywords),
-        "subject_categories": list(rec.subject_categories),
-        "publisher": rec.publisher,
-        "citation_count": rec.citation_count,
-        "page_count": rec.page_count,
-        "references": list(rec.references),
-        "language": rec.language,
-        "doc_type": rec.doc_type,
-        "citation_statements": [
-            {"text": s.text, "intent": s.intent} for s in rec.citation_statements
-        ],
-        "extracted_keywords": list(rec.extracted_keywords),
-        "embedding": rec.embedding,
-    }
-
-
-def serialize_record(rec: PaperRecord) -> str:
-    """Canonical single-line JSON (sorted keys, no spaces). Fixpoint of
-    parse -> serialize, which makes round-trips byte-identical."""
-    return json.dumps(record_to_obj(rec), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
-
-
-def serialize_records(records: Iterable[PaperRecord]) -> str:
-    return "".join(serialize_record(r) + "\n" for r in records)
+def _check_chars(rec: PaperRecord) -> None:
+    """Reject a character the UTF-8 and XML reports cannot carry; the message
+    names the field and code point, never the character, so it can be written."""
+    texts = [(name, [getattr(rec, name)]) for name in
+             ("id", "title", "abstract", "venue", "publisher", "language", "doc_type")]
+    texts += [(name, getattr(rec, name)) for name in
+              ("author_keywords", "subject_categories", "references", "extracted_keywords")]
+    texts += [("authors", [s for a in rec.authors for s in (a.name, a.affiliation)]),
+              ("citation_statements", [s.text for s in rec.citation_statements])]
+    for name, values in texts:
+        for value in values:
+            # no unsafe character is printable, and nearly all text is
+            if not value.isprintable() and (bad := _UNSAFE_CHAR.search(value)):
+                raise SchemaError(f"{name} holds U+{ord(bad.group()):04X}, "
+                                  "which the reports cannot carry")
 
 
 def parse_records(stream: IO) -> tuple[list[PaperRecord], list[ParseError]]:

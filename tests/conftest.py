@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from pathlib import Path
@@ -6,7 +7,7 @@ import hypothesis
 import pytest
 
 from litla.graph import ProjectedGraph
-from litla.records import load_records
+from litla.records import PaperRecord, load_records
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("ci")
@@ -32,6 +33,38 @@ def fixture_records():
     records, errors = load_records(FIXTURE_DIR / "records.jsonl")
     assert not errors
     return records
+
+
+def record_to_obj(rec: PaperRecord) -> dict:
+    return {
+        "id": rec.id,
+        "title": rec.title,
+        "abstract": rec.abstract,
+        "authors": [{"name": a.name, "affiliation": a.affiliation} for a in rec.authors],
+        "year": rec.year,
+        "venue": rec.venue,
+        "pub_type": rec.pub_type,
+        "author_keywords": list(rec.author_keywords),
+        "subject_categories": list(rec.subject_categories),
+        "publisher": rec.publisher,
+        "citation_count": rec.citation_count,
+        "page_count": rec.page_count,
+        "references": list(rec.references),
+        "language": rec.language,
+        "doc_type": rec.doc_type,
+        "citation_statements": [
+            {"text": s.text, "intent": s.intent} for s in rec.citation_statements
+        ],
+        "extracted_keywords": list(rec.extracted_keywords),
+        "embedding": rec.embedding,
+    }
+
+
+def serialize_records(records) -> str:
+    """Canonical JSONL, one line per record (sorted keys, no spaces): a
+    fixpoint of parse -> serialize, which makes round-trips byte-identical."""
+    return "".join(json.dumps(record_to_obj(r), sort_keys=True, separators=(",", ":"),
+                              ensure_ascii=False) + "\n" for r in records)
 
 
 def undirected(edges, nodes=None, years=None, weights=None) -> ProjectedGraph:

@@ -21,9 +21,9 @@ from litla.errors import ConvergenceError
 from litla.graph import FLAG_TEMPORAL_ANOMALY, PROJECTION_CITATION, build_graph
 from litla.cli import main
 from litla.config import load_config
-from litla.records import Author, PaperRecord, apply_exclusions, serialize_records
+from litla.records import Author, PaperRecord, apply_exclusions
 
-from conftest import attachment_snapshots, citation, random_dag
+from conftest import attachment_snapshots, citation, random_dag, serialize_records
 
 
 def rec(id, year, authors=(), refs=(), venue="V"):

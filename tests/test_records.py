@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -14,8 +15,9 @@ from litla.records import (
     apply_exclusions,
     parse_records,
     rejection_counts,
-    serialize_records,
 )
+
+from conftest import serialize_records
 
 
 def _line(**overrides):
@@ -96,6 +98,49 @@ class TestParse:
         assert [e.line for e in errors] == [1, 2, 3, 4, 5]
         assert all(e.message == "embedding values must be finite" for e in errors)
 
+    @given(st.lists(st.one_of(
+        st.floats(), st.integers(-3, 3), st.booleans(), st.none(), st.text(max_size=2),
+        st.sampled_from([sys.float_info.max, -sys.float_info.max, 2 ** 1024, -(2 ** 1024),
+                         int(sys.float_info.max), int(sys.float_info.max) + 1])),
+        max_size=6))
+    def test_embedding_check_matches_two_pass_reference(self, values):
+        records, errors = _parse(json.dumps({"id": "p", "title": "t", "year": 2015,
+                                             "embedding": values}))
+        expected = embedding_reference(values)
+        if isinstance(expected, str):
+            assert [e.message for e in errors] == [expected] and not records
+        else:
+            assert not errors
+            assert repr(records[0].embedding) == repr(expected)
+            assert all(type(v) is float for v in records[0].embedding)
+
+    @pytest.mark.parametrize("value", [{}, "1.0", 3.0, [[1.0]], [True, 1.0]])
+    def test_embedding_of_wrong_shape_rejected(self, value):
+        records, errors = _parse(_line(embedding=value))
+        assert [e.message for e in errors] == ["embedding must be a non-empty list of numbers"]
+
+    @pytest.mark.parametrize("field, value, code", [
+        ("title", "bad \ud800 title", 0xD800), ("title", "a\x01b", 0x01),
+        ("title", "a\x0bb", 0x0B), ("abstract", "ok\ufffe", 0xFFFE), ("id", "p\x00", 0x00),
+        ("venue", "\uffff", 0xFFFF),
+        ("authors", [{"name": "Ana", "affiliation": "Lab\x1f, Spain"}], 0x1F),
+        ("author_keywords", ["ok", "\udc80"], 0xDC80), ("references", ["\x08"], 0x08),
+        ("citation_statements", [{"text": "\x0c"}], 0x0C),
+        ("extracted_keywords", ["\x7f\x02"], 0x02), ("subject_categories", ["\x1b"], 0x1B),
+        ("publisher", "\x0e", 0x0E), ("language", "\x01", 0x01), ("doc_type", "\x03", 0x03)])
+    def test_unsafe_character_is_line_error(self, field, value, code):
+        obj = {"id": "bad", "title": "t", "year": 2015, field: value}
+        records, errors = _parse(json.dumps(obj), _line(id="good"))
+        assert [r.id for r in records] == ["good"]
+        assert [(e.line, e.message) for e in errors] == [
+            (1, f"{field} holds U+{code:04X}, which the reports cannot carry")]
+
+    @pytest.mark.parametrize("text", ["tab\tnew\nline\rreturn", "\x7f\x85\u2028", "\ufffd",
+                                      "\U0001f600 \ud7ff \ue000"])
+    def test_safe_characters_kept(self, text):
+        records, errors = _parse(_line(title=text))
+        assert not errors and records[0].title == text
+
     @pytest.mark.parametrize("field, value", [
         ("authors", 5), ("authors", None), ("citation_statements", 3)])
     def test_non_list_field_is_line_error(self, field, value):
@@ -120,6 +165,18 @@ class TestParse:
                        check=True, capture_output=True)
         for name in ("records.jsonl", "queries.txt", "config.toml"):
             assert (tmp_path / name).read_bytes() == (fixture_dir / name).read_bytes(), name
+
+
+def embedding_reference(embedding):
+    """The two-pass embedding check the parser made before it checked in
+    one pass: the float list, or the message of the rejection."""
+    if not (isinstance(embedding, list) and len(embedding) > 0
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in embedding)):
+        return "embedding must be a non-empty list of numbers"
+    if not all(abs(v) <= sys.float_info.max for v in embedding):
+        return "embedding values must be finite"
+    return [float(v) for v in embedding]
 
 
 class TestExclusions:
