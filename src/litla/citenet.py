@@ -19,7 +19,7 @@ from .errors import ConvergenceError
 from .graph import FLAG_CYCLE, FLAG_TEMPORAL_ANOMALY, ProjectedGraph
 from .powerlaw import PowerLawFit, fit_power_law_ls
 from .stats import YearSeries
-from .textutil import tokenize
+from .textutil import TextIndex
 
 
 # --- growth ----------------------------------------------------------------------
@@ -162,20 +162,19 @@ def cd_index_yearly(cit: ProjectedGraph, results: list[CdResult]) -> YearSeries:
 # --- lexical novelty -------------------------------------------------------------
 
 
-def type_token_ratio(texts_by_year: dict[int, list[str]]) -> YearSeries:
-    """Distinct/total token ratio per year over concatenated texts; years
-    with no tokens are omitted. Tokens keep stopwords so the ratio counts
-    every word of the title+abstract stream."""
-    years, values = [], []
-    for y in sorted(texts_by_year):
-        tokens = []
-        for text in texts_by_year[y]:
-            tokens.extend(tokenize(text, drop_stopwords=False))
-        if not tokens:
-            continue
-        years.append(y)
-        values.append(len(set(tokens)) / len(tokens))
-    return YearSeries(years, values)
+def type_token_ratio(text: TextIndex, paper_years: dict[str, int]) -> YearSeries:
+    """Distinct/total token ratio per year over the title+abstract streams of
+    the indexed papers published that year (``paper_years``: paper id ->
+    year); years with no tokens are omitted. Tokens keep stopwords so the
+    ratio counts every word of the stream."""
+    distinct: dict[int, set[str]] = {}
+    total: dict[int, int] = defaultdict(int)
+    for pid, stream in text.streams.items():
+        y = paper_years[pid]
+        distinct.setdefault(y, set()).update(stream)
+        total[y] += len(stream)
+    years = sorted(y for y in distinct if total[y])
+    return YearSeries(years, [len(distinct[y]) / total[y] for y in years])
 
 
 # --- main path step 1: mutual-reinforcement ranking --------------------------------

@@ -2,16 +2,17 @@
 -> predict, driven by one config file.
 
 Every stage of one invocation reads one lazy :class:`Corpus`: ``all`` parses,
-builds the knowledge graph, runs the CD index and DBSCAN once, and a single
-stage computes only what it reads. Each stage writes its reports into the
-output directory and appends an entry to ``run_manifest.json``. Outputs are
-byte-identical across re-runs for a fixed config and seed; durations in the
-manifest are the one exception.
+builds the knowledge graph with its text index, runs the CD index and DBSCAN
+once, and a single stage computes only what it reads. Each stage writes its
+reports into the output directory and appends an entry to
+``run_manifest.json``. Outputs are byte-identical across re-runs for a fixed
+config and seed; durations in the manifest are the one exception.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 import traceback
@@ -56,6 +57,7 @@ class Corpus:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self._freeze_built = False  # run_stages sets it when it owns the frozen set
 
     @cached_property
     def parsed(self) -> tuple[list, list]:
@@ -69,7 +71,12 @@ class Corpus:
 
     @cached_property
     def kg(self) -> KnowledgeGraph:
-        return build_graph(self.screened[0])
+        kg = build_graph(self.screened[0])
+        if self._freeze_built:
+            # the built corpus lives until the run ends: keep it out of the
+            # collector's passes, which would otherwise walk it every time
+            gc.freeze()
+        return kg
 
     @cached_property
     def citation(self):
@@ -175,9 +182,7 @@ def stage_stats(corpus: Corpus, outdir) -> list[str]:
 
 def stage_topics(corpus: Corpus, outdir) -> list[str]:
     cfg, kg = corpus.cfg, corpus.kg
-    kept = corpus.screened[0]
-    docs = {r.id: r.title + " " + r.abstract for r in kept}
-    years = {r.id: r.year for r in kept}
+    years = {r.id: r.year for r in corpus.screened[0]}
     assignment = corpus.assignment
     outputs = []
 
@@ -185,7 +190,7 @@ def stage_topics(corpus: Corpus, outdir) -> list[str]:
               sorted(assignment.labels.items()))
     outputs.append("assignments.csv")
 
-    pools = topics.topic_token_pools(assignment, docs)
+    pools = topics.topic_token_pools(assignment, kg.text)
     summaries = topics.ctfidf(pools, top_n=cfg.topics.top_terms) if pools else []
     write_json(outdir / "topic_report.json", {
         "n_topics": assignment.n_topics(),
@@ -218,7 +223,7 @@ def stage_topics(corpus: Corpus, outdir) -> list[str]:
 
     if cfg.queries_path is not None:
         queries = topics.load_queries(cfg.queries_path)
-        multilabel = topics.assign_by_query(queries, docs)
+        multilabel = topics.assign_by_query(queries, kg.text)
         write_csv(outdir / "multilabel.csv", ["paper_id", "topics"],
                   [(pid, ";".join(sorted(lbls))) for pid, lbls in sorted(multilabel.items())])
         outputs.append("multilabel.csv")
@@ -243,8 +248,7 @@ def stage_topics(corpus: Corpus, outdir) -> list[str]:
     outputs.append("emerging.csv")
 
     if cfg.linkage.themes:
-        abstracts = {r.id: r.abstract for r in kept}
-        matrix = topics.topic_linkage(cfg.linkage.themes, abstracts, cfg.linkage.epsilon)
+        matrix = topics.topic_linkage(cfg.linkage.themes, kg.text, cfg.linkage.epsilon)
         header = ["theme"] + matrix.themes
         write_csv(outdir / "linkage.csv", header,
                   [(t, *[repr(w) for w in row])
@@ -294,10 +298,7 @@ def stage_citenet(corpus: Corpus, outdir) -> list[str]:
               [(y, repr(v)) for y, v in zip(yearly.years, yearly.values)])
     outputs.extend(["cd_papers.csv", "cd_yearly.csv"])
 
-    texts_by_year: dict[int, list[str]] = {}
-    for rec in corpus.screened[0]:
-        texts_by_year.setdefault(rec.year, []).append(rec.title + " " + rec.abstract)
-    ttr = cn.type_token_ratio(texts_by_year)
+    ttr = cn.type_token_ratio(corpus.kg.text, {r.id: r.year for r in corpus.screened[0]})
     write_csv(outdir / "ttr.csv", ["year", "type_token_ratio"],
               [(y, repr(v)) for y, v in zip(ttr.years, ttr.values)])
     outputs.append("ttr.csv")
@@ -491,18 +492,24 @@ def run_stages(cfg: RunConfig, stage_names: list[str]) -> int:
     }
     failed = False
     corpus = Corpus(cfg)
-    for name in stage_names:
-        start = time.monotonic()
-        entry = {"stage": name, "status": "ok", "error": None, "outputs": []}
-        try:
-            entry["outputs"] = _STAGE_FUNCS[name](corpus, outdir)
-        except Exception as exc:  # record per-stage failures, keep going
-            entry["status"] = "failed"
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            failed = True
-            traceback.print_exc(file=sys.stderr)
-        entry["duration_s"] = round(time.monotonic() - start, 6)
-        manifest["stages"].append(entry)
+    # a caller that froze objects itself keeps its collector as it is
+    corpus._freeze_built = gc.get_freeze_count() == 0
+    try:
+        for name in stage_names:
+            start = time.monotonic()
+            entry = {"stage": name, "status": "ok", "error": None, "outputs": []}
+            try:
+                entry["outputs"] = _STAGE_FUNCS[name](corpus, outdir)
+            except Exception as exc:  # record per-stage failures, keep going
+                entry["status"] = "failed"
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+                failed = True
+                traceback.print_exc(file=sys.stderr)
+            entry["duration_s"] = round(time.monotonic() - start, 6)
+            manifest["stages"].append(entry)
+    finally:
+        if corpus._freeze_built:
+            gc.unfreeze()
     write_json(outdir / "run_manifest.json", manifest)
     return 1 if failed else 0
 

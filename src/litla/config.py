@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .records import ExclusionPolicy
@@ -217,7 +217,26 @@ class RunConfig:
             json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _expected(value, default) -> str | None:
+    """The type ``value`` should have, when it lacks the type of ``default``."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "a boolean"
+    if isinstance(default, int):
+        return None if type(value) is int else "an integer"
+    if isinstance(default, float):
+        return None if type(value) in (int, float) else "a number"
+    if isinstance(default, list):
+        return None if _is_strings(value) else "an array of strings"
+    return None
+
+
 def _build_block(cls, data: dict, section: str):
+    """The ``cls`` block of ``data``; each value must have the type of its
+    field's default, and passes through unconverted."""
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
@@ -228,9 +247,16 @@ def _build_block(cls, data: dict, section: str):
             continue
         value = data[f.name]
         if f.name == "themes":
-            if not isinstance(value, dict) or not all(
-                    isinstance(v, list) for v in value.values()):
+            if not isinstance(value, dict):
                 raise ConfigError(f"[{section}.themes] must map names to keyword arrays")
+            for name, keywords in value.items():
+                if not _is_strings(keywords):
+                    raise ConfigError(f"[{section}.themes] {name} must be an array of strings, "
+                                      f"got {keywords!r}")
+        default = f.default if f.default is not MISSING else f.default_factory()
+        expected = _expected(value, default)
+        if expected:
+            raise ConfigError(f"[{section}] {f.name} must be {expected}, got {value!r}")
         kwargs[f.name] = value
     return cls(**kwargs)
 

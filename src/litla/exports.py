@@ -12,7 +12,6 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from operator import itemgetter
 from pathlib import Path
 
 from .graph import Edge, KnowledgeGraph, NodeRef, ProjectedGraph
@@ -123,10 +122,11 @@ def _dot_id(name: str) -> str:
 def _kg_order(kg: KnowledgeGraph, quote) -> tuple[list[NodeRef], dict[NodeRef, str], list[Edge]]:
     """The KG's nodes sorted, each one's ``type:key`` id through ``quote``,
     and its edges stably sorted by (source id, target id). No node type is a
-    prefix of another, so sorting refs sorts their ids and the sorts run on tuples."""
+    prefix of another, so sorting refs sorts their ids and the sorts run on
+    tuples; the edge order is the KG's own, shared by both exports."""
     refs = sorted(kg.nodes)
     ids = {ref: quote(f"{ref.node_type}:{ref.key}") for ref in refs}
-    return refs, ids, sorted(kg.edges, key=itemgetter(0, 1))
+    return refs, ids, kg.edges_by_endpoints
 
 
 def kg_to_graphml(path, kg: KnowledgeGraph) -> None:

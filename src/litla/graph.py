@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .countries import UNKNOWN, infer_country
 from .records import PaperRecord
-from .textutil import contains_phrase, tokenize
+from .textutil import TextIndex, contains_phrase, tokenize
 
 NODE_PAPER = "paper"
 NODE_AUTHOR = "author"
@@ -94,12 +95,15 @@ class Edge(NamedTuple("Edge", [("src", NodeRef), ("dst", NodeRef), ("edge_type",
             raise ValueError("edge weight must be non-negative")
         return tuple.__new__(cls, (src, dst, edge_type, weight, year, years, flags))
 
-    def sort_key(self):
-        return (self.edge_type, self.src, self.dst, self.year)
-
 
 class KnowledgeGraph:
-    """Immutable-after-build typed multigraph with O(1) per-type node counts."""
+    """Immutable-after-build typed multigraph with O(1) per-type node counts.
+
+    ``edges`` are sorted by (edge_type, src, dst, year). ``text`` indexes the
+    papers' titles and abstracts; :func:`build_graph` fills it.
+    """
+
+    text = TextIndex({})
 
     def __init__(self, nodes: dict[NodeRef, dict], edges: list[Edge],
                  corpus_year_range: tuple[int, int]):
@@ -107,9 +111,14 @@ class KnowledgeGraph:
             if e.src not in nodes or e.dst not in nodes:
                 raise ValueError(f"dangling edge endpoint: {e.src} -> {e.dst}")
         self.nodes = nodes
-        self.edges = sorted(edges, key=Edge.sort_key)
+        self.edges = sorted(edges, key=itemgetter(2, 0, 1, 4))
         self.corpus_year_range = corpus_year_range
         self._type_counts = Counter(ref.node_type for ref in nodes)
+
+    @cached_property
+    def edges_by_endpoints(self) -> list[Edge]:
+        """``edges`` stably sorted by (src, dst)."""
+        return sorted(self.edges, key=itemgetter(0, 1))
 
     def node_count(self, node_type: str) -> int:
         return self._type_counts.get(node_type, 0)
@@ -263,7 +272,8 @@ class ProjectedGraph:
 
         Weights backed by occurrence-year lists (co-authorship frequency,
         keyword co-mentions) are recounted over the retained years, so the
-        snapshot at the last year reproduces the graph exactly.
+        snapshot at the last year reproduces the graph exactly. An edge that
+        needs no recount shares its attribute dict with this graph.
         """
         nodes = {u: a for u, a in self.nodes.items() if a.get("year", year) <= year}
         edges = {}
@@ -271,7 +281,11 @@ class ProjectedGraph:
             if attrs.get("year", year) > year or u not in nodes or v not in nodes:
                 continue
             years = attrs.get("years")
-            if years:
+            # an edge whose years all count keeps its attributes when they
+            # already hold the recounted years and weight
+            if years and (max(years) > year or type(years) is not tuple
+                          or type(attrs.get("weight")) is not float
+                          or attrs["weight"] != len(years)):
                 kept = tuple(t for t in years if t <= year)
                 attrs = dict(attrs, years=kept, weight=float(len(kept)))
             edges[(u, v)] = attrs
@@ -342,28 +356,15 @@ class _Interned(dict):
         return value
 
 
-_phrase = partial(tokenize, drop_stopwords=False)
-
-
-def match_text_keywords(record: PaperRecord, keywords: list[str]) -> list[str]:
-    """The canonical ``keywords`` of a record that occur in its title or
-    abstract: a keyword matches when its token sequence appears contiguously
-    in the lowercased title+abstract token stream."""
-    return _text_keywords(record, keywords, _Interned(_phrase))
-
-
-def _text_keywords(record: PaperRecord, keywords: list[str], phrases: _Interned) -> list[str]:
-    text_tokens = _phrase(record.title + " " + record.abstract)
-    return [kw for kw in keywords if contains_phrase(text_tokens, phrases[kw])]
-
-
 def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     """Assemble the knowledge graph from deduplicated records.
 
     Citation edges are restricted to within-corpus targets; external
     reference counts stay on the paper node. Backward-in-time citations are
     flagged as temporal anomalies and citation cycles among the remaining
-    edges are flagged so DAG-based analyses can drop them.
+    edges are flagged so DAG-based analyses can drop them. A paper's
+    ``text_keywords`` are its canonical keywords whose token sequence occurs
+    contiguously in its title+abstract stream of the graph's ``text`` index.
     """
     if not records:
         return KnowledgeGraph({}, [], (0, 0))
@@ -375,8 +376,10 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     year_lo = min(r.year for r in records)
     year_hi = max(r.year for r in records)
 
+    records = sorted(records, key=lambda r: r.id)
+    text = TextIndex({rec.id: (rec.title, rec.abstract) for rec in records})
     refs = _Interned(lambda key: NodeRef(*key))  # one NodeRef per node
-    phrases = _Interned(_phrase)  # keyword -> its tokens
+    phrases = _Interned(lambda kw: tokenize(kw, drop_stopwords=False))  # keyword -> its tokens
     canon = _Interned(canonical)  # name -> its canonical key
     nodes: dict[NodeRef, dict] = {}
     edges: list[Edge] = []
@@ -388,7 +391,6 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     affil_years: dict[tuple[str, str], list[int]] = {}
     cites_pairs: list[tuple[str, str]] = []
 
-    records = sorted(records, key=lambda r: r.id)
     for rec in records:
         paper_ref = refs[NODE_PAPER, rec.id]
         author_keys = []
@@ -419,7 +421,8 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
                                if k.strip()})
         for kw in all_keywords:
             keyword_first[kw] = min(keyword_first.get(kw, rec.year), rec.year)
-        text_kws = _text_keywords(rec, all_keywords, phrases)
+        stream = text.streams[rec.id]
+        text_kws = [kw for kw in all_keywords if contains_phrase(stream, phrases[kw])]
 
         in_refs = sorted(r for r in set(rec.references) if r in corpus_ids and r != rec.id)
         known_countries = sorted({c for c in countries if c != UNKNOWN})
@@ -504,4 +507,6 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
                           EDGE_AFFILIATED_WITH, float(len(years)), min(years),
                           years=tuple(sorted(years))))
 
-    return KnowledgeGraph(nodes, edges, (year_lo, year_hi))
+    kg = KnowledgeGraph(nodes, edges, (year_lo, year_hi))
+    kg.text = text
+    return kg

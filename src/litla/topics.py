@@ -10,12 +10,14 @@ import re
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, filterfalse
+from operator import or_
 
 import numpy as np
 
 from .stats import YearSeries
-from .textutil import contains_phrase, tokenize
+from .textutil import STOPWORDS, TextIndex, tokenize
 
 NOISE = -1
 
@@ -186,14 +188,14 @@ def ctfidf(docs_by_topic: dict[int, list[str]], top_n: int = 10) -> list[TopicSu
     return summaries
 
 
-def topic_token_pools(assignment: TopicAssignment,
-                      texts: dict[str, str]) -> dict[int, list[str]]:
-    """Concatenated stopword-filtered tokens per topic (outliers dropped)."""
+def topic_token_pools(assignment: TopicAssignment, text: TextIndex) -> dict[int, list[str]]:
+    """Concatenated stopword-filtered title+abstract tokens per topic, in
+    paper id order (outliers dropped)."""
     pools: dict[int, list[str]] = {t: [] for t in assignment.topic_sizes}
     for pid, label in sorted(assignment.labels.items()):
         if label == NOISE:
             continue
-        pools[label].extend(tokenize(texts[pid]))
+        pools[label].extend(filterfalse(STOPWORDS.__contains__, text.streams[pid]))
     return pools
 
 
@@ -348,39 +350,35 @@ def parse_query(expr: str):
     return _QueryParser(tokens).parse()
 
 
-def _eval_query(node, tokens: list[str], token_set: set[str]) -> bool:
+def _eval_query(node, text: TextIndex) -> int:
+    """The mask of the indexed papers that match ``node``; NOT complements
+    within them."""
     op = node[0]
     if op == "phrase":
-        phrase = node[1]
-        if not phrase:
-            return False
-        if len(phrase) == 1:
-            return phrase[0] in token_set
-        return contains_phrase(tokens, phrase)
+        return text.matches(node[1])
     if op == "and":
-        return _eval_query(node[1], tokens, token_set) and _eval_query(node[2], tokens, token_set)
+        return _eval_query(node[1], text) & _eval_query(node[2], text)
     if op == "or":
-        return _eval_query(node[1], tokens, token_set) or _eval_query(node[2], tokens, token_set)
+        return _eval_query(node[1], text) | _eval_query(node[2], text)
     if op == "not":
-        return not _eval_query(node[1], tokens, token_set)
+        return text.everything & ~_eval_query(node[1], text)
     raise QueryError(f"unknown node {op}")
 
 
-def assign_by_query(queries: dict[str, str], docs: dict[str, str]) -> dict[str, set[str]]:
+def assign_by_query(queries: dict[str, str], text: TextIndex) -> dict[str, set[str]]:
     """Multi-label assignment: paper -> set of topic names whose boolean
-    expression matches the lowercased title+abstract token sequence."""
+    expression matches its title+abstract token stream. Every indexed paper
+    has an entry, empty when no query matches."""
     compiled = {}
     for name, expr in queries.items():
         try:
             compiled[name] = parse_query(expr)
         except QueryError as exc:
             raise QueryError(f"query {name!r}: {exc}") from exc
-    result: dict[str, set[str]] = {}
-    for pid, text in docs.items():
-        tokens = tokenize(text, drop_stopwords=False)
-        token_set = set(tokens)
-        result[pid] = {name for name, node in compiled.items()
-                       if _eval_query(node, tokens, token_set)}
+    result: dict[str, set[str]] = {pid: set() for pid in text.ids}
+    for name, node in compiled.items():
+        for pid in text.papers(_eval_query(node, text)):
+            result[pid].add(name)
     return result
 
 
@@ -483,20 +481,20 @@ def emerging_topics(trends: dict[object, YearSeries], since_year: int, k: int
 # --- theme linkage ---------------------------------------------------------------
 
 
-def topic_linkage(theme_keywords: dict[str, list[str]], abstracts: dict[str, str],
+def topic_linkage(theme_keywords: dict[str, list[str]], text: TextIndex,
                   epsilon: float) -> LinkageMatrix:
-    """Theme co-mention matrix over paper abstracts with two-sided epsilon
-    thresholding.
+    """Theme co-mention matrix over the papers' abstracts with two-sided
+    epsilon thresholding.
 
-    weight(i, j) counts papers matching at least one keyword of theme i and
-    one of theme j; an entry is zeroed only when its share falls below
-    epsilon in both row normalizations. The result stays symmetric with a
-    zero diagonal.
+    weight(i, j) counts papers whose abstract matches at least one keyword of
+    theme i and one of theme j; an entry is zeroed only when its share falls
+    below epsilon in both row normalizations. The result stays symmetric
+    with a zero diagonal.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     themes = []
-    phrase_sets = []
+    papers = []  # per theme: the mask of the papers whose abstract matches one of its keywords
     for name, kws in theme_keywords.items():
         phrases = [tokenize(k, drop_stopwords=False) for k in kws if k.strip()]
         phrases = [p for p in phrases if p]
@@ -504,16 +502,11 @@ def topic_linkage(theme_keywords: dict[str, list[str]], abstracts: dict[str, str
             warnings.warn(f"theme {name!r} has no usable keywords; dropped")
             continue
         themes.append(name)
-        phrase_sets.append(phrases)
+        papers.append(reduce(or_, map(text.abstract_matches, phrases)))
     k = len(themes)
     weights = np.zeros((k, k))
-    for pid in sorted(abstracts):
-        tokens = tokenize(abstracts[pid], drop_stopwords=False)
-        hits = [i for i, phrases in enumerate(phrase_sets)
-                if any(contains_phrase(tokens, p) for p in phrases)]
-        for a, b in combinations(hits, 2):
-            weights[a, b] += 1
-            weights[b, a] += 1
+    for a, b in combinations(range(k), 2):
+        weights[a, b] = weights[b, a] = (papers[a] & papers[b]).bit_count()
     row_sums = weights.sum(axis=1)
     keep = np.zeros_like(weights, dtype=bool)
     for i in range(k):

@@ -8,6 +8,7 @@ import pytest
 
 from litla.graph import ProjectedGraph
 from litla.records import PaperRecord, load_records
+from litla.textutil import TextIndex
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("ci")
@@ -33,6 +34,12 @@ def fixture_records():
     records, errors = load_records(FIXTURE_DIR / "records.jsonl")
     assert not errors
     return records
+
+
+def text_index(texts: dict[str, str]) -> TextIndex:
+    """The index of papers with empty titles whose abstracts are ``texts``,
+    so that each paper's stream is ``tokenize(texts[pid], drop_stopwords=False)``."""
+    return TextIndex({pid: ("", text) for pid, text in texts.items()})
 
 
 def record_to_obj(rec: PaperRecord) -> dict:

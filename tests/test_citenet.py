@@ -23,7 +23,7 @@ from litla.cli import main
 from litla.config import load_config
 from litla.records import Author, PaperRecord, apply_exclusions
 
-from conftest import attachment_snapshots, citation, random_dag, serialize_records
+from conftest import attachment_snapshots, citation, random_dag, serialize_records, text_index
 
 
 def rec(id, year, authors=(), refs=(), venue="V"):
@@ -276,17 +276,25 @@ class TestCdYearly:
             assert v == pytest.approx(sum(by_year[y]) / len(by_year[y]))
 
 
+def ttr_of(texts_by_year: dict[int, list[str]]):
+    """``type_token_ratio`` of papers with empty titles whose abstracts are
+    the texts of each year."""
+    texts = {f"{y}-{i}": text for y, year_texts in texts_by_year.items()
+             for i, text in enumerate(year_texts)}
+    return type_token_ratio(text_index(texts), {pid: int(pid.split("-")[0]) for pid in texts})
+
+
 class TestTypeTokenRatio:
     def test_repeated_token(self):
-        series = type_token_ratio({2000: ["a b a"]})
+        series = ttr_of({2000: ["a b a"]})
         assert series.values == [pytest.approx(2 / 3)]
 
     def test_all_distinct(self):
-        series = type_token_ratio({2000: ["alpha beta gamma"]})
+        series = ttr_of({2000: ["alpha beta gamma"]})
         assert series.values == [1.0]
 
     def test_empty_year_omitted(self):
-        series = type_token_ratio({2000: [""], 2001: ["x y"]})
+        series = ttr_of({2000: [""], 2001: ["x y"]})
         assert series.years == [2001]
 
     def test_fixture_matches_set_len_oracle(self, fixture_records):
@@ -295,7 +303,7 @@ class TestTypeTokenRatio:
         texts = {}
         for r in fixture_records:
             texts.setdefault(r.year, []).append(r.title + " " + r.abstract)
-        series = type_token_ratio(texts)
+        series = ttr_of(texts)
         for y, v in zip(series.years, series.values):
             tokens = []
             for t in texts[y]:

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax import saxutils
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from litla import citenet, cli, collabnet, topics
+from litla import citenet, cli, collabnet, textutil, topics
 from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config, parse_toml
 from litla.exports import (
@@ -121,6 +123,36 @@ class TestRunConfig:
         assert cfg.config_hash() == (
             "021eb8c240b4e603d9e0cd076cf651145b0941549b83c98ac9488e5624eb9023")
 
+    def test_fixture_config_hash_pinned_at_seed_7(self, fixture_dir, tmp_path):
+        for out in (None, tmp_path / "a", tmp_path / "b"):
+            cfg = load_config(fixture_dir / "config.toml", output_override=out, seed_override=7)
+            assert cfg.config_hash() == (
+                "372e30466de4892a0bdfb302ec5d8e267ae593f906eba5c86df65aaa8ede0a1c")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('allowed_languages = ["English"]', 'allowed_languages = "English"',
+         "[exclusions] allowed_languages must be an array of strings"),
+        ("eps = 1.4", 'eps = "1.4"', "[topics] eps must be a number"),
+        ('"kriging", "expensive evaluations", "model management"]', "1, 2]",
+         "[linkage.themes] surrogate assisted must be an array of strings"),
+        ("max_iter = 500\ntop_k", "max_iter = true\ntop_k",
+         "[collabnet] max_iter must be an integer"),
+        ("min_pts = 4", "min_pts = 4.0", "[topics] min_pts must be an integer"),
+        ("exclude_unknown = true", "exclude_unknown = 1",
+         "[collabnet] exclude_unknown must be a boolean"),
+    ], ids=["language_string", "eps_string", "theme_ints", "max_iter_bool", "min_pts_float",
+            "exclude_unknown_int"])
+    def test_mistyped_value_exits_two_before_any_stage(self, fixture_dir, tmp_path, capsys,
+                                                       old, new, message):
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        text = config.read_text()
+        assert text.count(old) == 1
+        config.write_text(text.replace(old, new))
+        assert main(["all", "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_hash_independent_of_checkout(self, fixture_dir, tmp_path):
         hashes = set()
         for where in ("a/fixtures", "b/deeper/copy"):
@@ -183,6 +215,20 @@ class TestCli:
                 "bd694790166fa5d4e1878a078aece096b54334a790a887a6a07d9b2cd8fe6fb0",
             "top_authors.graphml":
                 "808bc1b75cf2b1e8306145d110b1cb93283c7853572221d381735d134ec68368",
+            "multilabel.csv": "fa55c99adc532524f6f7414235d57dd646fb781318d76483921c02e2ea807553",
+            "topic_trends_count.csv":
+                "49a7972091a230511509c5388296b2739577cd010bfa3ce41da099fedf6b7189",
+            "topic_trends_share.csv":
+                "49ea0c22050a965f862fc0ac338cf395531a8a7df9fc55f7c38f2eadbdcccc17",
+            "linkage.csv": "618a42a328dad1d80504f755352656d30de596564f799e14aa9a099a8894e805",
+            "linkage_shares.csv":
+                "499923b5ea6665f6f085e78634f2c2161c8156e4b6f30f626442ef469c5362af",
+            "topic_report.json":
+                "266c3ab5bd80e1281a9929c62f96e9542e00460cc385c1e5883bfa8cd39ec468",
+            "ttr.csv": "c198eecb531c9383d7b08ba94ce53c19aebeb4c8933ae93d213dc1dcffd63a22",
+            "growth.csv": "b1492d159086bb4a69abf28baacc05d8d886b32ad79cac4886d0560c902d165d",
+            "pref_attachment.csv":
+                "89c5f3abb9a159e8260baeb940949f64621db6d27eb671675aeeb63109bd8e8a",
         }
         assert main(["all", "--config", str(fixture_dir / "config.toml"), "--seed", "7",
                      "--output", str(tmp_path)]) == 0
@@ -234,6 +280,70 @@ class TestCli:
         assert calls == {"load_records": 1, "build_graph": 1, "dbscan_labels": 1,
                          "components": 16, "connected_components": 16,
                          PROJECTION_COAUTHORSHIP: 1}
+
+    def test_each_kept_paper_tokenized_once(self, fixture_dir, tmp_path, monkeypatch):
+        tokenized = []
+        tokenize = textutil.tokenize
+
+        def counted(text, *args, **kwargs):
+            tokenized.append(text)
+            return tokenize(text, *args, **kwargs)
+        for module in [m for name, m in sys.modules.items() if name.startswith("litla")]:
+            if getattr(module, "tokenize", None) is tokenize:
+                monkeypatch.setattr(module, "tokenize", counted)
+
+        config = fixture_dir / "config.toml"
+        assert main(["all", "--config", str(config), "--output", str(tmp_path)]) == 0
+        kept = cli.Corpus(load_config(config)).screened[0]
+        assert kept
+        calls = Counter(tokenized)
+        fields = Counter(text for rec in kept for text in (rec.title, rec.abstract))
+        # each field of each kept paper once (some titles repeat), never the two joined
+        assert {text: calls[text] for text in fields} == fields
+        assert not any(calls[rec.title + " " + rec.abstract] for rec in kept)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_collector_frozen_only_during_the_run(self, fixture_dir, tmp_path, monkeypatch,
+                                                  fail):
+        seen = []
+        stage_stats = cli.stage_stats
+
+        def probed(corpus, outdir):
+            seen.append(gc.get_freeze_count())
+            if fail:
+                raise RuntimeError("probe")
+            return stage_stats(corpus, outdir)
+        monkeypatch.setitem(cli._STAGE_FUNCS, "stats", probed)
+        before = gc.get_freeze_count()
+        assert before == 0
+        code = main(["all", "--config", str(fixture_dir / "config.toml"),
+                     "--output", str(tmp_path)])
+        assert code == (1 if fail else 0)
+        assert gc.get_freeze_count() == before
+        assert seen and seen[0] > 0  # the corpus built by ingest was frozen
+
+    def test_collector_left_alone_when_frozen_on_entry(self, fixture_dir, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        gc.freeze()
+        try:
+            monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+            monkeypatch.setattr(gc, "unfreeze", lambda: calls.append("unfreeze"))
+            assert main(["stats", "--config", str(fixture_dir / "config.toml"),
+                         "--output", str(tmp_path)]) == 0
+        finally:
+            monkeypatch.undo()
+            gc.unfreeze()
+        assert calls == []
+
+    def test_collector_restored_when_run_raises(self, fixture_dir, tmp_path, monkeypatch):
+        def unwritable(path, payload):
+            raise OSError("disk full")
+        monkeypatch.setattr(cli, "write_json", unwritable)
+        with pytest.raises(OSError, match="disk full"):
+            main(["stats", "--config", str(fixture_dir / "config.toml"),
+                  "--output", str(tmp_path)])
+        assert gc.get_freeze_count() == 0
 
     def test_failed_load_fails_every_stage_alike(self, fixture_dir, tmp_path, monkeypatch):
         loads = []

@@ -25,9 +25,9 @@ from litla.graph import (
     build_graph,
     canonical,
     institution_key,
-    match_text_keywords,
 )
 from litla.records import Author, PaperRecord
+from litla.textutil import contains_phrase, tokenize
 
 
 def rec(id, year, authors=(), refs=(), venue="V", kws=(), title=None, abstract=""):
@@ -38,6 +38,35 @@ def rec(id, year, authors=(), refs=(), venue="V", kws=(), title=None, abstract="
         venue=venue, pub_type="journal", references=list(refs),
         extracted_keywords=list(kws), page_count=8,
     )
+
+
+def match_text_keywords(record: PaperRecord, keywords: list[str]) -> list[str]:
+    """Reference keyword match: the ``keywords`` whose token sequence occurs
+    contiguously in the lowercased title+abstract token stream."""
+    text_tokens = tokenize(record.title + " " + record.abstract, drop_stopwords=False)
+    return [kw for kw in keywords
+            if contains_phrase(text_tokens, tokenize(kw, drop_stopwords=False))]
+
+
+def edge_sort_key(e: Edge):
+    """Reference order of ``KnowledgeGraph.edges``."""
+    return (e.edge_type, e.src, e.dst, e.year)
+
+
+def reference_snapshot(pg: ProjectedGraph, year: int) -> ProjectedGraph:
+    """``ProjectedGraph.snapshot`` as it was before it shared attribute
+    dicts: every edge with occurrence years gets a recounted copy."""
+    nodes = {u: a for u, a in pg.nodes.items() if a.get("year", year) <= year}
+    edges = {}
+    for (u, v), attrs in pg.edges.items():
+        if attrs.get("year", year) > year or u not in nodes or v not in nodes:
+            continue
+        years = attrs.get("years")
+        if years:
+            kept = tuple(t for t in years if t <= year)
+            attrs = dict(attrs, years=kept, weight=float(len(kept)))
+        edges[(u, v)] = attrs
+    return ProjectedGraph(pg.directed, nodes, edges)
 
 
 class TestBuild:
@@ -179,7 +208,7 @@ def test_edges_repr_hash_and_order_are_their_fields(edges):
         assert repr(e) == ("Edge(" + ", ".join(f"{name}={getattr(e, name)!r}"
                                                for name in EDGE_FIELDS) + ")")
         assert hash(e) == hash(tuple(getattr(e, name) for name in EDGE_FIELDS))
-    by_key = sorted(edges, key=Edge.sort_key)
+    by_key = sorted(edges, key=edge_sort_key)
     by_fields = sorted(edges, key=lambda e: (e.edge_type, _fields(e.src), _fields(e.dst), e.year))
     assert [_fields(e) for e in by_key] == [_fields(e) for e in by_fields]
 
@@ -357,3 +386,55 @@ def test_snapshot_monotone_property(specs):
             g1, g2 = g.snapshot(y), g.snapshot(y + 1)
             assert set(g1.nodes) <= set(g2.nodes)
             assert set(g1.edges) <= set(g2.edges)
+
+
+_paper_refs = _refs.filter(lambda r: r.node_type == NODE_PAPER)
+
+
+@given(st.lists(st.builds(lambda src, dst, year: Edge(src, dst, EDGE_CITES, 1.0, year),
+                          _paper_refs, _paper_refs, st.integers(2000, 2003)),
+                max_size=10))
+def test_kg_edge_orders_match_reference_sorts(edges):
+    nodes = {ref: {"year": 2000} for e in edges for ref in (e.src, e.dst)}
+    kg = KnowledgeGraph(nodes, edges, (2000, 2003))
+    assert [_fields(e) for e in kg.edges] == \
+        [_fields(e) for e in sorted(edges, key=edge_sort_key)]
+    assert [_fields(e) for e in kg.edges_by_endpoints] == \
+        [_fields(e) for e in sorted(kg.edges, key=lambda e: (e.src, e.dst))]
+    assert kg.edges_by_endpoints is kg.edges_by_endpoints
+
+
+_years = st.lists(st.integers(2000, 2004), min_size=1, max_size=3)
+# a weight that is, or equals, the count of the edge's years, or neither
+_WEIGHTS = {"count": lambda n: float(n), "int count": int, "one": lambda n: 1.0,
+            "half": lambda n: 0.5}
+
+
+@given(st.booleans(),
+       st.dictionaries(st.sampled_from("abcde"), st.sampled_from([2000, 2000, 2003]), min_size=2),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([2000, 2003]),
+                          st.one_of(st.none(), _years.map(tuple), _years),
+                          st.sampled_from(sorted(_WEIGHTS))), max_size=10),
+       st.sampled_from([1999, 2001, 2003, 2005, 2005]))
+def test_snapshot_matches_reference(directed, node_years, specs, year):
+    names = sorted(node_years)
+    nodes = {u: {"year": y} for u, y in node_years.items()}
+    edges = {}
+    for i, j, first, years, weight in specs:
+        u, v = names[i % len(names)], names[j % len(names)]
+        if u == v:
+            continue
+        attrs = {"year": first, "weight": _WEIGHTS[weight](len(years or ()))}
+        if years is not None:
+            attrs["years"] = years  # unsorted, and sometimes a list
+        edges[(u, v) if directed or u < v else (v, u)] = attrs
+    pg = ProjectedGraph(directed, nodes, edges)
+    got, want = pg.snapshot(year), reference_snapshot(pg, year)
+    assert got.nodes == want.nodes
+    assert repr(sorted(got.edges.items())) == repr(sorted(want.edges.items()))
+
+
+def test_snapshot_shares_settled_attributes(fixture_records):
+    co = build_graph(fixture_records).project(PROJECTION_COAUTHORSHIP)
+    last = co.snapshot(max(a["year"] for a in co.nodes.values()))
+    assert last.edges and all(last.edges[k] is co.edges[k] for k in co.edges)

@@ -26,6 +26,8 @@ from litla.topics import (
     topic_trend,
 )
 
+from conftest import text_index
+
 
 def blob(rng, center, n, sigma=0.3):
     return [[rng.gauss(c, sigma) for c in center] for _ in range(n)]
@@ -308,20 +310,25 @@ class TestQueries:
     def test_and_phrase_match(self):
         labels = assign_by_query(
             {"t": '"constrained" AND "multi-objective"'},
-            {"p": "A constrained multi-objective benchmark"})
+            text_index({"p": "A constrained multi-objective benchmark"}))
         assert labels == {"p": {"t"}}
 
     def test_not_clause_excludes(self):
         labels = assign_by_query(
             {"t": 'benchmark AND NOT constrained'},
-            {"p": "A constrained benchmark"})
+            text_index({"p": "A constrained benchmark"}))
         assert labels == {"p": set()}
 
     def test_phrase_requires_contiguity(self):
         labels = assign_by_query(
             {"t": '"pareto front"'},
-            {"a": "the pareto front moves", "b": "pareto approximation of the front"})
+            text_index({"a": "the pareto front moves", "b": "pareto approximation of the front"}))
         assert labels == {"a": {"t"}, "b": set()}
+
+    def test_not_complements_within_indexed_papers(self):
+        labels = assign_by_query({"t": 'NOT alpha', "e": '""', "x": 'gamma'},
+                                 text_index({"p": "alpha", "q": "beta", "r": ""}))
+        assert labels == {"p": set(), "q": {"t"}, "r": {"t"}}
 
     def test_parentheses_and_or(self):
         node = parse_query('(alpha OR beta) AND NOT gamma')
@@ -329,7 +336,7 @@ class TestQueries:
 
     def test_malformed_expression_names_query(self):
         with pytest.raises(QueryError, match="broken"):
-            assign_by_query({"broken": '(alpha AND'}, {"p": "alpha"})
+            assign_by_query({"broken": '(alpha AND'}, text_index({"p": "alpha"}))
 
     def test_empty_query_rejected(self):
         with pytest.raises(QueryError):
@@ -349,7 +356,7 @@ class TestQueries:
             "q8": 'benchmark AND instances AND NOT industrial',
             "q9": '"constraint handling" OR "penalty functions"',
         }
-        got = assign_by_query(queries, docs)
+        got = assign_by_query(queries, text_index(docs))
 
         def has(tokens, phrase):
             return contains_phrase(tokens, tokenize(phrase, drop_stopwords=False))
@@ -453,13 +460,13 @@ class TestLinkage:
     def test_never_comentioned_is_zero(self):
         matrix = topic_linkage(
             {"a": ["alpha"], "b": ["beta"]},
-            {"p1": "alpha only here", "p2": "beta elsewhere"}, epsilon=0.1)
+            text_index({"p1": "alpha only here", "p2": "beta elsewhere"}), epsilon=0.1)
         assert matrix.weights == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_all_papers_mention_all_themes(self):
         abstracts = {f"p{i}": "alpha beta gamma" for i in range(4)}
         matrix = topic_linkage(
-            {"a": ["alpha"], "b": ["beta"], "c": ["gamma"]}, abstracts, epsilon=0.15)
+            {"a": ["alpha"], "b": ["beta"], "c": ["gamma"]}, text_index(abstracts), epsilon=0.15)
         w = np.array(matrix.weights)
         assert np.all(w[~np.eye(3, dtype=bool)] == 4.0)
         assert np.all(np.diag(w) == 0.0)
@@ -472,7 +479,7 @@ class TestLinkage:
             "learn": ["feature selection", "reinforcement learning"],
         }
         abstracts = {r.id: r.abstract for r in fixture_records}
-        matrix = topic_linkage(themes, abstracts, epsilon=0.15)
+        matrix = topic_linkage(themes, text_index(abstracts), epsilon=0.15)
         w = np.array(matrix.weights)
         assert np.allclose(w, w.T)
         assert np.all(np.diag(w) == 0.0)
@@ -486,7 +493,7 @@ class TestLinkage:
         }
         abstracts = {r.id: r.abstract for r in fixture_records}
         eps = 0.15
-        matrix = topic_linkage(themes, abstracts, eps)
+        matrix = topic_linkage(themes, text_index(abstracts), eps)
 
         names = list(themes)
         hits = {}
@@ -517,5 +524,5 @@ class TestLinkage:
     def test_empty_theme_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="empty"):
             matrix = topic_linkage({"empty": [], "ok": ["alpha"]},
-                                   {"p": "alpha"}, epsilon=0.1)
+                                   text_index({"p": "alpha"}), epsilon=0.1)
         assert matrix.themes == ["ok"]
