@@ -14,7 +14,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .graph import Edge, KnowledgeGraph, NodeRef, ProjectedGraph
+from .graph import Edge, KnowledgeGraph, NodeRef, ProjectedGraph, _Interned
 
 
 @contextmanager
@@ -70,9 +70,19 @@ def _attr_str(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (tuple, list, frozenset, set)):
-        return ";".join(str(v) for v in sorted(value))
     return str(value)
+
+
+def _data_str(value) -> str:
+    return _escape(_attr_str(value))
+
+
+def _column(values, fmt) -> list[str]:
+    """``fmt`` of each of ``values``, called once per distinct value. The
+    key holds the type and, at zero, the text, because 1, 1.0 and True, or
+    0.0 and -0.0, are equal as keys but format differently."""
+    made = _Interned(lambda key: fmt(key[1]))
+    return [made[type(v), v, v == 0 and str(v)] for v in values]
 
 
 _GRAPHML_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -87,7 +97,7 @@ def _key_line(domain: str, key: str, values) -> str:
 
 
 def _data_lines(domain: str, attrs: dict) -> list[str]:
-    return [f'      <data key="{domain[0]}_{k}">{_escape(_attr_str(v))}</data>'
+    return [f'      <data key="{domain[0]}_{k}">{_data_str(v)}</data>'
             for k, v in sorted(attrs.items()) if v is not None]
 
 
@@ -149,11 +159,13 @@ def kg_to_graphml(path, kg: KnowledgeGraph) -> None:
         lines.append(f'    <node id={quoted[ref]}>')
         lines += _data_lines("node", {"name": name, "node_type": ref.node_type, "year": year})
         lines.append('    </node>')
+    weights = _column((e.weight for e in edges), _data_str)
+    edge_years = _column((e.year for e in edges), _data_str)
     lines += [f'    <edge source={quoted[e.src]} target={quoted[e.dst]}>\n'
               f'      <data key="e_edge_type">{_escape(e.edge_type)}</data>\n'
-              f'      <data key="e_weight">{_escape(_attr_str(e.weight))}</data>\n'
-              f'      <data key="e_year">{_escape(_attr_str(e.year))}</data>\n'
-              '    </edge>' for e in edges]
+              f'      <data key="e_weight">{weight}</data>\n'
+              f'      <data key="e_year">{year}</data>\n'
+              '    </edge>' for e, weight, year in zip(edges, weights, edge_years)]
     lines.append('  </graph>\n</graphml>\n')
     write_text(path, "\n".join(lines))
 
@@ -163,16 +175,16 @@ def kg_to_dot(path, kg: KnowledgeGraph) -> None:
     the order ``kg_to_graphml`` writes them."""
     refs, quoted, edges = _kg_order(kg, _dot_id)
     lines = ["digraph G {"] + [f"  {quoted[ref]};" for ref in refs]
-    lines += [f"  {quoted[e.src]} -> {quoted[e.dst]} [weight={_attr_str(e.weight)}];"
-              for e in edges]
+    weights = _column((e.weight for e in edges), _attr_str)
+    lines += [f"  {quoted[e.src]} -> {quoted[e.dst]} [weight={weight}];"
+              for e, weight in zip(edges, weights)]
     lines.append("}\n")
     write_text(path, "\n".join(lines))
 
 
 def projected_to_graphml(path, pg: ProjectedGraph) -> None:
-    nodes = {u: dict(pg.nodes[u]) for u in sorted(pg.nodes)}
-    edges = [(u, v, {k: val for k, val in attrs.items() if not isinstance(val, (tuple, frozenset))})
-             for (u, v), attrs in sorted(pg.edges.items())]
+    nodes = {u: pg.nodes[u] for u in sorted(pg.nodes)}
+    edges = [(u, v, attrs) for (u, v), attrs in sorted(pg.edges.items())]
     write_graphml(path, nodes, edges, directed=pg.directed)
 
 

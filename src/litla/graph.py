@@ -1,9 +1,9 @@
 """Heterogeneous bibliographic knowledge graph and its homogeneous projections.
 
 Nodes are papers, authors, venues, keywords and institutions; typed edges
-carry a first-appearance year plus the full list of occurrence years so that
-the yearly snapshots of a projection can recount weights (e.g. joint-paper
-counts) exactly.
+carry a weight (a joint-paper count for co-authorship, affiliation and
+keyword co-mention edges) and a first-appearance year. Yearly snapshots of a
+projection are structural: no per-year figure reads a weight.
 """
 
 from __future__ import annotations
@@ -76,14 +76,13 @@ class NodeRef(NamedTuple("NodeRef", [("node_type", str), ("key", str)])):
 
 
 class Edge(NamedTuple("Edge", [("src", NodeRef), ("dst", NodeRef), ("edge_type", str),
-                               ("weight", float), ("year", int), ("years", tuple[int, ...]),
-                               ("flags", frozenset[str])])):
+                               ("weight", float), ("year", int), ("flags", frozenset[str])])):
     """A typed, weighted edge; a tuple like :class:`NodeRef`."""
 
     __slots__ = ()
 
     def __new__(cls, src: NodeRef, dst: NodeRef, edge_type: str, weight: float = 1.0,
-                year: int = 0, years: tuple[int, ...] = (), flags: frozenset[str] = frozenset()):
+                year: int = 0, flags: frozenset[str] = frozenset()):
         expect = _EDGE_ENDPOINTS.get(edge_type)
         if expect is None:
             raise ValueError(f"unknown edge type {edge_type!r}")
@@ -93,7 +92,7 @@ class Edge(NamedTuple("Edge", [("src", NodeRef), ("dst", NodeRef), ("edge_type",
                 f"({src.node_type}, {dst.node_type})")
         if weight < 0:
             raise ValueError("edge weight must be non-negative")
-        return tuple.__new__(cls, (src, dst, edge_type, weight, year, years, flags))
+        return tuple.__new__(cls, (src, dst, edge_type, weight, year, flags))
 
 
 class KnowledgeGraph:
@@ -152,7 +151,7 @@ class KnowledgeGraph:
                 for ref, attrs in self.nodes.items() if ref.node_type == NODE_AUTHOR
             }
             edges = {
-                (e.src.key, e.dst.key): {"year": e.year, "weight": e.weight, "years": e.years}
+                (e.src.key, e.dst.key): {"year": e.year, "weight": e.weight}
                 for e in self.edges if e.edge_type == EDGE_COAUTHORS_WITH
             }
             return ProjectedGraph(directed=False, nodes=nodes, edges=edges)
@@ -173,11 +172,8 @@ class KnowledgeGraph:
             for u, v in combinations(kws, 2):
                 pair_years.setdefault((u, v), []).append(year)
         nodes = {kw: {"year": y} for kw, y in first_seen.items()}
-        edges = {
-            pair: {"year": min(years), "weight": float(len(years)),
-                   "years": tuple(sorted(years))}
-            for pair, years in pair_years.items()
-        }
+        edges = {pair: {"year": min(years), "weight": float(len(years))}
+                 for pair, years in pair_years.items()}
         return ProjectedGraph(directed=False, nodes=nodes, edges=edges)
 
 
@@ -253,9 +249,6 @@ class ProjectedGraph:
     def in_degree(self, u: str) -> int:
         return len(self._radj[u])
 
-    def out_degree(self, u: str) -> int:
-        return len(self._adj[u])
-
     @cached_property
     def indexed(self) -> IndexedGraph:
         """The integer view every graph algorithm runs on, built on first use."""
@@ -268,27 +261,11 @@ class ProjectedGraph:
 
     def snapshot(self, year: int) -> "ProjectedGraph":
         """Induced subgraph of the nodes and edges first appearing in or
-        before ``year``.
-
-        Weights backed by occurrence-year lists (co-authorship frequency,
-        keyword co-mentions) are recounted over the retained years, so the
-        snapshot at the last year reproduces the graph exactly. An edge that
-        needs no recount shares its attribute dict with this graph.
-        """
+        before ``year`` (or with no year). Structural: a kept node or edge
+        shares its attribute dict, and so its full-graph weight, with this graph."""
         nodes = {u: a for u, a in self.nodes.items() if a.get("year", year) <= year}
-        edges = {}
-        for (u, v), attrs in self.edges.items():
-            if attrs.get("year", year) > year or u not in nodes or v not in nodes:
-                continue
-            years = attrs.get("years")
-            # an edge whose years all count keeps its attributes when they
-            # already hold the recounted years and weight
-            if years and (max(years) > year or type(years) is not tuple
-                          or type(attrs.get("weight")) is not float
-                          or attrs["weight"] != len(years)):
-                kept = tuple(t for t in years if t <= year)
-                attrs = dict(attrs, years=kept, weight=float(len(kept)))
-            edges[(u, v)] = attrs
+        edges = {(u, v): attrs for (u, v), attrs in self.edges.items()
+                 if attrs.get("year", year) <= year and u in nodes and v in nodes}
         return ProjectedGraph(self.directed, nodes, edges)
 
 
@@ -500,12 +477,10 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
 
     for (u, v), years in sorted(coauthor_years.items()):
         edges.append(Edge(refs[NODE_AUTHOR, u], refs[NODE_AUTHOR, v],
-                          EDGE_COAUTHORS_WITH, float(len(years)), min(years),
-                          years=tuple(sorted(years))))
+                          EDGE_COAUTHORS_WITH, float(len(years)), min(years)))
     for (akey, ikey), years in sorted(affil_years.items()):
         edges.append(Edge(refs[NODE_AUTHOR, akey], refs[NODE_INSTITUTION, ikey],
-                          EDGE_AFFILIATED_WITH, float(len(years)), min(years),
-                          years=tuple(sorted(years))))
+                          EDGE_AFFILIATED_WITH, float(len(years)), min(years)))
 
     kg = KnowledgeGraph(nodes, edges, (year_lo, year_hi))
     kg.text = text

@@ -179,6 +179,8 @@ def predict_links(model: GbdtModel, snapshots: dict[int, ProjectedGraph], year: 
     """Rank candidate pairs by connection probability, descending; ties
     break by canonical pair order. Candidates must be unconnected at
     ``year``."""
+    if top_n is not None and top_n < 0:
+        raise ValueError(f"top_n must be non-negative, got {top_n}")
     g = snapshots[year]
     pairs = []
     for pair in candidates:

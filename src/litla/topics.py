@@ -163,6 +163,8 @@ def ctfidf(docs_by_topic: dict[int, list[str]], top_n: int = 10) -> list[TopicSu
     frequency normalized by the class token total, f(t) the term's total
     frequency across classes and A the average tokens per class.
     """
+    if top_n < 0:
+        raise ValueError(f"top_n must be non-negative, got {top_n}")
     if not docs_by_topic:
         raise ValueError("at least one topic required")
     class_counts = {c: Counter(toks) for c, toks in docs_by_topic.items()}
@@ -454,6 +456,8 @@ def emerging_topics(trends: dict[object, YearSeries], since_year: int, k: int
     """Topics ranked by normalized growth: least-squares slope of yearly
     counts over [since_year, latest] divided by the window mean. Ties are
     broken by the larger latest-year count; all-zero topics are excluded."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     latest = max((s.years[-1] for s in trends.values() if s.years), default=None)
     if latest is None or latest < since_year:
         return []

@@ -322,7 +322,7 @@ def rank_oracle(kg, damping=0.85, tol=1e-12, max_iter=2000):
     authors = sorted({a for p in papers for a in kg.paper(p)["authors"]})
     venues = sorted({kg.paper(p)["venue"] for p in papers if kg.paper(p)["venue"]})
     cit = kg.project(PROJECTION_CITATION)
-    outdeg = {p: cit.out_degree(p) for p in papers}
+    outdeg = {p: len(cit.successors(p)) for p in papers}
     p_score = {p: 1 / len(papers) for p in papers}
     a_score = {a: 1 / len(authors) for a in authors} if authors else {}
     v_score = {v: 1 / len(venues) for v in venues} if venues else {}

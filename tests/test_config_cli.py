@@ -29,10 +29,14 @@ from litla.exports import (
     write_text,
 )
 from litla.graph import (
+    EDGE_CITES,
+    NODE_PAPER,
     PROJECTION_CITATION,
     PROJECTION_COAUTHORSHIP,
     PROJECTION_KEYWORD,
+    Edge,
     KnowledgeGraph,
+    NodeRef,
     build_graph,
 )
 from litla.records import Author, PaperRecord
@@ -372,6 +376,25 @@ class TestCli:
         assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
             ("collabnet", "failed", "ValueError: max_iter must be positive")]
 
+    @pytest.mark.parametrize("stage, setting, error", [
+        ("predict", "top_n = -5", "top_n must be non-negative, got -5"),
+        ("topics", "top_terms = -3", "top_n must be non-negative, got -3"),
+        ("topics", "emerging_k = -2", "k must be non-negative, got -2"),
+    ], ids=["top_n", "top_terms", "emerging_k"])
+    def test_negative_count_fails_its_stage(self, stage, setting, error, fixture_dir, tmp_path):
+        # each once cut its report from the end and exited 0
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        key = setting.split(" = ")[0]
+        lines = config.read_text().splitlines(keepends=True)
+        assert sum(line.startswith(key + " = ") for line in lines) == 1
+        config.write_text("".join(setting + "\n" if line.startswith(key + " = ") else line
+                                  for line in lines))
+        assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 1
+        stages = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["stages"]
+        assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
+            (stage, "failed", f"ValueError: {error}")]
+
     def test_unsafe_characters_cost_their_lines(self, fixture_dir, tmp_path):
         # a lone surrogate failed the whole ingest stage; U+0001 and U+000B
         # left graph.graphml malformed
@@ -454,6 +477,17 @@ def kg_export_reference_bytes(kg: KnowledgeGraph, tmp) -> tuple[bytes, bytes]:
     return (tmp / "ref.graphml").read_bytes(), (tmp / "ref.dot").read_bytes()
 
 
+def typed_value_kg() -> KnowledgeGraph:
+    """A KG whose edge weights and years are equal as dict keys but format
+    differently: 1, 1.0 and True; 0, 0.0, -0.0 and False."""
+    values = [1, 1.0, True, 0, 0.0, -0.0, False, 2.5, 1, -0.0, True]
+    refs = [NodeRef(NODE_PAPER, f"p{i}") for i in range(len(values) + 1)]
+    # every third edge takes its year from the mixed values too
+    edges = [Edge(refs[i + 1], refs[i], EDGE_CITES, value,
+                  value if i % 3 == 0 else 2000 + i % 2) for i, value in enumerate(values)]
+    return KnowledgeGraph({ref: {"year": 2000} for ref in refs}, edges, (2000, 2001))
+
+
 def kg_export_bytes(kg: KnowledgeGraph, tmp) -> tuple[bytes, bytes]:
     kg_to_graphml(tmp / "new.graphml", kg)
     kg_to_dot(tmp / "new.dot", kg)
@@ -502,11 +536,14 @@ class TestExports:
                              check=True).stdout
         assert out == "[]\n"
 
-    @pytest.mark.parametrize("corpus", ["fixture", "empty", "no_edges"])
+    @pytest.mark.parametrize("corpus", ["fixture", "empty", "no_edges", "typed_values"])
     def test_kg_exports_match_generic_writers(self, corpus, fixture_records, tmp_path):
-        records = {"fixture": fixture_records, "empty": [],
-                   "no_edges": [PaperRecord(id="solo", title="", year=2001)]}[corpus]
-        kg = build_graph(records)
+        if corpus == "typed_values":
+            kg = typed_value_kg()
+        else:
+            records = {"fixture": fixture_records, "empty": [],
+                       "no_edges": [PaperRecord(id="solo", title="", year=2001)]}[corpus]
+            kg = build_graph(records)
         assert kg_export_bytes(kg, tmp_path) == kg_export_reference_bytes(kg, tmp_path)
         if corpus == "empty":
             assert b"<key" not in (tmp_path / "new.graphml").read_bytes()

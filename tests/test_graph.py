@@ -53,20 +53,15 @@ def edge_sort_key(e: Edge):
     return (e.edge_type, e.src, e.dst, e.year)
 
 
-def reference_snapshot(pg: ProjectedGraph, year: int) -> ProjectedGraph:
-    """``ProjectedGraph.snapshot`` as it was before it shared attribute
-    dicts: every edge with occurrence years gets a recounted copy."""
-    nodes = {u: a for u, a in pg.nodes.items() if a.get("year", year) <= year}
-    edges = {}
-    for (u, v), attrs in pg.edges.items():
-        if attrs.get("year", year) > year or u not in nodes or v not in nodes:
-            continue
-        years = attrs.get("years")
-        if years:
-            kept = tuple(t for t in years if t <= year)
-            attrs = dict(attrs, years=kept, weight=float(len(kept)))
-        edges[(u, v)] = attrs
-    return ProjectedGraph(pg.directed, nodes, edges)
+def reference_snapshot(pg: ProjectedGraph, year: int) -> tuple[set, set]:
+    """The node and edge keys of ``pg.snapshot(year)`` by definition: the
+    nodes without a year or dated up to ``year``, and the edges so dated
+    whose two endpoints are kept."""
+    def dated(attrs):
+        return "year" not in attrs or attrs["year"] <= year
+    nodes = {u for u, attrs in pg.nodes.items() if dated(attrs)}
+    return nodes, {(u, v) for (u, v), attrs in pg.edges.items()
+                   if dated(attrs) and u in nodes and v in nodes}
 
 
 class TestBuild:
@@ -171,12 +166,17 @@ class TestValidation:
 
     def test_edge_defaults(self):
         e = Edge(NodeRef(NODE_PAPER, "a"), NodeRef(NODE_PAPER, "b"), EDGE_CITES)
-        assert (e.weight, e.year, e.years, e.flags) == (1.0, 0, (), frozenset())
+        assert (e.weight, e.year, e.flags) == (1.0, 0, frozenset())
+
+    def test_edge_fields(self):
+        # an edge holds its weight and first year, no occurrence years
+        assert Edge._fields == EDGE_FIELDS
 
 
-EDGE_FIELDS = ("src", "dst", "edge_type", "weight", "year", "years", "flags")
-_refs = st.builds(NodeRef, st.sampled_from([NODE_AUTHOR, NODE_PAPER]),
-                  st.text(alphabet="ab'\"\\", min_size=1, max_size=3))
+EDGE_FIELDS = ("src", "dst", "edge_type", "weight", "year", "flags")
+_keys = st.text(alphabet="ab'\"\\", min_size=1, max_size=3)
+_refs = st.builds(NodeRef, st.sampled_from([NODE_AUTHOR, NODE_PAPER]), _keys)
+_paper_refs = st.builds(NodeRef, st.just(NODE_PAPER), _keys)
 
 
 def _fields(value):
@@ -196,12 +196,10 @@ def test_refs_repr_hash_and_order_are_their_fields(refs):
     assert [_fields(r) for r in sorted(refs)] == sorted(_fields(r) for r in refs)
 
 
-@given(st.lists(st.builds(lambda src, dst, w, year, years: Edge(src, dst, EDGE_CITES, w, year,
-                                                              years, frozenset({"cycle"})),
-                          _refs.filter(lambda r: r.node_type == NODE_PAPER),
-                          _refs.filter(lambda r: r.node_type == NODE_PAPER),
-                          st.sampled_from([0.0, 1.0, 2.5]), st.integers(2000, 2003),
-                          st.lists(st.integers(2000, 2003), max_size=2).map(tuple)),
+@given(st.lists(st.builds(lambda src, dst, w, year: Edge(src, dst, EDGE_CITES, w, year,
+                                                       frozenset({"cycle"})),
+                          _paper_refs, _paper_refs,
+                          st.sampled_from([0.0, 1.0, 2.5]), st.integers(2000, 2003)),
                 max_size=8))
 def test_edges_repr_hash_and_order_are_their_fields(edges):
     for e in edges:
@@ -258,16 +256,15 @@ class TestSnapshot:
                 assert set(g1.nodes) <= set(g2.nodes)
                 assert set(g1.edges) <= set(g2.edges)
 
-    def test_snapshot_recounts_coauthor_weight(self):
+    def test_snapshot_keeps_full_graph_weight(self):
         kg = build_graph([
-            rec("A", 2010, authors=[("P Q", "X, UK"), ("R S", "X, UK")]),
-            rec("B", 2013, authors=[("P Q", "X, UK"), ("R S", "X, UK")]),
+            rec("A", 2013, authors=[("P Q", "X, UK"), ("R S", "X, UK")]),
+            rec("B", 2010, authors=[("P Q", "X, UK"), ("R S", "X, UK")]),
         ])
         full = kg.project(PROJECTION_COAUTHORSHIP)
-        assert full.edge_attrs("p q", "r s")["weight"] == 2.0
+        assert full.edge_attrs("p q", "r s") == {"year": 2010, "weight": 2.0}
         early = full.snapshot(2011)
-        assert early.edge_attrs("p q", "r s")["weight"] == 1.0
-        assert early.edge_attrs("p q", "r s")["years"] == (2010,)
+        assert early.edge_attrs("p q", "r s") is full.edge_attrs("p q", "r s")
 
 
 class TestProjections:
@@ -388,9 +385,6 @@ def test_snapshot_monotone_property(specs):
             assert set(g1.edges) <= set(g2.edges)
 
 
-_paper_refs = _refs.filter(lambda r: r.node_type == NODE_PAPER)
-
-
 @given(st.lists(st.builds(lambda src, dst, year: Edge(src, dst, EDGE_CITES, 1.0, year),
                           _paper_refs, _paper_refs, st.integers(2000, 2003)),
                 max_size=10))
@@ -404,37 +398,42 @@ def test_kg_edge_orders_match_reference_sorts(edges):
     assert kg.edges_by_endpoints is kg.edges_by_endpoints
 
 
-_years = st.lists(st.integers(2000, 2004), min_size=1, max_size=3)
-# a weight that is, or equals, the count of the edge's years, or neither
-_WEIGHTS = {"count": lambda n: float(n), "int count": int, "one": lambda n: 1.0,
-            "half": lambda n: 0.5}
+_maybe_year = st.one_of(st.none(), st.sampled_from([2000, 2001, 2003]))
 
 
 @given(st.booleans(),
-       st.dictionaries(st.sampled_from("abcde"), st.sampled_from([2000, 2000, 2003]), min_size=2),
-       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([2000, 2003]),
-                          st.one_of(st.none(), _years.map(tuple), _years),
-                          st.sampled_from(sorted(_WEIGHTS))), max_size=10),
-       st.sampled_from([1999, 2001, 2003, 2005, 2005]))
-def test_snapshot_matches_reference(directed, node_years, specs, year):
+       st.dictionaries(st.sampled_from("abcde"), _maybe_year, min_size=2),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _maybe_year,
+                          st.sampled_from([1, 0.5, 2.0])), max_size=10))
+def test_snapshot_matches_reference(directed, node_years, specs):
     names = sorted(node_years)
-    nodes = {u: {"year": y} for u, y in node_years.items()}
+    nodes = {u: {} if y is None else {"year": y} for u, y in node_years.items()}
     edges = {}
-    for i, j, first, years, weight in specs:
+    for i, j, first, weight in specs:
         u, v = names[i % len(names)], names[j % len(names)]
-        if u == v:
-            continue
-        attrs = {"year": first, "weight": _WEIGHTS[weight](len(years or ()))}
-        if years is not None:
-            attrs["years"] = years  # unsorted, and sometimes a list
-        edges[(u, v) if directed or u < v else (v, u)] = attrs
+        if u != v:
+            edges[(u, v)] = {"weight": weight} if first is None else {"year": first,
+                                                                     "weight": weight}
     pg = ProjectedGraph(directed, nodes, edges)
-    got, want = pg.snapshot(year), reference_snapshot(pg, year)
-    assert got.nodes == want.nodes
-    assert repr(sorted(got.edges.items())) == repr(sorted(want.edges.items()))
+    for year in range(1999, 2005):
+        snap = pg.snapshot(year)
+        want_nodes, want_edges = reference_snapshot(pg, year)
+        assert snap.directed == directed
+        assert set(snap.nodes) == want_nodes and set(snap.edges) == want_edges
+        assert all(snap.nodes[u] is pg.nodes[u] for u in snap.nodes)
+        assert all(snap.edges[k] is pg.edges[k] for k in snap.edges)
+        for u in snap.nodes:
+            assert snap.successors(u) == {v for v in pg.successors(u) if snap.has_edge(u, v)}
+            assert snap.predecessors(u) == {v for v in pg.predecessors(u)
+                                            if snap.has_edge(v, u)}
 
 
 def test_snapshot_shares_settled_attributes(fixture_records):
-    co = build_graph(fixture_records).project(PROJECTION_COAUTHORSHIP)
-    last = co.snapshot(max(a["year"] for a in co.nodes.values()))
-    assert last.edges and all(last.edges[k] is co.edges[k] for k in co.edges)
+    kg = build_graph(fixture_records)
+    lo, hi = kg.corpus_year_range
+    for kind in (PROJECTION_COAUTHORSHIP, PROJECTION_KEYWORD):
+        g = kg.project(kind)
+        for year in range(lo, hi + 1):
+            snap = g.snapshot(year)
+            assert all(snap.edges[k] is g.edges[k] for k in snap.edges)
+        assert len(snap.edges) == len(g.edges) > 0
