@@ -3,19 +3,25 @@
 
 Every stage of one invocation reads one lazy :class:`Corpus`: ``all`` parses,
 builds the knowledge graph with its text index, runs the CD index and DBSCAN
-once, and a single stage computes only what it reads. Each stage writes its
-reports into the output directory and appends an entry to
-``run_manifest.json``. Outputs are byte-identical across re-runs for a fixed
-config and seed; durations in the manifest are the one exception.
+once, and a single stage computes only what it reads. A run of several
+stages runs the first in process and the others in forked workers, one per
+usable CPU (see :func:`run_stages`). Each stage writes its reports into the
+output directory and has an entry in ``run_manifest.json``. Outputs are
+byte-identical across re-runs for a fixed config and seed; durations in the
+manifest are the one exception.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
+import os
 import sys
+import threading
 import time
 import traceback
+import warnings
 from collections import Counter
 from functools import cached_property
 
@@ -53,6 +59,10 @@ class Corpus:
 
     A part whose computation raises is not cached, so every stage that
     reads it fails the same way. Stages must not mutate what they read.
+    When :func:`run_stages` forks workers, the parent has built the parsed
+    and screened records and ``kg`` (its first stage reads them), and
+    ``assignment`` when both topics and collabnet run; each worker inherits
+    them and computes any other part it reads itself.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -261,8 +271,10 @@ def stage_topics(corpus: Corpus, outdir) -> list[str]:
 
 
 def stage_citenet(corpus: Corpus, outdir) -> list[str]:
-    cit = corpus.citation
     block = corpus.cfg.citenet
+    if block.backbone_k < 0:
+        raise ValueError(f"backbone_k must be non-negative, got {block.backbone_k}")
+    cit = corpus.citation
     outputs = []
 
     node_years = [attrs["year"] for attrs in cit.nodes.values()]
@@ -315,9 +327,11 @@ def stage_citenet(corpus: Corpus, outdir) -> list[str]:
 
 
 def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
+    block = corpus.cfg.collabnet
+    if block.top_k < 0:
+        raise ValueError(f"top_k must be non-negative, got {block.top_k}")
     kg = corpus.kg
     coauth = kg.project(PROJECTION_COAUTHORSHIP)
-    block = corpus.cfg.collabnet
     outputs = []
 
     assignment = corpus.assignment
@@ -482,36 +496,172 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_stage(corpus: Corpus, outdir, name: str) -> dict:
+    """Run one stage and return its manifest entry; a failure is recorded,
+    not raised."""
+    start = time.monotonic()
+    entry = {"stage": name, "status": "ok", "error": None, "outputs": []}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the same list whatever the caller's filters
+        try:
+            entry["outputs"] = _STAGE_FUNCS[name](corpus, outdir)
+        except Exception as exc:  # record per-stage failures, keep going
+            entry["status"] = "failed"
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+            traceback.print_exc(file=sys.stderr)
+    entry["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+    entry["duration_s"] = round(time.monotonic() - start, 6)
+    return entry
+
+
+# Forked stages start in this order, the ones that usually take longest
+# first. Predict leads so that the parent's DBSCAN, which collabnet waits
+# for, overlaps it.
+_LAUNCH_ORDER = ("predict", "collabnet", "citenet", "topics", "stats", "ingest")
+
+
+def _fork_stage(corpus: Corpus, outdir, name: str) -> tuple[int, int]:
+    """Fork a worker that runs one stage and writes its entry, as JSON, to a
+    pipe; return (pid, read end of the pipe)."""
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()  # else the worker would write the parent's buffered output again
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:  # the worker never returns: it skips the parent's finally blocks and exit hooks
+        os.close(read_fd)
+        payload = json.dumps(_run_stage(corpus, outdir, name)).encode()
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _worker_entry(name: str, payload: bytes, status: int, start: float) -> dict:
+    """The entry a finished worker sent, or a failed one if it sent none."""
+    import signal  # see _run_forked
+
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        try:
+            return json.loads(payload)
+        except ValueError:
+            pass
+    if code < 0:
+        try:
+            how = f"was killed by {signal.Signals(-code).name}"
+        except ValueError:
+            how = f"was killed by signal {-code}"
+    else:
+        how = f"exited with status {code}"
+    return {"stage": name, "status": "failed", "outputs": [], "warnings": [],
+            "error": f"WorkerError: the {name} worker {how} before it sent its entry",
+            "duration_s": round(time.monotonic() - start, 6)}
+
+
+def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[str, dict]:
+    """Run each stage in a forked worker, at most ``workers`` at a time, and
+    return their entries by stage."""
+    # imported here, so that a process that forks no worker, such as every
+    # single-stage command, does not load them
+    import select
+    import signal
+
+    pending = sorted(names, key=_LAUNCH_ORDER.index)
+    # built once here, before the first of its two readers starts, if the graph is
+    share_assignment = {"topics", "collabnet"} <= set(names) and "kg" in vars(corpus)
+    running: dict[int, tuple] = {}  # read end -> (stage, pid, start, chunks)
+    poller = select.poll()
+    entries = {}
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                name = pending.pop(0)
+                if share_assignment and name in ("topics", "collabnet"):
+                    share_assignment = False
+                    try:
+                        corpus.assignment
+                    except Exception:  # not cached: each stage that reads it fails alike
+                        pass
+                start = time.monotonic()
+                try:
+                    pid, fd = _fork_stage(corpus, outdir, name)
+                except OSError:  # no process to spare: run the stage here
+                    entries[name] = _run_stage(corpus, outdir, name)
+                    continue
+                running[fd] = (name, pid, start, [])
+                poller.register(fd, select.POLLIN)
+            for fd, _ in poller.poll() if running else ():
+                name, pid, start, chunks = running[fd]
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                poller.unregister(fd)
+                os.close(fd)
+                del running[fd]
+                _, status = os.waitpid(pid, 0)
+                entries[name] = _worker_entry(name, b"".join(chunks), status, start)
+    except BaseException:
+        for fd, (_, pid, _, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        raise
+    return entries
+
+
 def run_stages(cfg: RunConfig, stage_names: list[str]) -> int:
+    """Run the stages and write ``run_manifest.json``; 1 if any stage failed.
+
+    The first stage runs in process and leaves the parsed records and the
+    graph cached. When more stages follow, a CPU is left over and no other
+    thread runs, the parent forks one worker per remaining stage, at most
+    one per usable CPU at a time, and builds the topic assignment first if
+    both topics and collabnet are among them. A worker that dies without
+    sending its entry fails only its own stage. The manifest lists the
+    stages in the order given.
+    """
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "stages": [],
-    }
-    failed = False
     corpus = Corpus(cfg)
     # a caller that froze objects itself keeps its collector as it is
     corpus._freeze_built = gc.get_freeze_count() == 0
+    rest = stage_names[1:]
+    entries = {}
     try:
-        for name in stage_names:
-            start = time.monotonic()
-            entry = {"stage": name, "status": "ok", "error": None, "outputs": []}
-            try:
-                entry["outputs"] = _STAGE_FUNCS[name](corpus, outdir)
-            except Exception as exc:  # record per-stage failures, keep going
-                entry["status"] = "failed"
-                entry["error"] = f"{type(exc).__name__}: {exc}"
-                failed = True
-                traceback.print_exc(file=sys.stderr)
-            entry["duration_s"] = round(time.monotonic() - start, 6)
-            manifest["stages"].append(entry)
+        for name in stage_names[:1]:  # every stage reads the graph: the workers inherit it
+            entries[name] = _run_stage(corpus, outdir, name)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(cpus, len(rest))
+        if workers > 1 and threading.active_count() == 1:
+            entries.update(_run_forked(corpus, outdir, rest, workers))
+        else:
+            entries.update((name, _run_stage(corpus, outdir, name)) for name in rest)
     finally:
         if corpus._freeze_built:
             gc.unfreeze()
-    write_json(outdir / "run_manifest.json", manifest)
-    return 1 if failed else 0
+    stages = [entries[name] for name in stage_names]
+    write_json(outdir / "run_manifest.json", {
+        "config_hash": cfg.config_hash(),
+        "seed": cfg.seed,
+        "stages": stages,
+    })
+    return 1 if any(e["status"] != "ok" for e in stages) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

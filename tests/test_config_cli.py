@@ -1,11 +1,16 @@
 import gc
 import hashlib
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from collections import Counter
+from contextlib import contextmanager
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax import saxutils
@@ -167,6 +172,54 @@ class TestRunConfig:
         assert hashes == {load_config(fixture_dir / "config.toml").config_hash()}
 
 
+class ProcessLog:
+    """Lines appended by the test process and by every worker it forks, so
+    that probes inside stages count across processes."""
+
+    def __init__(self, path: Path):
+        self.path = path
+
+    def append(self, line) -> None:
+        with open(self.path, "a") as fh:  # one short O_APPEND write per line
+            fh.write(f"{line}\n")
+
+    def lines(self) -> list[str]:
+        return self.path.read_text().splitlines() if self.path.exists() else []
+
+    def clear(self) -> None:
+        self.path.unlink(missing_ok=True)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Two usable CPUs, so that a multi-stage run forks its workers on any
+    machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def without_volatile(manifest: dict) -> dict:
+    return {**manifest, "stages": [{k: v for k, v in e.items() if k != "duration_s"}
+                                   for e in manifest["stages"]]}
+
+
+def read_manifest(outdir: Path) -> dict:
+    return json.loads((outdir / "run_manifest.json").read_text())
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the test process once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestCli:
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.toml"
@@ -239,14 +292,15 @@ class TestCli:
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in pinned} == pinned
 
-    def test_corpus_is_computed_once_per_run(self, fixture_dir, tmp_path, monkeypatch):
-        calls = {}
+    def test_corpus_is_computed_once_per_run(self, fixture_dir, tmp_path, monkeypatch,
+                                             forking):
+        log = ProcessLog(tmp_path / "calls.log")
 
         def counted(module, name):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
+                log.append(name)
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
@@ -259,28 +313,32 @@ class TestCli:
         project = KnowledgeGraph.project
 
         def counted_project(kg, kind):
-            calls[kind] = calls.get(kind, 0) + 1
+            log.append(kind)
             return project(kg, kind)
         monkeypatch.setattr(KnowledgeGraph, "project", counted_project)
 
         config = str(fixture_dir / "config.toml")
         assert main(["all", "--config", config, "--output", str(tmp_path / "all")]) == 0
+        calls = Counter(log.lines())
         assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
                          "dbscan_labels": 1, "components": 16, "connected_components": 16,
                          PROJECTION_CITATION: 1,
                          PROJECTION_COAUTHORSHIP: 1, PROJECTION_KEYWORD: 1}
-        calls.clear()
+        log.clear()
         assert main(["stats", "--config", config, "--output", str(tmp_path / "stats")]) == 0
+        calls = Counter(log.lines())
         assert calls == {"load_records": 1, "build_graph": 1}
-        calls.clear()
+        log.clear()
         assert main(["citenet", "--config", config, "--output", str(tmp_path / "citenet")]) == 0
+        calls = Counter(log.lines())
         assert calls == {"load_records": 1, "build_graph": 1, "cd_index_all": 1,
                          PROJECTION_CITATION: 1}
-        calls.clear()
+        log.clear()
         # one components() per non-empty yearly snapshot; the last one is the
         # whole network, and hop coverage comes from its report
         assert main(["collabnet", "--config", config,
                      "--output", str(tmp_path / "collabnet")]) == 0
+        calls = Counter(log.lines())
         assert calls == {"load_records": 1, "build_graph": 1, "dbscan_labels": 1,
                          "components": 16, "connected_components": 16,
                          PROJECTION_COAUTHORSHIP: 1}
@@ -308,12 +366,12 @@ class TestCli:
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_collector_frozen_only_during_the_run(self, fixture_dir, tmp_path, monkeypatch,
-                                                  fail):
-        seen = []
+                                                  forking, fail):
+        log = ProcessLog(tmp_path / "seen.log")
         stage_stats = cli.stage_stats
 
         def probed(corpus, outdir):
-            seen.append(gc.get_freeze_count())
+            log.append(gc.get_freeze_count())
             if fail:
                 raise RuntimeError("probe")
             return stage_stats(corpus, outdir)
@@ -322,6 +380,7 @@ class TestCli:
         assert before == 0
         code = main(["all", "--config", str(fixture_dir / "config.toml"),
                      "--output", str(tmp_path)])
+        seen = [int(line) for line in log.lines()]
         assert code == (1 if fail else 0)
         assert gc.get_freeze_count() == before
         assert seen and seen[0] > 0  # the corpus built by ingest was frozen
@@ -349,19 +408,38 @@ class TestCli:
                   "--output", str(tmp_path)])
         assert gc.get_freeze_count() == 0
 
-    def test_failed_load_fails_every_stage_alike(self, fixture_dir, tmp_path, monkeypatch):
-        loads = []
+    def test_failed_load_fails_every_stage_alike(self, fixture_dir, tmp_path, monkeypatch,
+                                                 forking):
+        log = ProcessLog(tmp_path / "loads.log")
 
         def unreadable(path):
-            loads.append(path)
+            log.append(path)
             raise OSError(f"cannot read {path.name}")
         monkeypatch.setattr(cli, "load_records", unreadable)
         assert main(["all", "--config", str(fixture_dir / "config.toml"),
                      "--output", str(tmp_path)]) == 1
+        loads = log.lines()
         stages = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
         assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
             (stage, "failed", "OSError: cannot read records.jsonl") for stage in STAGES]
         assert len(loads) == len(STAGES)  # a failed load is not cached
+
+    def test_failed_clustering_fails_both_readers_alike(self, fixture_dir, tmp_path,
+                                                        monkeypatch, forking):
+        log = ProcessLog(tmp_path / "dbscan.log")
+
+        def failing(*args, **kwargs):
+            log.append("dbscan_labels")
+            raise MemoryError("distance block")
+        monkeypatch.setattr(topics, "dbscan_labels", failing)
+        assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                     "--output", str(tmp_path / "out")]) == 1
+        stages = read_manifest(tmp_path / "out")["stages"]
+        assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
+            (stage, "failed", "MemoryError: distance block") if stage in ("topics", "collabnet")
+            else (stage, "ok", None) for stage in STAGES]
+        # once in the parent before the workers start, then once in each reader
+        assert len(log.lines()) == 3
 
     def test_zero_max_iter_names_itself(self, fixture_dir, tmp_path):
         shutil.copytree(fixture_dir, tmp_path / "fixtures")
@@ -380,7 +458,9 @@ class TestCli:
         ("predict", "top_n = -5", "top_n must be non-negative, got -5"),
         ("topics", "top_terms = -3", "top_n must be non-negative, got -3"),
         ("topics", "emerging_k = -2", "k must be non-negative, got -2"),
-    ], ids=["top_n", "top_terms", "emerging_k"])
+        ("collabnet", "top_k = -1", "top_k must be non-negative, got -1"),
+        ("citenet", "backbone_k = -1", "backbone_k must be non-negative, got -1"),
+    ], ids=["top_n", "top_terms", "emerging_k", "top_k", "backbone_k"])
     def test_negative_count_fails_its_stage(self, stage, setting, error, fixture_dir, tmp_path):
         # each once cut its report from the end and exited 0
         shutil.copytree(fixture_dir, tmp_path / "fixtures")
@@ -430,6 +510,120 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["stages"][0]["status"] == "failed"
         assert manifest["stages"][0]["error"]
+
+
+class TestWorkers:
+    def test_killed_worker_fails_only_its_stage(self, fixture_dir, tmp_path, monkeypatch,
+                                                forking):
+        parent = os.getpid()
+
+        def killed(corpus, outdir):
+            assert os.getpid() != parent, "citenet ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setitem(cli._STAGE_FUNCS, "citenet", killed)
+        with time_limit(60):
+            code = main(["all", "--config", str(fixture_dir / "config.toml"),
+                         "--output", str(tmp_path)])
+        assert code == 1
+        stages = read_manifest(tmp_path)["stages"]
+        assert [(e["stage"], e["status"]) for e in stages] == [
+            (stage, "failed" if stage == "citenet" else "ok") for stage in STAGES]
+        assert stages[STAGES.index("citenet")]["error"] == (
+            "WorkerError: the citenet worker was killed by SIGKILL before it sent its entry")
+        assert gc.get_freeze_count() == 0
+
+    def test_interrupted_run_kills_and_reaps_its_workers(self, fixture_dir, tmp_path,
+                                                         monkeypatch, forking):
+        parent = os.getpid()
+        log = ProcessLog(tmp_path / "pids.log")
+
+        def stuck(corpus, outdir):  # interrupts the parent as Ctrl-C would, then hangs
+            log.append(os.getpid())
+            os.kill(parent, signal.SIGINT)
+            time.sleep(60)
+        monkeypatch.setitem(cli._STAGE_FUNCS, "predict", stuck)
+        with time_limit(60), pytest.raises(KeyboardInterrupt):
+            main(["all", "--config", str(fixture_dir / "config.toml"),
+                  "--output", str(tmp_path / "out")])
+        pids = [int(line) for line in log.lines()]
+        assert len(pids) == 1 and pids[0] != os.getpid()
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pids[0], os.WNOHANG)
+        assert gc.get_freeze_count() == 0
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("case", ["single_stage", "one_cpu", "threaded"])
+    def test_runs_in_process(self, case, fixture_dir, tmp_path, monkeypatch, forking):
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+        if case == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if case == "threaded":
+            thread.start()
+        try:
+            code = main(["stats" if case == "single_stage" else "all",
+                         "--config", str(fixture_dir / "config.toml"),
+                         "--output", str(tmp_path)])
+        finally:
+            release.set()
+            if case == "threaded":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert code == 0
+        stages = read_manifest(tmp_path)["stages"]
+        assert [e["stage"] for e in stages] == (
+            ["stats"] if case == "single_stage" else list(STAGES))
+
+    def test_failed_fork_runs_the_stage_in_process(self, fixture_dir, tmp_path, monkeypatch,
+                                                   forking):
+        def no_process():
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_process)
+        assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                     "--output", str(tmp_path)]) == 0
+        assert [(e["stage"], e["status"]) for e in read_manifest(tmp_path)["stages"]] == [
+            (stage, "ok") for stage in STAGES]
+
+    def test_workers_change_no_report(self, fixture_dir, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outputs = {}
+        # in process, two workers, and as many workers as stages (more than cores)
+        for cpus in (1, 2, 16):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / str(cpus)
+            with time_limit(60):
+                assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                             "--seed", "7", "--output", str(out)]) == 0
+            outputs[cpus] = {path.name: path.read_bytes() for path in out.iterdir()
+                             if path.name != "run_manifest.json"}
+            outputs[cpus]["manifest"] = without_volatile(read_manifest(out))
+        assert len(forks) == 2 * (len(STAGES) - 1)  # every stage after ingest, once a run
+        assert outputs[2] == outputs[1]
+        assert outputs[16] == outputs[1]
+
+    def test_stage_warnings_recorded(self, fixture_dir, tmp_path, forking):
+        single_category = [f"UserWarning: assortativity undefined for {name!r}: single category"
+                           for name in ("nationality", "primary_topic")]
+        config = str(fixture_dir / "config.toml")
+        assert main(["all", "--config", config, "--output", str(tmp_path / "all")]) == 0
+        assert {e["stage"]: e["warnings"] for e in read_manifest(tmp_path / "all")["stages"]} == {
+            **{stage: [] for stage in STAGES}, "collabnet": single_category}
+        assert main(["collabnet", "--config", config,
+                     "--output", str(tmp_path / "collabnet")]) == 0
+        assert [e["warnings"] for e in read_manifest(tmp_path / "collabnet")["stages"]] == [
+            single_category]
 
 
 # text the KG exports must escape: markup characters, quotes, backslashes,
@@ -530,8 +724,11 @@ class TestExports:
     def test_cli_import_loads_no_network_modules(self):
         # xml.sax.saxutils imports urllib.request, http.client and email,
         # about 30-45 ms at the start of every litla process
+        # nor the process-pool modules, which the forked stage workers do
+        # without
         code = ("import sys, litla.cli; print(sorted(m for m in sys.modules if m in "
-                "('xml.sax', 'urllib.request', 'http.client', 'email')))")
+                "('xml.sax', 'urllib.request', 'http.client', 'email', "
+                "'multiprocessing', 'concurrent.futures')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
         assert out == "[]\n"
