@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -288,38 +289,21 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
 def trim_network(nodes, edges) -> set[tuple[str, str]]:
     """Drop every edge u->w implied by a one-hop detour u->v->w.
 
-    The redundancy condition is evaluated on the input edge set (nodes are
-    processed in topological order, which also rejects cyclic input), so
-    reachability between surviving nodes is preserved exactly.
+    The redundancy condition is evaluated on the input edge set, so no
+    visiting order matters and reachability between surviving nodes is
+    preserved exactly. Cyclic input, a self-loop included, is rejected.
     """
-    nodes = list(nodes)
-    edge_set = set(edges)
     succ: dict[str, set[str]] = {u: set() for u in nodes}
-    indeg: dict[str, int] = {u: 0 for u in nodes}
-    for u, w in edge_set:
+    for u, w in edges:
         if u not in succ or w not in succ:
             raise ValueError(f"edge ({u}, {w}) references unknown node")
         succ[u].add(w)
-        indeg[w] += 1
-    queue = sorted(u for u in nodes if indeg[u] == 0)
-    topo = []
-    while queue:
-        u = queue.pop(0)
-        topo.append(u)
-        added = []
-        for w in succ[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                added.append(w)
-        queue.extend(sorted(added))
-    if len(topo) != len(nodes):
-        raise ValueError("cycle detected in citation subgraph; pre-filter anomalies")
-    kept = set()
-    for u in topo:
-        for w in succ[u]:
-            if not any(w in succ[v] for v in succ[u] if v != w):
-                kept.add((u, w))
-    return kept
+    try:
+        TopologicalSorter(succ).prepare()
+    except CycleError:
+        raise ValueError("cycle detected in citation subgraph; pre-filter anomalies") from None
+    return {(u, w) for u, ws in succ.items() for w in ws
+            if not any(w in succ[v] for v in ws if v != w)}
 
 
 # --- main path step 3: similarity weighting ----------------------------------------

@@ -40,7 +40,11 @@ from .exports import (
     write_text,
 )
 from .graph import (
+    EDGE_CITES,
+    FLAG_CYCLE,
+    FLAG_TEMPORAL_ANOMALY,
     NODE_PAPER,
+    NODE_TYPES,
     PROJECTION_CITATION,
     PROJECTION_COAUTHORSHIP,
     PROJECTION_KEYWORD,
@@ -57,8 +61,10 @@ class Corpus:
     """Everything the stages of one invocation read, each part computed on
     first use and then shared.
 
-    A part whose computation raises is not cached, so every stage that
-    reads it fails the same way. Stages must not mutate what they read.
+    It holds only the parts that two or more stages read; a part one stage
+    reads is that stage's own local. A part whose computation raises is not
+    cached, so every stage that reads it fails the same way. Stages must not
+    mutate what they read.
     When :func:`run_stages` forks workers, the parent has built the parsed
     and screened records and ``kg`` (its first stage reads them), and
     ``assignment`` when both topics and collabnet run; each worker inherits
@@ -89,18 +95,6 @@ class Corpus:
         return kg
 
     @cached_property
-    def citation(self):
-        """The citation projection of ``kg``."""
-        return self.kg.project(PROJECTION_CITATION)
-
-    @cached_property
-    def cd_results(self) -> list[cn.CdResult]:
-        """CD index of every paper where it is defined, over the configured window."""
-        block = self.cfg.citenet
-        return cn.cd_index_all(self.citation, window=block.window(),
-                               exclude_self_citations=block.cd_exclude_self)
-
-    @cached_property
     def assignment(self) -> topics.TopicAssignment:
         """DBSCAN topics of the papers; papers without an embedding are noise."""
         embs = {ref.key: self.kg.nodes[ref]["embedding"]
@@ -114,35 +108,31 @@ class Corpus:
 
 
 # --- stages ------------------------------------------------------------------------
+# Each stage writes report ``name`` to the path ``out(name)``; see _run_stage.
 
 
-def stage_ingest(corpus: Corpus, outdir) -> list[str]:
+def stage_ingest(corpus: Corpus, out) -> None:
     kg = corpus.kg
     records, errors = corpus.parsed
     kept, rejected = corpus.screened
-    write_csv(outdir / "parse_errors.csv", ["line", "message"],
+    write_csv(out("parse_errors.csv"), ["line", "message"],
               [(e.line, e.message) for e in errors])
-    write_csv(outdir / "rejections.csv", ["id", "reason"],
+    write_csv(out("rejections.csv"), ["id", "reason"],
               sorted((rec.id, reason) for rec, reason in rejected))
-    kg_to_graphml(outdir / "graph.graphml", kg)
-    kg_to_dot(outdir / "graph.dot", kg)
-    flagged = [e for e in kg.edges_of_type("cites") if e.flags]
-    write_json(outdir / "ingest_summary.json", {
+    kg_to_graphml(out("graph.graphml"), kg)
+    kg_to_dot(out("graph.dot"), kg)
+    flagged = [e for e in kg.edges_of_type(EDGE_CITES) if e.flags]
+    write_json(out("ingest_summary.json"), {
         "records_parsed": len(records),
         "parse_errors": len(errors),
         "records_kept": len(kept),
         "rejections_by_reason": rejection_counts(rejected),
         "corpus_year_range": list(kg.corpus_year_range),
-        "node_counts": {t: kg.node_count(t) for t in
-                        ("paper", "author", "venue", "keyword", "institution")},
+        "node_counts": {t: kg.node_count(t) for t in NODE_TYPES},
         "edge_counts": dict(sorted(Counter(e.edge_type for e in kg.edges).items())),
-        "citation_flags": {
-            "temporal_anomaly": sum(1 for e in flagged if "temporal_anomaly" in e.flags),
-            "cycle": sum(1 for e in flagged if "cycle" in e.flags),
-        },
+        "citation_flags": {flag: sum(1 for e in flagged if flag in e.flags)
+                           for flag in (FLAG_TEMPORAL_ANOMALY, FLAG_CYCLE)},
     })
-    return ["parse_errors.csv", "rejections.csv", "graph.graphml", "graph.dot",
-            "ingest_summary.json"]
 
 
 def _series_payload(series: stats.YearSeries) -> dict:
@@ -154,28 +144,24 @@ def _fit_payload(fn, *args):
         fit = fn(*args)
     except (ValueError, RuntimeError) as exc:
         return {"error": str(exc)}
-    if hasattr(fit, "as_dict"):
-        return fit.as_dict()
-    return {"a": fit.a, "b": fit.b, "c": fit.c, "r_squared": fit.r_squared}
+    return fit.as_dict()
 
 
-def stage_stats(corpus: Corpus, outdir) -> list[str]:
+def stage_stats(corpus: Corpus, out) -> None:
     kg = corpus.kg
     pubs = stats.publications_per_year(kg)
     per_year, cum_authors = stats.authors_per_year(kg)
     tables = {facet: stats.distribution(kg, facet) for facet in stats.FACETS}
     tables["author_countries"] = stats.author_country_tally(kg)
-    outputs = []
     for name, rows in tables.items():
-        write_csv(outdir / f"{name}.csv", ["label", "count", "share"],
+        write_csv(out(f"{name}.csv"), ["label", "count", "share"],
                   [(label, count, repr(share)) for label, count, share in rows])
-        outputs.append(f"{name}.csv")
     summary_dists = {
         facet: [{"label": label, "count": count, "share": share}
                 for label, count, share in tables[facet][:20]]
         for facet in stats.FACETS
     }
-    write_json(outdir / "stats_summary.json", {
+    write_json(out("stats_summary.json"), {
         "publications_per_year": _series_payload(pubs),
         "publications_cumulative": _series_payload(pubs.cumulative()) if pubs.years else {},
         "authors_per_year": _series_payload(per_year),
@@ -186,23 +172,19 @@ def stage_stats(corpus: Corpus, outdir) -> list[str]:
             _fit_payload(stats.fit_quadratic, cum_authors) if cum_authors.years else None,
         "distributions_top20": summary_dists,
     })
-    outputs.append("stats_summary.json")
-    return outputs
 
 
-def stage_topics(corpus: Corpus, outdir) -> list[str]:
+def stage_topics(corpus: Corpus, out) -> None:
     cfg, kg = corpus.cfg, corpus.kg
     years = {r.id: r.year for r in corpus.screened[0]}
     assignment = corpus.assignment
-    outputs = []
 
-    write_csv(outdir / "assignments.csv", ["paper_id", "topic"],
+    write_csv(out("assignments.csv"), ["paper_id", "topic"],
               sorted(assignment.labels.items()))
-    outputs.append("assignments.csv")
 
     pools = topics.topic_token_pools(assignment, kg.text)
     summaries = topics.ctfidf(pools, top_n=cfg.topics.top_terms) if pools else []
-    write_json(outdir / "topic_report.json", {
+    write_json(out("topic_report.json"), {
         "n_topics": assignment.n_topics(),
         "outliers": sum(1 for l in assignment.labels.values() if l == topics.NOISE),
         "topics": [
@@ -211,7 +193,6 @@ def stage_topics(corpus: Corpus, outdir) -> list[str]:
             for s in summaries
         ],
     })
-    outputs.append("topic_report.json")
 
     embeddings = {pid: kg.paper(pid)["embedding"] for pid in assignment.labels
                   if kg.paper(pid)["embedding"] is not None}
@@ -225,18 +206,16 @@ def stage_topics(corpus: Corpus, outdir) -> list[str]:
             centroids.append([sum(col) / len(col) for col in zip(*member_embs)])
     if len(centroids) >= 2:
         merges = topics.hierarchical_topics(centroids)
-        write_json(outdir / "dendrogram.json", topics.dendrogram_json(merges, names))
+        write_json(out("dendrogram.json"), topics.dendrogram_json(merges, names))
     else:
-        write_json(outdir / "dendrogram.json",
+        write_json(out("dendrogram.json"),
                    {"name": names[0] if names else None, "height": 0.0})
-    outputs.append("dendrogram.json")
 
     if cfg.queries_path is not None:
         queries = topics.load_queries(cfg.queries_path)
         multilabel = topics.assign_by_query(queries, kg.text)
-        write_csv(outdir / "multilabel.csv", ["paper_id", "topics"],
+        write_csv(out("multilabel.csv"), ["paper_id", "topics"],
                   [(pid, ";".join(sorted(lbls))) for pid, lbls in sorted(multilabel.items())])
-        outputs.append("multilabel.csv")
         trend_labels: dict = multilabel
     else:
         trend_labels = assignment.labels
@@ -248,43 +227,37 @@ def stage_topics(corpus: Corpus, outdir) -> list[str]:
         for topic in sorted(series, key=str):
             for y, v in zip(series[topic].years, series[topic].values):
                 rows.append((str(topic), y, repr(v)))
-        write_csv(outdir / f"topic_trends_{mode}.csv", ["topic", "year", "value"], rows)
-        outputs.append(f"topic_trends_{mode}.csv")
+        write_csv(out(f"topic_trends_{mode}.csv"), ["topic", "year", "value"], rows)
 
     emerging = topics.emerging_topics(trends["count"], cfg.topics.trend_since,
                                       cfg.topics.emerging_k)
-    write_csv(outdir / "emerging.csv", ["topic", "growth_rate"],
+    write_csv(out("emerging.csv"), ["topic", "growth_rate"],
               [(str(t), repr(rate)) for t, rate in emerging])
-    outputs.append("emerging.csv")
 
     if cfg.linkage.themes:
         matrix = topics.topic_linkage(cfg.linkage.themes, kg.text, cfg.linkage.epsilon)
         header = ["theme"] + matrix.themes
-        write_csv(outdir / "linkage.csv", header,
+        write_csv(out("linkage.csv"), header,
                   [(t, *[repr(w) for w in row])
                    for t, row in zip(matrix.themes, matrix.weights)])
-        write_csv(outdir / "linkage_shares.csv", header,
+        write_csv(out("linkage_shares.csv"), header,
                   [(t, *[repr(w) for w in row])
                    for t, row in zip(matrix.themes, matrix.row_shares())])
-        outputs.extend(["linkage.csv", "linkage_shares.csv"])
-    return outputs
 
 
-def stage_citenet(corpus: Corpus, outdir) -> list[str]:
+def stage_citenet(corpus: Corpus, out) -> None:
     block = corpus.cfg.citenet
     if block.backbone_k < 0:
         raise ValueError(f"backbone_k must be non-negative, got {block.backbone_k}")
-    cit = corpus.citation
-    outputs = []
+    cit = corpus.kg.project(PROJECTION_CITATION)
 
     node_years = [attrs["year"] for attrs in cit.nodes.values()]
     years = range(min(node_years), max(node_years) + 1) if node_years else []
     snapshots = [cit.snapshot(y) for y in years]
     n_t = [snap.node_count() for snap in snapshots]
     e_t = [snap.edge_count() for snap in snapshots]
-    write_csv(outdir / "growth.csv", ["year", "nodes", "edges"],
+    write_csv(out("growth.csv"), ["year", "nodes", "edges"],
               list(zip(years, n_t, e_t)))
-    outputs.append("growth.csv")
 
     fits: dict = {"densification": _fit_payload(cn.densification_fit, n_t, e_t)}
     degrees = [d for d in cn.in_degree_samples(cit) if d >= max(1, block.degree_xmin)]
@@ -292,47 +265,41 @@ def stage_citenet(corpus: Corpus, outdir) -> list[str]:
 
     if len(snapshots) >= 2:
         curve, pa_fit = cn.preferential_attachment_curve(snapshots)
-        write_csv(outdir / "pref_attachment.csv", ["mean_prior_citations", "mean_gain"],
+        write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"],
                   [(repr(k), repr(d)) for k, d in curve])
         fits["preferential_attachment"] = pa_fit.as_dict() if pa_fit else None
     else:
-        write_csv(outdir / "pref_attachment.csv", ["mean_prior_citations", "mean_gain"], [])
+        write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"], [])
         fits["preferential_attachment"] = None
-    outputs.append("pref_attachment.csv")
-    write_json(outdir / "fits.json", fits)
-    outputs.append("fits.json")
+    write_json(out("fits.json"), fits)
 
-    results = corpus.cd_results
-    write_csv(outdir / "cd_papers.csv", ["paper_id", "cd", "n_t", "f_count", "b_count"],
+    results = cn.cd_index_all(cit, window=block.window(),
+                              exclude_self_citations=block.cd_exclude_self)
+    write_csv(out("cd_papers.csv"), ["paper_id", "cd", "n_t", "f_count", "b_count"],
               [(r.paper, repr(r.cd), r.n_t, r.f_count, r.b_count) for r in results])
     yearly = cn.cd_index_yearly(cit, results)
-    write_csv(outdir / "cd_yearly.csv", ["year", "mean_cd"],
+    write_csv(out("cd_yearly.csv"), ["year", "mean_cd"],
               [(y, repr(v)) for y, v in zip(yearly.years, yearly.values)])
-    outputs.extend(["cd_papers.csv", "cd_yearly.csv"])
 
     ttr = cn.type_token_ratio(corpus.kg.text, {r.id: r.year for r in corpus.screened[0]})
-    write_csv(outdir / "ttr.csv", ["year", "type_token_ratio"],
+    write_csv(out("ttr.csv"), ["year", "type_token_ratio"],
               [(y, repr(v)) for y, v in zip(ttr.years, ttr.values)])
-    outputs.append("ttr.csv")
 
     k = min(block.backbone_k, len(cit.nodes))
     if k >= 2:
         backbone = cn.main_path_backbone(cit, k, decay=block.decay, damping=block.damping,
                                          tol=block.tol, max_iter=block.max_iter)
-        write_graphml(outdir / "backbone.graphml", backbone.nodes,
+        write_graphml(out("backbone.graphml"), backbone.nodes,
                       [(u, v, attrs) for (u, v), attrs in sorted(backbone.edges.items())],
                       directed=True)
-        outputs.append("backbone.graphml")
-    return outputs
 
 
-def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
+def stage_collabnet(corpus: Corpus, out) -> None:
     block = corpus.cfg.collabnet
     if block.top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {block.top_k}")
     kg = corpus.kg
     coauth = kg.project(PROJECTION_COAUTHORSHIP)
-    outputs = []
 
     assignment = corpus.assignment
     nationality = {}
@@ -372,12 +339,10 @@ def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
 
     if report is None:  # no author at all
         report = co.components(coauth)
-    write_csv(outdir / "component_sizes.csv", ["size", "count"],
+    write_csv(out("component_sizes.csv"), ["size", "count"],
               sorted(Counter(report.sizes[1:]).items()))
-    outputs.append("component_sizes.csv")
-    write_csv(outdir / "degree_distribution.csv", ["degree", "count"],
+    write_csv(out("degree_distribution.csv"), ["degree", "count"],
               co.degree_histogram(coauth))
-    outputs.append("degree_distribution.csv")
 
     scores = co.pagerank(coauth, damping=block.damping, tol=block.tol,
                          max_iter=block.max_iter) if coauth.node_count() else {}
@@ -387,12 +352,11 @@ def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
     cliques = {}
     if k >= 1:
         sub = co.top_active_subnetwork(coauth, k, scores=scores)
-        projected_to_graphml(outdir / "top_authors.graphml", sub)
-        outputs.append("top_authors.graphml")
+        projected_to_graphml(out("top_authors.graphml"), sub)
         cliques = {str(size): co.count_k_cliques(sub, size) for size in (3, 4, 5)}
 
     top_between = sorted(between.items(), key=lambda kv: (-kv[1], kv[0]))[:20]
-    write_json(outdir / "collab_metrics.json", {
+    write_json(out("collab_metrics.json"), {
         "per_year": per_year,
         "growth_fit": growth_fit,
         "components": report.count,
@@ -402,11 +366,9 @@ def stage_collabnet(corpus: Corpus, outdir) -> list[str]:
         "clique_counts_top_subnetwork": cliques,
         "top_betweenness": [[u, v] for u, v in top_between],
     })
-    outputs.append("collab_metrics.json")
-    return outputs
 
 
-def stage_predict(corpus: Corpus, outdir) -> list[str]:
+def stage_predict(corpus: Corpus, out) -> None:
     cfg, kg = corpus.cfg, corpus.kg
     kw = kg.project(PROJECTION_KEYWORD)
     block = cfg.predict
@@ -434,7 +396,7 @@ def stage_predict(corpus: Corpus, outdir) -> list[str]:
                                 max_depth=block.max_depth,
                                 learning_rate=block.learning_rate,
                                 min_leaf=block.min_leaf)
-    write_text(outdir / "model.json", model.to_json() + "\n")
+    write_text(out("model.json"), model.to_json() + "\n")
 
     eval_payload = None
     try:
@@ -455,10 +417,10 @@ def stage_predict(corpus: Corpus, outdir) -> list[str]:
     candidates = pr.all_unconnected_pairs(snapshots[eval_year])
     ranked = pr.predict_links(model, snapshots, eval_year, candidates,
                               top_n=block.top_n)
-    write_csv(outdir / "predictions.csv",
+    write_csv(out("predictions.csv"),
               ["keyword_a", "keyword_b", "probability", "rank"],
               [(u, v, repr(p), i + 1) for i, ((u, v), p) in enumerate(ranked)])
-    write_json(outdir / "prediction_eval.json", {
+    write_json(out("prediction_eval.json"), {
         "train_years": used_years,
         "train_samples": len(train_samples),
         "train_positives": sum(1 for s in train_samples if s.label == 1),
@@ -466,7 +428,6 @@ def stage_predict(corpus: Corpus, outdir) -> list[str]:
         "heldout": eval_payload,
         "candidates_scored": len(candidates),
     })
-    return ["model.json", "predictions.csv", "prediction_eval.json"]
 
 
 _STAGE_FUNCS = {
@@ -498,13 +459,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_stage(corpus: Corpus, outdir, name: str) -> dict:
     """Run one stage and return its manifest entry; a failure is recorded,
-    not raised."""
+    not raised. The stage writes each report to ``out(name)``, which lists
+    ``name`` in the entry's ``outputs`` unless the stage fails."""
     start = time.monotonic()
     entry = {"stage": name, "status": "ok", "error": None, "outputs": []}
+    written = []
+
+    def out(filename: str):
+        written.append(filename)
+        return outdir / filename
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the same list whatever the caller's filters
         try:
-            entry["outputs"] = _STAGE_FUNCS[name](corpus, outdir)
+            _STAGE_FUNCS[name](corpus, out)
+            entry["outputs"] = written
         except Exception as exc:  # record per-stage failures, keep going
             entry["status"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -520,9 +488,22 @@ def _run_stage(corpus: Corpus, outdir, name: str) -> dict:
 _LAUNCH_ORDER = ("predict", "collabnet", "citenet", "topics", "stats", "ingest")
 
 
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this worker once ``parent`` dies (Linux only),
+    and end the worker now if ``parent`` died before it could ask."""
+    import signal  # see _run_forked
+    if sys.platform.startswith("linux"):
+        import ctypes
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _fork_stage(corpus: Corpus, outdir, name: str) -> tuple[int, int]:
     """Fork a worker that runs one stage and writes its entry, as JSON, to a
-    pipe; return (pid, read end of the pipe)."""
+    pipe; return (pid, read end of the pipe). The worker dies with this
+    process, even if this process is killed."""
+    parent = os.getpid()
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()  # else the worker would write the parent's buffered output again
     sys.stderr.flush()
@@ -538,6 +519,7 @@ def _fork_stage(corpus: Corpus, outdir, name: str) -> tuple[int, int]:
     code = 1
     try:  # the worker never returns: it skips the parent's finally blocks and exit hooks
         os.close(read_fd)
+        _die_with_parent(parent)
         payload = json.dumps(_run_stage(corpus, outdir, name)).encode()
         with open(write_fd, "wb") as pipe:
             pipe.write(payload)

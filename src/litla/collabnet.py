@@ -28,9 +28,7 @@ class ComponentReport:
 
 @dataclass
 class AssortativityResult:
-    attribute: str
     r: float
-    categories: list[str]
     mixing: list[list[float]]   # edge-endpoint fractions, rows/cols sum to 1
 
 
@@ -293,8 +291,7 @@ def assortativity_categorical(pg: ProjectedGraph, labels: dict[str, str],
         warnings.warn(f"assortativity undefined for {attribute!r}: single category")
         return None
     r = (float(np.trace(m)) - ab) / (1.0 - ab)
-    return AssortativityResult(attribute=attribute, r=r, categories=cats,
-                               mixing=m.tolist())
+    return AssortativityResult(r=r, mixing=m.tolist())
 
 
 # --- top-active subnetwork ----------------------------------------------------------

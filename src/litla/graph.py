@@ -181,14 +181,12 @@ class KnowledgeGraph:
 class IndexedGraph:
     """Integer view of a :class:`ProjectedGraph`: node ``i`` is ``names[i]``
     (sorted, so index order is name order), ``pos`` maps a name back to its
-    index, and ``succ[i]`` / ``pred[i]`` are the sorted indices of its
-    successors / predecessors. Undirected graphs share one list: ``pred is
-    succ``."""
+    index, and ``succ[i]`` is the sorted indices of its successors (of its
+    neighbours, when the graph is undirected)."""
 
     names: list[str]
     pos: dict[str, int]
     succ: list[list[int]]
-    pred: list[list[int]]
 
 
 class ProjectedGraph:
@@ -254,10 +252,7 @@ class ProjectedGraph:
         """The integer view every graph algorithm runs on, built on first use."""
         names = sorted(self.nodes)
         pos = {u: i for i, u in enumerate(names)}
-        succ = [sorted(pos[v] for v in self._adj[u]) for u in names]
-        pred = [sorted(pos[v] for v in self._radj[u]) for u in names] \
-            if self.directed else succ
-        return IndexedGraph(names, pos, succ, pred)
+        return IndexedGraph(names, pos, [sorted(pos[v] for v in self._adj[u]) for u in names])
 
     def snapshot(self, year: int) -> "ProjectedGraph":
         """Induced subgraph of the nodes and edges first appearing in or
@@ -356,7 +351,7 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     records = sorted(records, key=lambda r: r.id)
     text = TextIndex({rec.id: (rec.title, rec.abstract) for rec in records})
     refs = _Interned(lambda key: NodeRef(*key))  # one NodeRef per node
-    phrases = _Interned(lambda kw: tokenize(kw, drop_stopwords=False))  # keyword -> its tokens
+    phrases = _Interned(tokenize)  # keyword -> its tokens
     canon = _Interned(canonical)  # name -> its canonical key
     nodes: dict[NodeRef, dict] = {}
     edges: list[Edge] = []
@@ -391,8 +386,8 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
 
         vkey = canon[rec.venue]
         if vkey:
-            meta = venue_meta.setdefault(vkey, {"name": rec.venue, "paper_years": []})
-            meta["paper_years"].append(rec.year)
+            meta = venue_meta.setdefault(vkey, {"name": rec.venue, "year": rec.year})
+            meta["year"] = min(meta["year"], rec.year)
 
         all_keywords = sorted({canon[k] for k in rec.extracted_keywords + rec.author_keywords
                                if k.strip()})
@@ -446,14 +441,11 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             "incidences": incidences,
         }
     for vkey, meta in sorted(venue_meta.items()):
-        years = tuple(sorted(meta["paper_years"]))
-        nodes[refs[NODE_VENUE, vkey]] = {
-            "name": meta["name"], "year": years[0], "incidences": tuple((y,) for y in years),
-        }
+        nodes[refs[NODE_VENUE, vkey]] = meta
     for kw, first in sorted(keyword_first.items()):
         nodes[refs[NODE_KEYWORD, kw]] = {"year": first}
     for ikey, meta in sorted(inst_meta.items()):
-        nodes[refs[NODE_INSTITUTION, ikey]] = {"name": meta["name"], "year": meta["year"]}
+        nodes[refs[NODE_INSTITUTION, ikey]] = meta
 
     # cycle detection runs on temporally valid edges only
     paper_years = {rec.id: rec.year for rec in records}

@@ -42,6 +42,9 @@ class QuadFit:
     c: float
     r_squared: float
 
+    def as_dict(self) -> dict:
+        return {"a": self.a, "b": self.b, "c": self.c, "r_squared": self.r_squared}
+
 
 def publications_per_year(kg: KnowledgeGraph) -> YearSeries:
     """Paper counts per year, zero-filled across the corpus year range."""

@@ -32,17 +32,14 @@ STOPWORDS = frozenset(
 )
 
 
-def tokenize(text: str, drop_stopwords: bool = True) -> list[str]:
-    """Lowercase token list of ``text``.
+def tokenize(text: str) -> list[str]:
+    """Lowercase token list of ``text``, stopwords included, so that phrases
+    stay contiguous.
 
     Splits on non-alphanumerics but keeps hyphenated compounds intact.
-    Stopword filtering is on by default (topic labeling, type-token ratios);
-    phrase matching passes ``drop_stopwords=False`` to preserve contiguity.
+    Topic labeling drops :data:`STOPWORDS` from its own token pools.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    if drop_stopwords:
-        return [t for t in tokens if t not in STOPWORDS]
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 def contains_phrase(tokens: list[str], phrase_tokens: list[str]) -> bool:
@@ -68,7 +65,7 @@ class TextIndex:
     """Positional inverted index over the title+abstract text of papers
     (Zobel & Moffat, ACM Computing Surveys 2006).
 
-    ``streams[pid]`` is ``tokenize(title + " " + abstract, drop_stopwords=False)``
+    ``streams[pid]`` is ``tokenize(title + " " + abstract)``
     with each distinct token string stored once. It is built as the title's
     tokens followed by the abstract's, which is the same list because no
     token spans the joining space. A set of papers is a bitmask over
@@ -86,8 +83,8 @@ class TextIndex:
         self.streams: dict[str, list[str]] = {}
         self._abstract_start: list[int] = []
         for pid, (title, abstract) in docs.items():
-            head = tokenize(title, drop_stopwords=False)
-            body = tokenize(abstract, drop_stopwords=False)
+            head = tokenize(title)
+            body = tokenize(abstract)
             self.streams[pid] = list(map(interned.setdefault, head, head)) + \
                 list(map(interned.setdefault, body, body))
             self._abstract_start.append(len(head))

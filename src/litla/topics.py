@@ -46,14 +46,12 @@ class TopicAssignment:
 class TopicSummary:
     topic: int
     top_terms: list[tuple[str, float]]
-    size: int
 
 
 @dataclass
 class LinkageMatrix:
     themes: list[str]
     weights: list[list[float]]
-    epsilon: float
 
     def row_shares(self) -> list[list[float]]:
         shares = []
@@ -178,7 +176,7 @@ def ctfidf(docs_by_topic: dict[int, list[str]], top_n: int = 10) -> list[TopicSu
     for c in sorted(docs_by_topic):
         total = class_totals[c]
         if total == 0:
-            summaries.append(TopicSummary(topic=c, top_terms=[], size=0))
+            summaries.append(TopicSummary(topic=c, top_terms=[]))
             continue
         scored = []
         for term, count in class_counts[c].items():
@@ -186,7 +184,7 @@ def ctfidf(docs_by_topic: dict[int, list[str]], top_n: int = 10) -> list[TopicSu
             score = tf * math.log(1.0 + avg_tokens / global_counts[term])
             scored.append((term, score))
         scored.sort(key=lambda ts: (-ts[1], ts[0]))
-        summaries.append(TopicSummary(topic=c, top_terms=scored[:top_n], size=total))
+        summaries.append(TopicSummary(topic=c, top_terms=scored[:top_n]))
     return summaries
 
 
@@ -338,10 +336,8 @@ class _QueryParser:
             node = self.parse_or()
             self.take("RPAREN")
             return node
-        if kind == "PHRASE":
-            return ("phrase", tokenize(self.take("PHRASE")[1], drop_stopwords=False))
-        if kind == "WORD":
-            return ("phrase", tokenize(self.take("WORD")[1], drop_stopwords=False))
+        if kind in ("PHRASE", "WORD"):
+            return ("phrase", tokenize(self.take(kind)[1]))
         raise QueryError(f"unexpected token {kind}")
 
 
@@ -500,7 +496,7 @@ def topic_linkage(theme_keywords: dict[str, list[str]], text: TextIndex,
     themes = []
     papers = []  # per theme: the mask of the papers whose abstract matches one of its keywords
     for name, kws in theme_keywords.items():
-        phrases = [tokenize(k, drop_stopwords=False) for k in kws if k.strip()]
+        phrases = [tokenize(k) for k in kws if k.strip()]
         phrases = [p for p in phrases if p]
         if not phrases:
             warnings.warn(f"theme {name!r} has no usable keywords; dropped")
@@ -521,4 +517,4 @@ def topic_linkage(theme_keywords: dict[str, list[str]], text: TextIndex,
             share_j = weights[i, j] / row_sums[j] if row_sums[j] else 0.0
             keep[i, j] = share_i >= epsilon or share_j >= epsilon
     out = np.where(keep, weights, 0.0)
-    return LinkageMatrix(themes=themes, weights=out.tolist(), epsilon=epsilon)
+    return LinkageMatrix(themes=themes, weights=out.tolist())

@@ -38,7 +38,7 @@ def fixture_records():
 
 def text_index(texts: dict[str, str]) -> TextIndex:
     """The index of papers with empty titles whose abstracts are ``texts``,
-    so that each paper's stream is ``tokenize(texts[pid], drop_stopwords=False)``."""
+    so that each paper's stream is ``tokenize(texts[pid])``."""
     return TextIndex({pid: ("", text) for pid, text in texts.items()})
 
 

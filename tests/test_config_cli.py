@@ -511,6 +511,82 @@ class TestCli:
         assert manifest["stages"][0]["status"] == "failed"
         assert manifest["stages"][0]["error"]
 
+    def test_outputs_list_each_report_in_write_order(self, fixture_dir, tmp_path):
+        outputs = {
+            "ingest": ["parse_errors.csv", "rejections.csv", "graph.graphml", "graph.dot",
+                       "ingest_summary.json"],
+            "stats": ["venue.csv", "pub_type.csv", "subject_category.csv", "intent.csv",
+                      "country.csv", "author_countries.csv", "stats_summary.json"],
+            "topics": ["assignments.csv", "topic_report.json", "dendrogram.json",
+                       "multilabel.csv", "topic_trends_count.csv", "topic_trends_share.csv",
+                       "emerging.csv", "linkage.csv", "linkage_shares.csv"],
+            "citenet": ["growth.csv", "pref_attachment.csv", "fits.json", "cd_papers.csv",
+                        "cd_yearly.csv", "ttr.csv", "backbone.graphml"],
+            "collabnet": ["component_sizes.csv", "degree_distribution.csv",
+                          "top_authors.graphml", "collab_metrics.json"],
+            "predict": ["model.json", "predictions.csv", "prediction_eval.json"],
+        }
+        out = tmp_path / "ok"
+        assert main(["all", "--config", str(fixture_dir / "config.toml"), "--seed", "7",
+                     "--output", str(out)]) == 0
+        stages = read_manifest(out)["stages"]
+        assert {e["stage"]: e["outputs"] for e in stages} == outputs
+        listed = [name for e in stages for name in e["outputs"]] + ["run_manifest.json"]
+        assert sorted(listed) == sorted(path.name for path in out.iterdir())
+
+        # a failed stage lists nothing, though it wrote reports before it failed
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        text = config.read_text()
+        block = "[citenet]\ndecay = 0.2\ndamping = 0.85\ntol = 1e-10\nmax_iter = 500\n"
+        assert block in text
+        config.write_text(text.replace(block, block.replace("500", "0")))
+        out = tmp_path / "failed"
+        assert main(["all", "--config", str(config), "--seed", "7",
+                     "--output", str(out)]) == 1
+        stages = read_manifest(out)["stages"]
+        assert [(e["stage"], e["status"]) for e in stages] == [
+            (stage, "failed" if stage == "citenet" else "ok") for stage in STAGES]
+        assert {e["stage"]: e["outputs"] for e in stages} == {**outputs, "citenet": []}
+        assert (out / "growth.csv").is_file()
+
+
+# Runs ``litla all`` (arguments after the first two) with two usable CPUs,
+# logging the pid of every worker it forks to argv[1] and holding the
+# predict worker in a sleep once it has touched argv[2].
+_LOGGED_FORK_RUN = """
+import os, sys, time
+from litla import cli
+
+log, ready = sys.argv[1], sys.argv[2]
+fork = os.fork
+
+def logged_fork():
+    pid = fork()
+    if pid:
+        with open(log, "a") as fh:
+            fh.write(f"{pid}\\n")
+    return pid
+
+def stuck(corpus, out):
+    open(ready, "w").close()
+    time.sleep(60)
+
+os.fork = logged_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+cli._STAGE_FUNCS["predict"] = stuck
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
 
 class TestWorkers:
     def test_killed_worker_fails_only_its_stage(self, fixture_dir, tmp_path, monkeypatch,
@@ -625,6 +701,42 @@ class TestWorkers:
         assert [e["warnings"] for e in read_manifest(tmp_path / "collabnet")["stages"]] == [
             single_category]
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux only")
+    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM],
+                             ids=["SIGKILL", "SIGTERM"])
+    def test_killed_run_takes_its_workers_with_it(self, signum, fixture_dir, tmp_path):
+        # the workers once ran on under PID 1 and went on writing reports
+        log, ready = tmp_path / "pids.log", tmp_path / "ready"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        with open(tmp_path / "run.err", "wb") as err:
+            run = subprocess.Popen(
+                [sys.executable, "-c", _LOGGED_FORK_RUN, str(log), str(ready), "all",
+                 "--config", str(fixture_dir / "config.toml"), "--output", str(tmp_path / "out")],
+                env=env, stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            deadline = time.monotonic() + 60
+            while not ready.exists():
+                assert run.poll() is None, (tmp_path / "run.err").read_text()
+                assert time.monotonic() < deadline, "predict never started"
+                time.sleep(0.05)
+            run.send_signal(signum)
+            run.wait(timeout=10)
+            pids = [int(pid) for pid in log.read_text().split()]
+            assert pids
+            deadline = time.monotonic() + 5
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if running(pid)] == []
+            assert not (tmp_path / "out" / "run_manifest.json").exists()
+        finally:
+            run.kill()
+            run.wait()
+            for pid in (int(pid) for pid in log.read_text().split()) if log.exists() else ():
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
 
 # text the KG exports must escape: markup characters, quotes, backslashes,
 # whitespace inside names and non-ASCII letters
@@ -732,6 +844,15 @@ class TestExports:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
         assert out == "[]\n"
+
+    def test_cli_import_needs_no_ctypes(self):
+        # only a forked stage worker imports ctypes; numpy 2 loads it when it
+        # can, so the import is blocked rather than looked for afterwards
+        code = ("import sys; sys.modules['ctypes'] = None; import litla.cli; "
+                "print(sys.modules['ctypes'])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "None\n"
 
     @pytest.mark.parametrize("corpus", ["fixture", "empty", "no_edges", "typed_values"])
     def test_kg_exports_match_generic_writers(self, corpus, fixture_records, tmp_path):

@@ -21,8 +21,7 @@ _dense = st.lists(st.sampled_from(["alpha", "beta", "alpha", "a", "alpha-beta", 
 
 @given(st.one_of(st.text(max_size=20), _texts), st.one_of(st.text(max_size=20), _texts))
 def test_title_abstract_stream_is_the_two_streams_joined(title, abstract):
-    assert tokenize(title + " " + abstract, drop_stopwords=False) == \
-        tokenize(title, drop_stopwords=False) + tokenize(abstract, drop_stopwords=False)
+    assert tokenize(title + " " + abstract) == tokenize(title) + tokenize(abstract)
 
 
 @given(st.dictionaries(st.sampled_from(["p1", "p2", "p3", "p4"]),
@@ -31,8 +30,8 @@ def test_title_abstract_stream_is_the_two_streams_joined(title, abstract):
        st.lists(_phrases, max_size=6))
 def test_lookups_match_contains_phrase_paper_by_paper(docs, phrases):
     index = TextIndex(docs)
-    full = {pid: tokenize(t + " " + a, drop_stopwords=False) for pid, (t, a) in docs.items()}
-    abstract = {pid: tokenize(a, drop_stopwords=False) for pid, (_t, a) in docs.items()}
+    full = {pid: tokenize(t + " " + a) for pid, (t, a) in docs.items()}
+    abstract = {pid: tokenize(a) for pid, (_t, a) in docs.items()}
     assert index.streams == full
     assert index.papers(index.everything) == list(docs)
     for phrase in phrases:

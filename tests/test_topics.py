@@ -359,7 +359,7 @@ class TestQueries:
         got = assign_by_query(queries, text_index(docs))
 
         def has(tokens, phrase):
-            return contains_phrase(tokens, tokenize(phrase, drop_stopwords=False))
+            return contains_phrase(tokens, tokenize(phrase))
 
         oracle_fns = {
             "q0": lambda t: has(t, "weight vectors"),
@@ -376,7 +376,7 @@ class TestQueries:
             "q9": lambda t: has(t, "constraint handling") or has(t, "penalty functions"),
         }
         for pid, text in docs.items():
-            tokens = tokenize(text, drop_stopwords=False)
+            tokens = tokenize(text)
             expected = {q for q, fn in oracle_fns.items() if fn(tokens)}
             assert got[pid] == expected, pid
 
@@ -498,9 +498,9 @@ class TestLinkage:
         names = list(themes)
         hits = {}
         for pid, text in abstracts.items():
-            tokens = tokenize(text, drop_stopwords=False)
+            tokens = tokenize(text)
             hits[pid] = {n for n in names
-                         if any(contains_phrase(tokens, tokenize(k, drop_stopwords=False))
+                         if any(contains_phrase(tokens, tokenize(k))
                                 for k in themes[n])}
         raw = np.zeros((4, 4))
         for pid in abstracts:
