@@ -309,14 +309,9 @@ def trim_network(nodes, edges) -> set[tuple[str, str]]:
 # --- main path step 3: similarity weighting ----------------------------------------
 
 
-@dataclass
-class BackboneGraph:
-    nodes: dict[str, dict]                     # paper -> {score, year, citations}
-    edges: dict[tuple[str, str], dict]         # (u, v) -> {weight, cocite, jaccard}
-
-
-def weight_edges(trimmed_edges, full: ProjectedGraph) -> BackboneGraph:
-    """Weight surviving edges by co-citation and bibliographic coupling.
+def weight_edges(trimmed_edges, full: ProjectedGraph) -> ProjectedGraph:
+    """The surviving edges, weighted by co-citation and bibliographic
+    coupling, as a directed graph on their endpoints.
 
     cocite(u, v) counts papers citing both endpoints in the full citation
     graph; jaccard(u, v) compares in-corpus reference sets with the pair
@@ -351,14 +346,15 @@ def weight_edges(trimmed_edges, full: ProjectedGraph) -> BackboneGraph:
             "jaccard": jaccards[pair],
         }
     nodes = {n: {} for n in sorted({n for pair in edges for n in pair})}
-    return BackboneGraph(nodes=nodes, edges=out_edges)
+    return ProjectedGraph(directed=True, nodes=nodes, edges=out_edges)
 
 
 def main_path_backbone(cit: ProjectedGraph, k: int, decay: float = 0.2,
                        damping: float = 0.85, tol: float = 1e-10,
-                       max_iter: int = 500) -> BackboneGraph:
+                       max_iter: int = 500) -> ProjectedGraph:
     """Rank papers, keep the top k, trim one-hop redundancy in their induced
-    citation subgraph and weight the surviving links."""
+    citation subgraph and weight the surviving links. Every top-ranked
+    paper, isolated or not, is a node with its score, year and citations."""
     if k < 2:
         raise ValueError("k must be at least 2")
     scores = rank_essential(cit, decay=decay, damping=damping, tol=tol, max_iter=max_iter)
@@ -369,11 +365,7 @@ def main_path_backbone(cit: ProjectedGraph, k: int, decay: float = 0.2,
         if u in top_set and v in top_set
         and not attrs.get("flags", frozenset()) & {FLAG_TEMPORAL_ANOMALY, FLAG_CYCLE}
     }
-    backbone = weight_edges(trim_network(top, induced), cit)
-    # isolated top-ranked papers stay in the backbone node set
-    backbone.nodes = {
-        pid: {"score": scores[pid], "year": cit.nodes[pid]["year"],
-              "citations": cit.in_degree(pid)}
-        for pid in top
-    }
-    return backbone
+    nodes = {pid: {"score": scores[pid], "year": cit.nodes[pid]["year"],
+                   "citations": cit.in_degree(pid)} for pid in top}
+    return ProjectedGraph(directed=True, nodes=nodes,
+                          edges=weight_edges(trim_network(top, induced), cit).edges)

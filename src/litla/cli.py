@@ -35,7 +35,6 @@ from .exports import (
     kg_to_graphml,
     projected_to_graphml,
     write_csv,
-    write_graphml,
     write_json,
     write_text,
 )
@@ -194,16 +193,13 @@ def stage_topics(corpus: Corpus, out) -> None:
         ],
     })
 
-    embeddings = {pid: kg.paper(pid)["embedding"] for pid in assignment.labels
-                  if kg.paper(pid)["embedding"] is not None}
+    # every member has an embedding: a paper without one is noise
     centroids = []
     names = []
     for topic in sorted(assignment.topic_sizes):
-        member_embs = [embeddings[pid] for pid in assignment.members(topic)
-                       if pid in embeddings]
-        if member_embs:
-            names.append(f"T{topic}")
-            centroids.append([sum(col) / len(col) for col in zip(*member_embs)])
+        member_embs = [kg.paper(pid)["embedding"] for pid in assignment.members(topic)]
+        names.append(f"T{topic}")
+        centroids.append([sum(col) / len(col) for col in zip(*member_embs)])
     if len(centroids) >= 2:
         merges = topics.hierarchical_topics(centroids)
         write_json(out("dendrogram.json"), topics.dendrogram_json(merges, names))
@@ -289,9 +285,7 @@ def stage_citenet(corpus: Corpus, out) -> None:
     if k >= 2:
         backbone = cn.main_path_backbone(cit, k, decay=block.decay, damping=block.damping,
                                          tol=block.tol, max_iter=block.max_iter)
-        write_graphml(out("backbone.graphml"), backbone.nodes,
-                      [(u, v, attrs) for (u, v), attrs in sorted(backbone.edges.items())],
-                      directed=True)
+        projected_to_graphml(out("backbone.graphml"), backbone)
 
 
 def stage_collabnet(corpus: Corpus, out) -> None:
@@ -610,12 +604,12 @@ def run_stages(cfg: RunConfig, stage_names: list[str]) -> int:
     """Run the stages and write ``run_manifest.json``; 1 if any stage failed.
 
     The first stage runs in process and leaves the parsed records and the
-    graph cached. When more stages follow, a CPU is left over and no other
-    thread runs, the parent forks one worker per remaining stage, at most
-    one per usable CPU at a time, and builds the topic assignment first if
-    both topics and collabnet are among them. A worker that dies without
-    sending its entry fails only its own stage. The manifest lists the
-    stages in the order given.
+    graph cached. When more stages follow, the platform has ``os.fork``, a
+    CPU is left over and no other thread runs, the parent forks one worker
+    per remaining stage, at most one per usable CPU at a time, and builds
+    the topic assignment first if both topics and collabnet are among them.
+    A worker that dies without sending its entry fails only its own stage.
+    The manifest lists the stages in the order given.
     """
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -630,7 +624,7 @@ def run_stages(cfg: RunConfig, stage_names: list[str]) -> int:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         workers = min(cpus, len(rest))
-        if workers > 1 and threading.active_count() == 1:
+        if workers > 1 and threading.active_count() == 1 and hasattr(os, "fork"):
             entries.update(_run_forked(corpus, outdir, rest, workers))
         else:
             entries.update((name, _run_stage(corpus, outdir, name)) for name in rest)

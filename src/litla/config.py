@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .records import ExclusionPolicy
@@ -191,30 +191,16 @@ class RunConfig:
     # [input] paths as written, relative to the config file's directory
     input_refs: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        def plain(obj):
-            if isinstance(obj, Path):
-                return str(obj)
-            if hasattr(obj, "__dataclass_fields__"):
-                return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
-            if isinstance(obj, dict):
-                return {k: plain(v) for k, v in obj.items()}
-            if isinstance(obj, list):
-                return [plain(v) for v in obj]
-            return obj
-
-        return plain(self)
-
     def config_hash(self) -> str:
         # output_dir is where results land, not part of what they contain;
         # inputs count as written, so every checkout of a config hashes alike
-        payload = self.as_dict()
+        payload = asdict(self)
         del payload["output_dir"]
         refs = payload.pop("input_refs")
         payload["records_path"] = refs.get("records", payload["records_path"])
         payload["queries_path"] = refs.get("queries", payload["queries_path"])
         return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+            json.dumps(payload, sort_keys=True, default=str).encode("utf-8")).hexdigest()
 
 
 def _is_strings(value) -> bool:

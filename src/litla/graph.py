@@ -267,52 +267,44 @@ class ProjectedGraph:
 # --- construction -------------------------------------------------------------
 
 
-def _tarjan_scc(adj: dict[str, list[str]]) -> list[list[str]]:
-    """Iterative Tarjan strongly-connected components."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
+def _scc_roots(adj: dict[str, list[str]]) -> dict[str, str]:
+    """Each node's strongly connected component, named by one of its
+    members (Kosaraju-Sharir): a depth-first search records the finish
+    order, then a sweep of the reversed edges, latest finish first, claims
+    each component."""
+    order: list[str] = []
+    seen: set[str] = set()
     for root in adj:
-        if root in index:
+        if root in seen:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
+        seen.add(root)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            node, it = stack[-1]
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(adj[nxt])))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-    return sccs
+            else:
+                stack.pop()
+                order.append(node)
+    radj: dict[str, list[str]] = {u: [] for u in adj}
+    for u, vs in adj.items():
+        for v in vs:
+            radj[v].append(u)
+    comp: dict[str, str] = {}
+    for root in reversed(order):
+        if root in comp:
+            continue
+        comp[root] = root
+        todo = [root]
+        while todo:
+            for v in radj[todo.pop()]:
+                if v not in comp:
+                    comp[v] = root
+                    todo.append(v)
+    return comp
 
 
 class _Interned(dict):
@@ -453,16 +445,12 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     for src, dst in cites_pairs:
         if paper_years[src] >= paper_years[dst]:
             valid_adj[src].append(dst)
-    cycle_nodes: dict[str, int] = {}
-    for i, comp in enumerate(_tarjan_scc(valid_adj)):
-        if len(comp) > 1:
-            for node in comp:
-                cycle_nodes[node] = i
-    for src, dst in cites_pairs:
+    comp = _scc_roots(valid_adj)
+    for src, dst in cites_pairs:  # src != dst, so one component means a cycle
         flags = set()
         if paper_years[src] < paper_years[dst]:
             flags.add(FLAG_TEMPORAL_ANOMALY)
-        elif src in cycle_nodes and cycle_nodes.get(dst) == cycle_nodes[src]:
+        elif comp[src] == comp[dst]:
             flags.add(FLAG_CYCLE)
         edges.append(Edge(refs[NODE_PAPER, src], refs[NODE_PAPER, dst], EDGE_CITES, 1.0,
                           paper_years[src], flags=frozenset(flags)))

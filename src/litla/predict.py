@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -111,16 +112,9 @@ def sample_negative_pairs(prev: ProjectedGraph, curr: ProjectedGraph, count: int
         chosen.add(pair)
     if len(chosen) < count and max_pairs <= 2_000_000:
         # small universes: fall back to exact enumeration
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair = (nodes[i], nodes[j])
-                if pair in chosen or prev.has_edge(*pair) or curr.has_edge(*pair):
-                    continue
-                chosen.add(pair)
-                if len(chosen) >= count:
-                    break
-            if len(chosen) >= count:
-                break
+        fresh = (pair for pair in combinations(nodes, 2) if pair not in chosen
+                 and not prev.has_edge(*pair) and not curr.has_edge(*pair))
+        chosen.update(islice(fresh, count - len(chosen)))
     return sorted(chosen)
 
 
@@ -165,12 +159,7 @@ def all_unconnected_pairs(g: ProjectedGraph) -> list[tuple[str, str]]:
     """Every canonical unconnected pair of nodes with at least one neighbour
     (degree-0 keywords carry no structural signal)."""
     nodes = [u for u in sorted(g.nodes) if g.degree(u) >= 1]
-    out = []
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            if not g.has_edge(u, v):
-                out.append((u, v))
-    return out
+    return [(u, v) for u, v in combinations(nodes, 2) if not g.has_edge(u, v)]
 
 
 def predict_links(model: GbdtModel, snapshots: dict[int, ProjectedGraph], year: int,
@@ -209,15 +198,12 @@ def evaluate_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes")
     order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    # each run of equal sorted scores; NaN equals nothing, so each NaN is a run
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ties = np.diff(np.r_[first, len(s)])
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
+    ranks[order] = np.repeat((2 * first + ties - 1) / 2.0 + 1.0, ties)  # average 1-based rank
     rank_sum_pos = float(ranks[labels == 1].sum())
     u_stat = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u_stat / (n_pos * n_neg)

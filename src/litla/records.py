@@ -11,7 +11,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from typing import IO, Collection
 
 PUB_TYPES = ("journal", "conference", "other")
@@ -61,12 +62,7 @@ class ParseError:
     message: str
 
 
-_FIELD_NAMES = (
-    "id", "title", "abstract", "authors", "year", "venue", "pub_type",
-    "author_keywords", "subject_categories", "publisher", "citation_count",
-    "page_count", "references", "language", "doc_type",
-    "citation_statements", "extracted_keywords", "embedding",
-)
+_FIELD_NAMES = frozenset(f.name for f in fields(PaperRecord))
 
 
 class SchemaError(ValueError):
@@ -91,7 +87,7 @@ def _str_list(value, name: str) -> list[str]:
 
 def _record_from_obj(obj: dict) -> PaperRecord:
     _expect(isinstance(obj, dict), "record must be a JSON object")
-    unknown = set(obj) - set(_FIELD_NAMES)
+    unknown = obj.keys() - _FIELD_NAMES
     _expect(not unknown, f"unknown fields: {sorted(unknown)}")
     _expect("id" in obj, "missing required field 'id'")
     _expect(isinstance(obj["id"], str) and obj["id"], "id must be a non-empty string")
@@ -286,7 +282,4 @@ def apply_exclusions(
 
 
 def rejection_counts(rejected: list[tuple[PaperRecord, str]]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for _, reason in rejected:
-        counts[reason] = counts.get(reason, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(reason for _, reason in rejected).items()))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,12 +25,7 @@ class YearSeries:
             raise ValueError("years must be strictly increasing")
 
     def cumulative(self) -> "YearSeries":
-        total = 0.0
-        out = []
-        for v in self.values:
-            total += v
-            out.append(total)
-        return YearSeries(list(self.years), out)
+        return YearSeries(list(self.years), list(accumulate(self.values, initial=0.0))[1:])
 
     def as_dict(self) -> dict[int, float]:
         return dict(zip(self.years, self.values))

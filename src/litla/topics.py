@@ -507,14 +507,8 @@ def topic_linkage(theme_keywords: dict[str, list[str]], text: TextIndex,
     weights = np.zeros((k, k))
     for a, b in combinations(range(k), 2):
         weights[a, b] = weights[b, a] = (papers[a] & papers[b]).bit_count()
-    row_sums = weights.sum(axis=1)
-    keep = np.zeros_like(weights, dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            if i == j or weights[i, j] == 0:
-                continue
-            share_i = weights[i, j] / row_sums[i] if row_sums[i] else 0.0
-            share_j = weights[i, j] / row_sums[j] if row_sums[j] else 0.0
-            keep[i, j] = share_i >= epsilon or share_j >= epsilon
-    out = np.where(keep, weights, 0.0)
+    # weights is symmetric, so shares.T[i, j] is (i, j)'s share of row j
+    shares = np.divide(weights, weights.sum(axis=1)[:, None], out=np.zeros_like(weights),
+                       where=weights != 0)
+    out = np.where((shares >= epsilon) | (shares.T >= epsilon), weights, 0.0)
     return LinkageMatrix(themes=themes, weights=out.tolist())

@@ -292,6 +292,31 @@ class TestCli:
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in pinned} == pinned
 
+    def test_ingest_stats_and_assignment_reports_pinned(self, fixture_dir, tmp_path):
+        # sha256 of the fixture's reports at seed 7 that no np.exp, log,
+        # polyfit or BLAS call touches: screening, counts and shares, and the
+        # DBSCAN labels
+        pinned = {
+            "parse_errors.csv": "007813d75e8ddc6ffa6beb037ff86ee17c1fca19f787ae5e787f2cb8cc15b844",
+            "rejections.csv": "17db55d1d1d78a0f9f35562a7c1c18a8fb5e58d97870a8ad3d76be69bcbb6cc2",
+            "ingest_summary.json":
+                "698bb8006622505bc0ca234afc13f85e7a85f6956e05cba97a23168680baecf9",
+            "venue.csv": "e316ba4fe2f86ebefdfd51fec2b9fbe02a8e953d231c6cc83b24c2016b096af8",
+            "pub_type.csv": "19bb573c6cea47ba4635e04e1779eb31ab3c37282ce2332e032ad528b9074a0a",
+            "subject_category.csv":
+                "8181f494629151c22adf0787b5055dc489b68406aa61fc7a3e296763331045ed",
+            "intent.csv": "fad7997e1ac5a0536eb404650ac4752e1983a3010762dd21c7a209ca02c9fd33",
+            "country.csv": "466192b763feafc2684fc12afa2bb98c74ec497173dcd2e21876baca9197f558",
+            "author_countries.csv":
+                "b5fb1678adeab7de8375b9f83746847571105282abd00ac09905171268bcc919",
+            "assignments.csv":
+                "ad2432ab40c53699d872decd144c9ab069436ccd7976acd2ffce682cfbb25b77",
+        }
+        assert main(["all", "--config", str(fixture_dir / "config.toml"), "--seed", "7",
+                     "--output", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in pinned} == pinned
+
     def test_corpus_is_computed_once_per_run(self, fixture_dir, tmp_path, monkeypatch,
                                              forking):
         log = ProcessLog(tmp_path / "calls.log")
@@ -652,6 +677,14 @@ class TestWorkers:
         stages = read_manifest(tmp_path)["stages"]
         assert [e["stage"] for e in stages] == (
             ["stats"] if case == "single_stage" else list(STAGES))
+
+    def test_platform_without_fork_runs_in_process(self, fixture_dir, tmp_path, monkeypatch,
+                                                   forking):
+        monkeypatch.delattr(os, "fork")
+        assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                     "--output", str(tmp_path)]) == 0
+        assert [(e["stage"], e["status"]) for e in read_manifest(tmp_path)["stages"]] == [
+            (stage, "ok") for stage in STAGES]
 
     def test_failed_fork_runs_the_stage_in_process(self, fixture_dir, tmp_path, monkeypatch,
                                                    forking):

@@ -9,6 +9,7 @@ from litla.graph import (
     EDGE_AUTHOR_OF,
     EDGE_CITES,
     EDGE_COAUTHORS_WITH,
+    FLAG_CYCLE,
     FLAG_TEMPORAL_ANOMALY,
     NODE_AUTHOR,
     NODE_INSTITUTION,
@@ -94,6 +95,13 @@ class TestBuild:
         kg = build_graph(records)
         (edge,) = kg.edges_of_type(EDGE_CITES)
         assert FLAG_TEMPORAL_ANOMALY in edge.flags
+
+    def test_same_year_mutual_citation_flagged_cycle(self):
+        records = [rec("a", 2010, refs=["b", "old"]), rec("b", 2010, refs=["a"]),
+                   rec("old", 2005)]
+        flags = {(e.src.key, e.dst.key): e.flags for e in build_graph(records).edges}
+        assert flags[("a", "b")] == flags[("b", "a")] == {FLAG_CYCLE}
+        assert flags[("a", "old")] == frozenset()
 
     def test_node_counts_match_set_cardinalities(self, fixture_records):
         kg = build_graph(fixture_records)
@@ -388,6 +396,38 @@ def test_kg_edge_orders_match_reference_sorts(edges):
     assert [_fields(e) for e in kg.edges_by_endpoints] == \
         [_fields(e) for e in sorted(kg.edges, key=lambda e: (e.src, e.dst))]
     assert kg.edges_by_endpoints is kg.edges_by_endpoints
+
+
+@given(st.data())
+def test_citation_flags_by_definition(data):
+    # few years, so that same-year papers cite each other, older papers and
+    # newer ones
+    years = data.draw(st.lists(st.integers(2010, 2012), min_size=1, max_size=8))
+    n = len(years)
+    cites = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=24))
+    records = [rec(f"p{i}", y, refs=[f"p{d}" for s, d in cites if s == i])
+               for i, y in enumerate(years)]
+    valid = {(s, d) for s, d in cites if s != d and years[s] >= years[d]}
+
+    def reaches(a, b):  # brute force, over the temporally valid citations
+        seen, todo = {a}, [a]
+        while todo:
+            u = todo.pop()
+            for s, d in valid:
+                if s == u and d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        return b in seen
+
+    flags = {(int(e.src.key[1:]), int(e.dst.key[1:])): e.flags
+             for e in build_graph(records).edges_of_type(EDGE_CITES)}
+    assert set(flags) == {(s, d) for s, d in cites if s != d}
+    for (s, d), got in flags.items():
+        if years[s] < years[d]:
+            assert got == {FLAG_TEMPORAL_ANOMALY}
+        else:
+            assert got == ({FLAG_CYCLE} if reaches(d, s) else frozenset())
 
 
 _maybe_year = st.one_of(st.none(), st.sampled_from([2000, 2001, 2003]))

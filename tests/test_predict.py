@@ -1,9 +1,11 @@
 import json
 import math
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from litla import gbdt
@@ -19,6 +21,73 @@ from litla.predict import (
     sample_negative_pairs,
 )
 
+
+
+def auc_reference(scores, labels) -> float:
+    """:func:`evaluate_auc` as a loop that averages the ranks of each run of
+    equal sorted scores."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
+        i = j + 1
+    rank_sum_pos = float(ranks[labels == 1].sum())
+    u_stat = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
+    return u_stat / (n_pos * n_neg)
+
+
+def unconnected_pairs_reference(g: ProjectedGraph) -> list[tuple[str, str]]:
+    """:func:`all_unconnected_pairs` as a nested index loop."""
+    nodes = [u for u in sorted(g.nodes) if g.degree(u) >= 1]
+    out = []
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if not g.has_edge(u, v):
+                out.append((u, v))
+    return out
+
+
+def negative_pairs_reference(prev: ProjectedGraph, curr: ProjectedGraph, count: int,
+                             seed: int) -> list[tuple[str, str]]:
+    """:func:`sample_negative_pairs` with its exact-enumeration fallback as a
+    nested index loop."""
+    nodes = sorted(prev.nodes)
+    n = len(nodes)
+    rng = random.Random(seed)
+    chosen: set[tuple[str, str]] = set()
+    attempts = 0
+    limit = max(100 * count, 1000)
+    while len(chosen) < count and attempts < limit:
+        attempts += 1
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        pair = (nodes[i], nodes[j]) if nodes[i] < nodes[j] else (nodes[j], nodes[i])
+        if pair in chosen or prev.has_edge(*pair) or curr.has_edge(*pair):
+            continue
+        chosen.add(pair)
+    if len(chosen) < count:
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair = (nodes[i], nodes[j])
+                if pair in chosen or prev.has_edge(*pair) or curr.has_edge(*pair):
+                    continue
+                chosen.add(pair)
+                if len(chosen) >= count:
+                    break
+            if len(chosen) >= count:
+                break
+    return sorted(chosen)
 
 
 def kw_graph(edges, year=2010):
@@ -123,6 +192,48 @@ class TestTrainingSet:
         a = sample_negative_pairs(h[2000], h[2001], 3, seed=5)
         b = sample_negative_pairs(h[2000], h[2001], 3, seed=5)
         assert a == b
+
+
+_NODES = [f"k{i:02d}" for i in range(80)]
+_PAIRS = list(combinations(_NODES, 2))
+
+
+def _graph(edges) -> ProjectedGraph:
+    return ProjectedGraph(False, {u: {"year": 2000} for u in _NODES},
+                          {e: {"year": 2000, "weight": 1.0} for e in edges})
+
+
+@given(st.sets(st.integers(0, len(_PAIRS) - 1), max_size=12),
+       st.sets(st.integers(0, len(_PAIRS) - 1), max_size=6),
+       st.integers(0, 20), st.integers(0, 3))
+def test_pair_enumeration_matches_loop_references(free, closed, count, seed):
+    # all but a few of the 3,160 pairs are edges, so the random draws miss
+    # free pairs and the exact enumeration supplies the rest
+    prev_edges = [pair for i, pair in enumerate(_PAIRS) if i not in free]
+    prev = _graph(prev_edges)
+    curr = _graph(prev_edges + [_PAIRS[i] for i in free & closed])
+    assert sample_negative_pairs(prev, curr, count, seed) == \
+        negative_pairs_reference(prev, curr, count, seed)
+    assert all_unconnected_pairs(curr) == unconnected_pairs_reference(curr)
+
+
+@given(st.sets(st.integers(0, len(_PAIRS) - 1), max_size=40))
+def test_unconnected_pairs_of_a_sparse_graph_match_loop_reference(edges):
+    g = _graph([_PAIRS[i] for i in edges])  # most keywords have no neighbour
+    assert all_unconnected_pairs(g) == unconnected_pairs_reference(g)
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan, math.inf]) |
+                          st.floats(allow_nan=True), st.integers(0, 1)),
+                min_size=2, max_size=60))
+@example([(s, i % 3 == 0) for i, s in enumerate(
+    [0.5] * 30 + [math.nan] * 5 + [0.0, -0.0] * 10 + [0.25] * 15)])  # long ties
+def test_auc_matches_loop_reference(rows):
+    scores = [s for s, _l in rows]
+    labels = [l for _s, l in rows]
+    if len(set(labels)) < 2:
+        return
+    assert repr(evaluate_auc(scores, labels)) == repr(auc_reference(scores, labels))
 
 
 # --- gradient boosting ----------------------------------------------------------------

@@ -68,6 +68,10 @@ class TestParse:
         _, errors = _parse(_line(surprise=1))
         assert len(errors) == 1 and "surprise" in errors[0].message
 
+    def test_unknown_fields_named_in_sorted_order(self):
+        _, errors = _parse(_line(surprise=1, a=2))
+        assert [e.message for e in errors] == ["unknown fields: ['a', 'surprise']"]
+
     def test_embedding_dimension_must_match_corpus(self):
         records, errors = _parse(_line(id="a", embedding=[1.0, 2.0]),
                                  _line(id="b", embedding=[1.0]))

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
 from collections import Counter, deque
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from litla import topics
@@ -27,6 +29,23 @@ from litla.topics import (
 )
 
 from conftest import text_index
+
+
+def linkage_threshold_reference(weights: np.ndarray, epsilon: float) -> np.ndarray:
+    """The thresholding of :func:`topic_linkage` as a loop over every
+    off-diagonal entry: keep a nonzero weight when its share of either row
+    reaches ``epsilon``."""
+    k = len(weights)
+    row_sums = weights.sum(axis=1)
+    keep = np.zeros_like(weights, dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            if i == j or weights[i, j] == 0:
+                continue
+            share_i = weights[i, j] / row_sums[i] if row_sums[i] else 0.0
+            share_j = weights[i, j] / row_sums[j] if row_sums[j] else 0.0
+            keep[i, j] = share_i >= epsilon or share_j >= epsilon
+    return np.where(keep, weights, 0.0)
 
 
 def blob(rng, center, n, sigma=0.3):
@@ -520,6 +539,23 @@ class TestLinkage:
                     expected[i, j] = 0.0
         assert matrix.themes == names
         assert np.array_equal(np.array(matrix.weights), expected)
+
+    @given(st.lists(st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]),
+                             max_size=4).map(" ".join), min_size=1, max_size=12),
+           st.lists(st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta", "absent"]),
+                             min_size=1, max_size=2), min_size=1, max_size=5),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1))
+    @example(["alpha beta", "alpha gamma", "alpha gamma", "alpha gamma"],
+             [["alpha"], ["beta"], ["gamma"], ["absent"]], 0.5)  # kept for beta's share alone
+    def test_threshold_matches_loop_reference(self, abstracts, themes, epsilon):
+        # "absent" is in no abstract, so a theme of it alone matches no paper
+        text = text_index({f"p{i:02d}": a for i, a in enumerate(abstracts)})
+        matrix = topic_linkage({f"t{i}": kws for i, kws in enumerate(themes)}, text, epsilon)
+        masks = [reduce(or_, (text.abstract_matches(tokenize(kw)) for kw in kws))
+                 for kws in themes]
+        raw = np.array([[0.0 if a == b else float((ma & mb).bit_count())
+                         for b, mb in enumerate(masks)] for a, ma in enumerate(masks)])
+        assert matrix.weights == linkage_threshold_reference(raw, epsilon).tolist()
 
     def test_empty_theme_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="empty"):
