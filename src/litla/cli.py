@@ -153,8 +153,7 @@ def stage_stats(corpus: Corpus, out) -> None:
     tables = {facet: stats.distribution(kg, facet) for facet in stats.FACETS}
     tables["author_countries"] = stats.author_country_tally(kg)
     for name, rows in tables.items():
-        write_csv(out(f"{name}.csv"), ["label", "count", "share"],
-                  [(label, count, repr(share)) for label, count, share in rows])
+        write_csv(out(f"{name}.csv"), ["label", "count", "share"], rows)
     summary_dists = {
         facet: [{"label": label, "count": count, "share": share}
                 for label, count, share in tables[facet][:20]]
@@ -175,7 +174,7 @@ def stage_stats(corpus: Corpus, out) -> None:
 
 def stage_topics(corpus: Corpus, out) -> None:
     cfg, kg = corpus.cfg, corpus.kg
-    years = {r.id: r.year for r in corpus.screened[0]}
+    years = {ref.key: kg.nodes[ref]["year"] for ref in kg.nodes_of_type(NODE_PAPER)}
     assignment = corpus.assignment
 
     write_csv(out("assignments.csv"), ["paper_id", "topic"],
@@ -222,23 +221,21 @@ def stage_topics(corpus: Corpus, out) -> None:
         rows = []
         for topic in sorted(series, key=str):
             for y, v in zip(series[topic].years, series[topic].values):
-                rows.append((str(topic), y, repr(v)))
+                rows.append((str(topic), y, v))
         write_csv(out(f"topic_trends_{mode}.csv"), ["topic", "year", "value"], rows)
 
     emerging = topics.emerging_topics(trends["count"], cfg.topics.trend_since,
                                       cfg.topics.emerging_k)
     write_csv(out("emerging.csv"), ["topic", "growth_rate"],
-              [(str(t), repr(rate)) for t, rate in emerging])
+              [(str(t), rate) for t, rate in emerging])
 
     if cfg.linkage.themes:
         matrix = topics.topic_linkage(cfg.linkage.themes, kg.text, cfg.linkage.epsilon)
         header = ["theme"] + matrix.themes
         write_csv(out("linkage.csv"), header,
-                  [(t, *[repr(w) for w in row])
-                   for t, row in zip(matrix.themes, matrix.weights)])
+                  [(t, *row) for t, row in zip(matrix.themes, matrix.weights)])
         write_csv(out("linkage_shares.csv"), header,
-                  [(t, *[repr(w) for w in row])
-                   for t, row in zip(matrix.themes, matrix.row_shares())])
+                  [(t, *row) for t, row in zip(matrix.themes, matrix.row_shares())])
 
 
 def stage_citenet(corpus: Corpus, out) -> None:
@@ -261,8 +258,7 @@ def stage_citenet(corpus: Corpus, out) -> None:
 
     if len(snapshots) >= 2:
         curve, pa_fit = cn.preferential_attachment_curve(snapshots)
-        write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"],
-                  [(repr(k), repr(d)) for k, d in curve])
+        write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"], curve)
         fits["preferential_attachment"] = pa_fit.as_dict() if pa_fit else None
     else:
         write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"], [])
@@ -272,14 +268,14 @@ def stage_citenet(corpus: Corpus, out) -> None:
     results = cn.cd_index_all(cit, window=block.window(),
                               exclude_self_citations=block.cd_exclude_self)
     write_csv(out("cd_papers.csv"), ["paper_id", "cd", "n_t", "f_count", "b_count"],
-              [(r.paper, repr(r.cd), r.n_t, r.f_count, r.b_count) for r in results])
+              [(r.paper, r.cd, r.n_t, r.f_count, r.b_count) for r in results])
     yearly = cn.cd_index_yearly(cit, results)
     write_csv(out("cd_yearly.csv"), ["year", "mean_cd"],
-              [(y, repr(v)) for y, v in zip(yearly.years, yearly.values)])
+              zip(yearly.years, yearly.values))
 
-    ttr = cn.type_token_ratio(corpus.kg.text, {r.id: r.year for r in corpus.screened[0]})
-    write_csv(out("ttr.csv"), ["year", "type_token_ratio"],
-              [(y, repr(v)) for y, v in zip(ttr.years, ttr.values)])
+    ttr = cn.type_token_ratio(corpus.kg.text,
+                              {pid: attrs["year"] for pid, attrs in cit.nodes.items()})
+    write_csv(out("ttr.csv"), ["year", "type_token_ratio"], zip(ttr.years, ttr.values))
 
     k = min(block.backbone_k, len(cit.nodes))
     if k >= 2:
@@ -413,7 +409,7 @@ def stage_predict(corpus: Corpus, out) -> None:
                               top_n=block.top_n)
     write_csv(out("predictions.csv"),
               ["keyword_a", "keyword_b", "probability", "rank"],
-              [(u, v, repr(p), i + 1) for i, ((u, v), p) in enumerate(ranked)])
+              [(u, v, p, i + 1) for i, ((u, v), p) in enumerate(ranked)])
     write_json(out("prediction_eval.json"), {
         "train_years": used_years,
         "train_samples": len(train_samples),

@@ -13,8 +13,9 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable
 
-from .graph import Edge, KnowledgeGraph, NodeRef, ProjectedGraph, _Interned
+from .graph import NODE_TYPES, Edge, KnowledgeGraph, NodeRef, ProjectedGraph, _Interned
 
 
 @contextmanager
@@ -132,9 +133,10 @@ def _dot_id(name: str) -> str:
 def _kg_order(kg: KnowledgeGraph, quote) -> tuple[list[NodeRef], dict[NodeRef, str], list[Edge]]:
     """The KG's nodes sorted, each one's ``type:key`` id through ``quote``,
     and its edges stably sorted by (source id, target id). No node type is a
-    prefix of another, so sorting refs sorts their ids and the sorts run on
-    tuples; the edge order is the KG's own, shared by both exports."""
-    refs = sorted(kg.nodes)
+    prefix of another, so sorting refs sorts their ids: the per-type lists,
+    joined in type order, are the sorted refs. The edge order is the KG's
+    own, shared by both exports."""
+    refs = [ref for t in sorted(NODE_TYPES) for ref in kg.nodes_of_type(t)]
     ids = {ref: quote(f"{ref.node_type}:{ref.key}") for ref in refs}
     return refs, ids, kg.edges_by_endpoints
 
@@ -188,7 +190,7 @@ def projected_to_graphml(path, pg: ProjectedGraph) -> None:
     write_graphml(path, nodes, edges, directed=pg.directed)
 
 
-def write_csv(path, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path, header: list[str], rows: Iterable[tuple]) -> None:
     with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

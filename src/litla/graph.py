@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -96,9 +96,12 @@ class Edge(NamedTuple("Edge", [("src", NodeRef), ("dst", NodeRef), ("edge_type",
 
 
 class KnowledgeGraph:
-    """Immutable-after-build typed multigraph with O(1) per-type node counts.
+    """Immutable-after-build typed multigraph.
 
-    ``edges`` are sorted by (edge_type, src, dst, year). ``text`` indexes the
+    ``edges`` are sorted by (edge_type, src, dst, year). The sorted refs of
+    each node type and the edges of each edge type are kept once, at
+    construction; :meth:`nodes_of_type` and :meth:`edges_of_type` return
+    those shared lists, which callers must not mutate. ``text`` indexes the
     papers' titles and abstracts; :func:`build_graph` fills it.
     """
 
@@ -112,7 +115,11 @@ class KnowledgeGraph:
         self.nodes = nodes
         self.edges = sorted(edges, key=itemgetter(2, 0, 1, 4))
         self.corpus_year_range = corpus_year_range
-        self._type_counts = Counter(ref.node_type for ref in nodes)
+        self._nodes_by_type: dict[str, list[NodeRef]] = {}
+        for ref in sorted(nodes):
+            self._nodes_by_type.setdefault(ref.node_type, []).append(ref)
+        # edges are sorted by type first, so each type is one run
+        self._edges_by_type = {t: list(run) for t, run in groupby(self.edges, itemgetter(2))}
 
     @cached_property
     def edges_by_endpoints(self) -> list[Edge]:
@@ -120,13 +127,13 @@ class KnowledgeGraph:
         return sorted(self.edges, key=itemgetter(0, 1))
 
     def node_count(self, node_type: str) -> int:
-        return self._type_counts.get(node_type, 0)
+        return len(self.nodes_of_type(node_type))
 
     def nodes_of_type(self, node_type: str) -> list[NodeRef]:
-        return sorted(ref for ref in self.nodes if ref.node_type == node_type)
+        return self._nodes_by_type.get(node_type, [])
 
     def edges_of_type(self, edge_type: str) -> list[Edge]:
-        return [e for e in self.edges if e.edge_type == edge_type]
+        return self._edges_by_type.get(edge_type, [])
 
     def paper(self, paper_id: str) -> dict:
         return self.nodes[NodeRef(NODE_PAPER, paper_id)]
@@ -135,24 +142,20 @@ class KnowledgeGraph:
 
     def project(self, kind: str) -> "ProjectedGraph":
         if kind == PROJECTION_CITATION:
-            nodes = {
-                ref.key: {"year": attrs["year"], "authors": attrs["authors"],
-                          "venue": attrs["venue"]}
-                for ref, attrs in self.nodes.items() if ref.node_type == NODE_PAPER
-            }
+            papers = ((ref.key, self.nodes[ref]) for ref in self.nodes_of_type(NODE_PAPER))
+            nodes = {key: {"year": attrs["year"], "authors": attrs["authors"],
+                           "venue": attrs["venue"]} for key, attrs in papers}
             edges = {
                 (e.src.key, e.dst.key): {"year": e.year, "weight": 1.0, "flags": e.flags}
-                for e in self.edges if e.edge_type == EDGE_CITES
+                for e in self.edges_of_type(EDGE_CITES)
             }
             return ProjectedGraph(directed=True, nodes=nodes, edges=edges)
         if kind == PROJECTION_COAUTHORSHIP:
-            nodes = {
-                ref.key: {"year": attrs["year"]}
-                for ref, attrs in self.nodes.items() if ref.node_type == NODE_AUTHOR
-            }
+            nodes = {ref.key: {"year": self.nodes[ref]["year"]}
+                     for ref in self.nodes_of_type(NODE_AUTHOR)}
             edges = {
                 (e.src.key, e.dst.key): {"year": e.year, "weight": e.weight}
-                for e in self.edges if e.edge_type == EDGE_COAUTHORS_WITH
+                for e in self.edges_of_type(EDGE_COAUTHORS_WITH)
             }
             return ProjectedGraph(directed=False, nodes=nodes, edges=edges)
         if kind == PROJECTION_KEYWORD:

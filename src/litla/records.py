@@ -79,12 +79,6 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _str_list(value, name: str) -> list[str]:
-    _expect(isinstance(value, list) and all(isinstance(v, str) for v in value),
-            f"{name} must be a list of strings")
-    return list(value)
-
-
 def _record_from_obj(obj: dict) -> PaperRecord:
     _expect(isinstance(obj, dict), "record must be a JSON object")
     unknown = obj.keys() - _FIELD_NAMES
@@ -143,26 +137,14 @@ def _record_from_obj(obj: dict) -> PaperRecord:
     for name in ("abstract", "venue", "publisher", "language", "doc_type"):
         _expect(isinstance(obj.get(name, ""), str), f"{name} must be a string")
 
-    rec = PaperRecord(
-        id=obj["id"],
-        title=obj["title"],
-        year=year,
-        abstract=obj.get("abstract", ""),
-        authors=authors,
-        venue=obj.get("venue", ""),
-        pub_type=pub_type,
-        author_keywords=_str_list(obj.get("author_keywords", []), "author_keywords"),
-        subject_categories=_str_list(obj.get("subject_categories", []), "subject_categories"),
-        publisher=obj.get("publisher", ""),
-        citation_count=obj.get("citation_count", 0),
-        page_count=obj.get("page_count", 0),
-        references=_str_list(obj.get("references", []), "references"),
-        language=obj.get("language", "English"),
-        doc_type=obj.get("doc_type", "article"),
-        citation_statements=statements,
-        extracted_keywords=_str_list(obj.get("extracted_keywords", []), "extracted_keywords"),
-        embedding=embedding,
-    )
+    for name in ("author_keywords", "subject_categories", "references", "extracted_keywords"):
+        value = obj.get(name, [])
+        _expect(isinstance(value, list) and all(isinstance(v, str) for v in value),
+                f"{name} must be a list of strings")
+
+    # every key is a field and every value is checked; a missing one takes its default
+    rec = PaperRecord(**{**obj, "authors": authors, "citation_statements": statements,
+                         "embedding": embedding})
     _check_chars(rec)
     return rec
 

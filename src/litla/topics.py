@@ -288,94 +288,73 @@ def _lex_query(expr: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _QueryParser:
-    """Recursive descent over: or := and (OR and)*; and := unary (AND unary)*;
-    unary := NOT unary | '(' or ')' | phrase | word."""
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, kind):
-        if self.peek() != kind:
-            raise QueryError(f"expected {kind}, found {self.peek()}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.parse_or()
-        if self.pos != len(self.tokens):
-            raise QueryError(f"trailing tokens after expression: {self.tokens[self.pos:]}")
-        return node
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() == "OR":
-            self.take("OR")
-            node = ("or", node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.peek() == "AND":
-            self.take("AND")
-            node = ("and", node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        kind = self.peek()
-        if kind == "NOT":
-            self.take("NOT")
-            return ("not", self.parse_unary())
-        if kind == "LPAREN":
-            self.take("LPAREN")
-            node = self.parse_or()
-            self.take("RPAREN")
-            return node
-        if kind in ("PHRASE", "WORD"):
-            return ("phrase", tokenize(self.take(kind)[1]))
-        raise QueryError(f"unexpected token {kind}")
-
-
-def parse_query(expr: str):
+def query_mask(expr: str, text: TextIndex) -> int:
+    """The mask of the indexed papers that match the boolean expression
+    ``expr``, evaluated as it parses by recursive descent over:
+    or := and (OR and)*; and := unary (AND unary)*;
+    unary := NOT unary | '(' or ')' | phrase | word.
+    NOT complements within the indexed papers; an empty phrase matches none."""
     tokens = _lex_query(expr)
     if not tokens:
         raise QueryError("empty query")
-    return _QueryParser(tokens).parse()
+    pos = 0
 
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
 
-def _eval_query(node, text: TextIndex) -> int:
-    """The mask of the indexed papers that match ``node``; NOT complements
-    within them."""
-    op = node[0]
-    if op == "phrase":
-        return text.matches(node[1])
-    if op == "and":
-        return _eval_query(node[1], text) & _eval_query(node[2], text)
-    if op == "or":
-        return _eval_query(node[1], text) | _eval_query(node[2], text)
-    if op == "not":
-        return text.everything & ~_eval_query(node[1], text)
-    raise QueryError(f"unknown node {op}")
+    def take(kind) -> str:
+        nonlocal pos
+        if peek() != kind:
+            raise QueryError(f"expected {kind}, found {peek()}")
+        pos += 1
+        return tokens[pos - 1][1]
+
+    def or_mask() -> int:
+        mask = and_mask()
+        while peek() == "OR":
+            take("OR")
+            mask |= and_mask()
+        return mask
+
+    def and_mask() -> int:
+        mask = unary_mask()
+        while peek() == "AND":
+            take("AND")
+            mask &= unary_mask()
+        return mask
+
+    def unary_mask() -> int:
+        kind = peek()
+        if kind == "NOT":
+            take("NOT")
+            return text.everything & ~unary_mask()
+        if kind == "LPAREN":
+            take("LPAREN")
+            mask = or_mask()
+            take("RPAREN")
+            return mask
+        if kind in ("PHRASE", "WORD"):
+            return text.matches(tokenize(take(kind)))
+        raise QueryError(f"unexpected token {kind}")
+
+    mask = or_mask()
+    if pos != len(tokens):
+        raise QueryError(f"trailing tokens after expression: {tokens[pos:]}")
+    return mask
 
 
 def assign_by_query(queries: dict[str, str], text: TextIndex) -> dict[str, set[str]]:
     """Multi-label assignment: paper -> set of topic names whose boolean
-    expression matches its title+abstract token stream. Every indexed paper
-    has an entry, empty when no query matches."""
-    compiled = {}
+    expression (see :func:`query_mask`) matches its title+abstract token
+    stream. Every indexed paper has an entry, empty when no query matches. A
+    malformed expression raises :class:`QueryError` naming its topic."""
+    result: dict[str, set[str]] = {pid: set() for pid in text.ids}
     for name, expr in queries.items():
         try:
-            compiled[name] = parse_query(expr)
+            mask = query_mask(expr, text)
         except QueryError as exc:
             raise QueryError(f"query {name!r}: {exc}") from exc
-    result: dict[str, set[str]] = {pid: set() for pid in text.ids}
-    for name, node in compiled.items():
-        for pid in text.papers(_eval_query(node, text)):
+        for pid in text.papers(mask):
             result[pid].add(name)
     return result
 

@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax import saxutils
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -860,6 +861,12 @@ class TestExports:
             write_csv(path, ["a"], rows())
         assert path.read_bytes() == before == b"a\n1\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_csv_floats_are_their_repr(self, tmp_path):
+        path = tmp_path / "f.csv"
+        values = [0.1 + 0.2, np.float64(0.1 + 0.2), -0.0, 1e-20, float("inf"), float("nan")]
+        write_csv(path, ["v"], [(v,) for v in values])
+        assert path.read_text().splitlines()[1:] == [repr(float(v)) for v in values]
 
     @given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"'\n\r\t"), st.characters())))
     def test_escape_and_quoteattr_match_saxutils(self, text):

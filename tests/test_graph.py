@@ -15,6 +15,7 @@ from litla.graph import (
     NODE_INSTITUTION,
     NODE_KEYWORD,
     NODE_PAPER,
+    NODE_TYPES,
     NODE_VENUE,
     PROJECTION_CITATION,
     PROJECTION_COAUTHORSHIP,
@@ -396,6 +397,31 @@ def test_kg_edge_orders_match_reference_sorts(edges):
     assert [_fields(e) for e in kg.edges_by_endpoints] == \
         [_fields(e) for e in sorted(kg.edges, key=lambda e: (e.src, e.dst))]
     assert kg.edges_by_endpoints is kg.edges_by_endpoints
+
+
+@given(st.data())
+def test_per_type_lists_match_scan_and_sort(data):
+    absent = data.draw(st.sampled_from(NODE_TYPES), label="absent")
+    present = [t for t in NODE_TYPES if t != absent]
+    refs = data.draw(st.lists(st.builds(NodeRef, st.sampled_from(present), _keys), max_size=12))
+    nodes = {ref: {"year": 2000} for ref in refs}  # in drawn, not sorted, order
+    edges = []
+    for edge_type in data.draw(st.lists(st.sampled_from(sorted(graph._EDGE_ENDPOINTS)),
+                                        max_size=12)):
+        src_type, dst_type = graph._EDGE_ENDPOINTS[edge_type]
+        srcs = [ref for ref in nodes if ref.node_type == src_type]
+        dsts = [ref for ref in nodes if ref.node_type == dst_type]
+        if srcs and dsts:
+            edges.append(Edge(data.draw(st.sampled_from(srcs)), data.draw(st.sampled_from(dsts)),
+                              edge_type, 1.0, data.draw(st.integers(2000, 2003))))
+    kg = KnowledgeGraph(nodes, edges, (2000, 2003))
+    assert kg.node_count(absent) == 0 and kg.nodes_of_type(absent) == []
+    for node_type in NODE_TYPES + ("unknown",):
+        expected = sorted(ref for ref in kg.nodes if ref.node_type == node_type)
+        assert kg.nodes_of_type(node_type) == expected
+        assert kg.node_count(node_type) == len(expected)
+    for edge_type in sorted(graph._EDGE_ENDPOINTS) + ["unknown"]:
+        assert kg.edges_of_type(edge_type) == [e for e in kg.edges if e.edge_type == edge_type]
 
 
 @given(st.data())

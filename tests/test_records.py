@@ -1,8 +1,10 @@
+import dataclasses
 import io
 import json
 import math
 import subprocess
 import sys
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -10,8 +12,16 @@ from hypothesis import strategies as st
 
 from litla.graph import build_graph
 from litla.records import (
+    INTENT_LABELS,
+    PUB_TYPES,
+    YEAR_MAX,
+    YEAR_MIN,
+    Author,
+    CitationStatement,
     ExclusionPolicy,
     PaperRecord,
+    SchemaError,
+    _check_chars,
     apply_exclusions,
     parse_records,
     rejection_counts,
@@ -181,6 +191,165 @@ def embedding_reference(embedding):
     if not all(abs(v) <= sys.float_info.max for v in embedding):
         return "embedding values must be finite"
     return [float(v) for v in embedding]
+
+
+def record_reference(obj) -> PaperRecord:
+    """The record parser that restated every field and default in one
+    constructor call, checking the string lists as it went: the record, or
+    :class:`SchemaError` with the message of the first failed check."""
+    def expect(cond, message):
+        if not cond:
+            raise SchemaError(message)
+
+    def str_list(value, name):
+        expect(isinstance(value, list) and all(isinstance(v, str) for v in value),
+               f"{name} must be a list of strings")
+        return list(value)
+
+    expect(isinstance(obj, dict), "record must be a JSON object")
+    unknown = obj.keys() - {f.name for f in dataclasses.fields(PaperRecord)}
+    expect(not unknown, f"unknown fields: {sorted(unknown)}")
+    expect("id" in obj, "missing required field 'id'")
+    expect(isinstance(obj["id"], str) and obj["id"], "id must be a non-empty string")
+    expect("title" in obj, "missing required field 'title'")
+    expect(isinstance(obj["title"], str), "title must be a string")
+    expect("year" in obj, "missing required field 'year'")
+    year = obj["year"]
+    expect(isinstance(year, int) and not isinstance(year, bool)
+           and YEAR_MIN <= year <= YEAR_MAX,
+           f"year must be an integer in [{YEAR_MIN}, {YEAR_MAX}]")
+    expect(isinstance(obj.get("authors", []), list), "authors must be a list")
+    expect(isinstance(obj.get("citation_statements", []), list),
+           "citation_statements must be a list")
+    authors = []
+    for a in obj.get("authors", []):
+        expect(isinstance(a, dict) and isinstance(a.get("name"), str) and a["name"],
+               "author entries must be objects with a non-empty 'name'")
+        expect(set(a) <= {"name", "affiliation"}, "author entries allow only name/affiliation")
+        aff = a.get("affiliation", "")
+        expect(isinstance(aff, str), "author affiliation must be a string")
+        authors.append(Author(name=a["name"], affiliation=aff))
+    statements = []
+    for s in obj.get("citation_statements", []):
+        expect(isinstance(s, dict) and isinstance(s.get("text"), str),
+               "citation statements must be objects with 'text'")
+        expect(set(s) <= {"text", "intent"}, "citation statements allow only text/intent")
+        intent = s.get("intent")
+        expect(intent is None or intent in INTENT_LABELS,
+               f"intent must be one of {INTENT_LABELS} or null")
+        statements.append(CitationStatement(text=s["text"], intent=intent))
+    pub_type = obj.get("pub_type", "other")
+    expect(pub_type in PUB_TYPES, f"pub_type must be one of {PUB_TYPES}")
+    for name in ("citation_count", "page_count"):
+        v = obj.get(name, 0)
+        expect(isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+               f"{name} must be a non-negative integer")
+    embedding = obj.get("embedding")
+    if embedding is not None:
+        result = embedding_reference(embedding)
+        expect(not isinstance(result, str), result)
+        embedding = result
+    for name in ("abstract", "venue", "publisher", "language", "doc_type"):
+        expect(isinstance(obj.get(name, ""), str), f"{name} must be a string")
+    rec = PaperRecord(
+        id=obj["id"],
+        title=obj["title"],
+        year=year,
+        abstract=obj.get("abstract", ""),
+        authors=authors,
+        venue=obj.get("venue", ""),
+        pub_type=pub_type,
+        author_keywords=str_list(obj.get("author_keywords", []), "author_keywords"),
+        subject_categories=str_list(obj.get("subject_categories", []), "subject_categories"),
+        publisher=obj.get("publisher", ""),
+        citation_count=obj.get("citation_count", 0),
+        page_count=obj.get("page_count", 0),
+        references=str_list(obj.get("references", []), "references"),
+        language=obj.get("language", "English"),
+        doc_type=obj.get("doc_type", "article"),
+        citation_statements=statements,
+        extracted_keywords=str_list(obj.get("extracted_keywords", []), "extracted_keywords"),
+        embedding=embedding,
+    )
+    _check_chars(rec)
+    return rec
+
+
+# no control, surrogate or unassigned character, so every drawn text is safe
+_safe_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Cn")), max_size=6)
+_str_lists = st.lists(_safe_text, max_size=3)
+_full_obj = st.fixed_dictionaries(
+    {"id": _safe_text.filter(bool), "title": _safe_text, "year": st.integers(YEAR_MIN, YEAR_MAX)},
+    optional={
+        "abstract": _safe_text, "venue": _safe_text, "publisher": _safe_text,
+        "language": _safe_text, "doc_type": _safe_text,
+        "authors": st.lists(st.fixed_dictionaries(
+            {"name": _safe_text.filter(bool)}, optional={"affiliation": _safe_text}), max_size=3),
+        "pub_type": st.sampled_from(PUB_TYPES),
+        "author_keywords": _str_lists, "subject_categories": _str_lists,
+        "references": _str_lists, "extracted_keywords": _str_lists,
+        "citation_count": st.integers(0, 99), "page_count": st.integers(0, 99),
+        "citation_statements": st.lists(st.fixed_dictionaries(
+            {"text": _safe_text}, optional={"intent": st.sampled_from(INTENT_LABELS + (None,))}),
+            max_size=2),
+        "embedding": st.one_of(st.none(), st.lists(st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False), st.integers(-9, 9)),
+            min_size=1, max_size=3)),
+    })
+
+# field -> values that fail its check on their own
+_WRONG_VALUES = {
+    "id": [5, "", None, "p\x00"], "title": [3, None, "a\x01b"], "year": ["2015", 1492, True, 2.0],
+    "abstract": [3, None], "venue": [["v"]], "publisher": [False], "language": [None, "\ud800"],
+    "doc_type": [1], "pub_type": ["book", None],
+    "authors": ["Ana", 5, None, [{"name": ""}], [{"name": "A", "x": 1}],
+                [{"name": "A", "affiliation": 3}], [{"name": "A", "affiliation": "\x1f"}]],
+    "author_keywords": ["k", [1], None], "subject_categories": [[["x"]], {}],
+    "references": [None, ["p2", 3]], "extracted_keywords": ["", [True], ["\x02"]],
+    "citation_count": [-1, True, 1.5], "page_count": ["3", -2],
+    "citation_statements": [None, 3, [{"text": 3}], [{"text": "a", "y": 1}],
+                            [{"text": "a", "intent": "bogus"}]],
+    "embedding": [[], ["1.0"], [True], 3.0, [[1.0]], {}],
+    "colour": ["red"],
+}
+
+
+def _parsed_outcome(obj):
+    """(record reprs, error messages) of ``obj`` as one parsed line."""
+    records, errors = _parse(json.dumps(obj))
+    return [repr(r) for r in records], [e.message for e in errors]
+
+
+def _reference_outcome(obj):
+    try:
+        return [repr(record_reference(json.loads(json.dumps(obj))))], []
+    except SchemaError as exc:
+        return [], [str(exc)]
+
+
+@given(_full_obj)
+def test_record_matches_field_by_field_reference(obj):
+    outcome = _parsed_outcome(obj)
+    assert outcome == _reference_outcome(obj)
+    assert not outcome[1]
+
+
+@given(_full_obj, st.lists(st.sampled_from(sorted(_WRONG_VALUES)), min_size=1, max_size=3,
+                           unique=True), st.data())
+def test_wrong_field_gives_reference_message(obj, wrong, data):
+    for name in wrong:
+        obj[name] = data.draw(st.sampled_from(_WRONG_VALUES[name]), label=name)
+    outcome = _parsed_outcome(obj)
+    assert outcome == _reference_outcome(obj)
+    assert not outcome[0]
+
+
+def test_every_pair_of_wrong_fields_gives_reference_message():
+    # the first failed check names the line, so the checks keep their order
+    for a, b in combinations(sorted(_WRONG_VALUES), 2):
+        for va, vb in product(_WRONG_VALUES[a], _WRONG_VALUES[b]):
+            obj = {"id": "p", "title": "t", "year": 2015, a: va, b: vb}
+            assert _parsed_outcome(obj) == _reference_outcome(obj), (a, va, b, vb)
 
 
 class TestExclusions:

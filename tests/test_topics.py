@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from litla import topics
 from litla.stats import YearSeries
-from litla.textutil import contains_phrase, tokenize
+from litla.textutil import TextIndex, contains_phrase, tokenize
 from litla.topics import (
     NOISE,
     QueryError,
+    _lex_query,
     assign_by_query,
     cluster_embeddings,
     ctfidf,
@@ -23,7 +24,6 @@ from litla.topics import (
     dendrogram_json,
     emerging_topics,
     hierarchical_topics,
-    parse_query,
     topic_linkage,
     topic_trend,
 )
@@ -46,6 +46,97 @@ def linkage_threshold_reference(weights: np.ndarray, epsilon: float) -> np.ndarr
             share_j = weights[i, j] / row_sums[j] if row_sums[j] else 0.0
             keep[i, j] = share_i >= epsilon or share_j >= epsilon
     return np.where(keep, weights, 0.0)
+
+
+class _QueryOracle:
+    """The query parser that built a tuple AST before any evaluation, kept as
+    the reference for :func:`topics.query_mask`. Recursive descent over:
+    or := and (OR and)*; and := unary (AND unary)*;
+    unary := NOT unary | '(' or ')' | phrase | word."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def take(self, kind):
+        if self.peek() != kind:
+            raise QueryError(f"expected {kind}, found {self.peek()}")
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        node = self.parse_or()
+        if self.pos != len(self.tokens):
+            raise QueryError(f"trailing tokens after expression: {self.tokens[self.pos:]}")
+        return node
+
+    def parse_or(self):
+        node = self.parse_and()
+        while self.peek() == "OR":
+            self.take("OR")
+            node = ("or", node, self.parse_and())
+        return node
+
+    def parse_and(self):
+        node = self.parse_unary()
+        while self.peek() == "AND":
+            self.take("AND")
+            node = ("and", node, self.parse_unary())
+        return node
+
+    def parse_unary(self):
+        kind = self.peek()
+        if kind == "NOT":
+            self.take("NOT")
+            return ("not", self.parse_unary())
+        if kind == "LPAREN":
+            self.take("LPAREN")
+            node = self.parse_or()
+            self.take("RPAREN")
+            return node
+        if kind in ("PHRASE", "WORD"):
+            return ("phrase", tokenize(self.take(kind)[1]))
+        raise QueryError(f"unexpected token {kind}")
+
+
+def parse_query_reference(expr: str):
+    tokens = _lex_query(expr)
+    if not tokens:
+        raise QueryError("empty query")
+    return _QueryOracle(tokens).parse()
+
+
+def eval_query_reference(node, text) -> int:
+    """The mask of the indexed papers that match ``node``; NOT complements
+    within them."""
+    op = node[0]
+    if op == "phrase":
+        return text.matches(node[1])
+    if op == "and":
+        return eval_query_reference(node[1], text) & eval_query_reference(node[2], text)
+    if op == "or":
+        return eval_query_reference(node[1], text) | eval_query_reference(node[2], text)
+    return text.everything & ~eval_query_reference(node[1], text)
+
+
+def labels_reference(queries: dict[str, str], text) -> dict[str, set[str]]:
+    """``assign_by_query`` through the reference parser: every query is
+    parsed before any is evaluated."""
+    compiled = {}
+    for name, expr in queries.items():
+        try:
+            compiled[name] = parse_query_reference(expr)
+        except QueryError as exc:
+            raise QueryError(f"query {name!r}: {exc}") from exc
+    result: dict[str, set[str]] = {pid: set() for pid in text.ids}
+    for name, node in compiled.items():
+        for pid in text.papers(eval_query_reference(node, text)):
+            result[pid].add(name)
+    return result
 
 
 def blob(rng, center, n, sigma=0.3):
@@ -350,16 +441,20 @@ class TestQueries:
         assert labels == {"p": set(), "q": {"t"}, "r": {"t"}}
 
     def test_parentheses_and_or(self):
-        node = parse_query('(alpha OR beta) AND NOT gamma')
-        assert node[0] == "and"
+        # AND binds tighter than OR: only the parenthesised query drops "g"
+        labels = assign_by_query(
+            {"t": '(alpha OR beta) AND NOT gamma', "u": 'alpha OR beta AND NOT gamma'},
+            text_index({"a": "alpha", "b": "beta gamma", "g": "alpha gamma", "z": "zeta"}))
+        assert labels == {"a": {"t", "u"}, "b": set(), "g": {"u"}, "z": set()}
 
     def test_malformed_expression_names_query(self):
         with pytest.raises(QueryError, match="broken"):
             assign_by_query({"broken": '(alpha AND'}, text_index({"p": "alpha"}))
 
     def test_empty_query_rejected(self):
-        with pytest.raises(QueryError):
-            parse_query("   ")
+        with pytest.raises(QueryError) as info:
+            assign_by_query({"blank": "   "}, text_index({"p": "alpha"}))
+        assert str(info.value) == "query 'blank': empty query"
 
     def test_matches_naive_predicate_oracle(self, fixture_records):
         docs = {r.id: r.title + " " + r.abstract for r in fixture_records[:50]}
@@ -398,6 +493,80 @@ class TestQueries:
             tokens = tokenize(text)
             expected = {q for q, fn in oracle_fns.items() if fn(tokens)}
             assert got[pid] == expected, pid
+
+
+# title, abstract: "the pareto front" and "front weight" span a title/abstract
+# boundary, and "and" is a word of the text, which only a quoted "AND" reaches
+_QUERY_DOCS = TextIndex({
+    "p0": ("pareto front", "weight and vectors"),
+    "p1": ("the pareto", "front of weight vectors"),
+    "p2": ("", "and or not"),
+    "p3": ("Weight", ""),
+    "p4": ("", ""),
+    "p5": ("vectors and pareto", "front"),
+})
+_query_atom = st.sampled_from([
+    "pareto", "front", "weight", "Vectors", "and", "zeta", '"pareto front"',
+    '"front weight"', '"the pareto front"', '"AND"', '"and or"', '"zeta pareto"', '""',
+    '"  "'])
+_query_expr = st.recursive(_query_atom, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(["AND", "OR"]), inner).map(" ".join),
+    inner.map(lambda e: f"NOT {e}"),
+    inner.map(lambda e: f"({e})")), max_leaves=10)
+
+
+def _labels_or_error(fn, expr):
+    try:
+        return fn({"q": expr}, _QUERY_DOCS)
+    except QueryError as exc:
+        return f"QueryError: {exc}"
+
+
+class TestQueryOracle:
+    """``assign_by_query`` against the parser that built an AST first."""
+
+    @given(_query_expr)
+    @example("NOT NOT pareto")
+    @example('"AND" AND NOT (zeta OR "front weight")')
+    @example('((pareto OR "the pareto front") AND NOT NOT weight) OR NOT ""')
+    def test_labels_match_reference(self, expr):
+        assert assign_by_query({"q": expr}, _QUERY_DOCS) == labels_reference({"q": expr},
+                                                                             _QUERY_DOCS)
+
+    @given(_query_expr, st.sampled_from([
+        lambda e: f"({e}", lambda e: f"{e})", lambda e: f"(({e})", lambda e: f"{e} AND",
+        lambda e: f"OR {e}", lambda e: f"{e} NOT", lambda e: f"{e} AND ()",
+        lambda e: f"{e} pareto", lambda e: f'{e} "front"', lambda e: f'{e} AND "open',
+        lambda e: f'"open {e}', lambda e: " \t\n "]))
+    def test_malformed_raises_reference_text(self, expr, break_it):
+        bad = break_it(expr)
+        with pytest.raises(QueryError) as ref:
+            labels_reference({"q": bad}, _QUERY_DOCS)
+        with pytest.raises(QueryError) as got:
+            assign_by_query({"q": bad}, _QUERY_DOCS)
+        assert str(got.value) == str(ref.value)
+
+    @given(st.lists(st.sampled_from(["(", ")", "AND", "OR", "NOT", "pareto", '"pareto front"',
+                                     '"AND"', '"', "zeta", '""', "and"]), max_size=8))
+    def test_any_token_sequence_matches_reference(self, words):
+        expr = " ".join(words)
+        assert _labels_or_error(assign_by_query, expr) == _labels_or_error(labels_reference,
+                                                                           expr)
+
+    @pytest.mark.parametrize("expr, message", [
+        ("(alpha AND beta", "expected RPAREN, found None"),
+        ("alpha)", "trailing tokens after expression: [('RPAREN', ')')]"),
+        ("alpha AND", "unexpected token None"),
+        ("OR alpha", "unexpected token OR"),
+        ("()", "unexpected token RPAREN"),
+        ('alpha "beta gamma"', "trailing tokens after expression: [('PHRASE', 'beta gamma')]"),
+        ('alpha AND "beta', "cannot tokenize query at ' \"beta'"),
+        (" \t ", "empty query")])
+    def test_error_texts(self, expr, message):
+        for fn in (labels_reference, assign_by_query):
+            with pytest.raises(QueryError) as info:
+                fn({"q": expr}, _QUERY_DOCS)
+            assert str(info.value) == f"query 'q': {message}"
 
 
 class TestTrends:
