@@ -35,7 +35,7 @@ def densification_fit(n_t: list[int], e_t: list[int]) -> PowerLawFit:
 
 def in_degree_samples(cit: ProjectedGraph) -> list[int]:
     """In-network citation counts (in-degrees), sorted ascending."""
-    return sorted(cit.in_degree(u) for u in cit.nodes)
+    return sorted(map(len, cit.pred))
 
 
 # --- preferential attachment -------------------------------------------------------
@@ -94,18 +94,17 @@ def _valid_edge(attrs: dict) -> bool:
 
 def _cd_results(cit: ProjectedGraph, focals, window: int | None,
                 exclude_self_citations: bool) -> list[CdResult]:
-    """CD of the ``focals`` (indices of ``cit.indexed``). Each paper's valid
+    """CD of the ``focals`` (indices into ``cit.names``). Each paper's valid
     references and citers are listed once, in one pass over the edges; the
     sets F and B are built per focal."""
-    g = cit.indexed
-    refs: list[list[int]] = [[] for _ in g.names]
-    citers: list[list[int]] = [[] for _ in g.names]
+    refs: list[list[int]] = [[] for _ in cit.names]
+    citers: list[list[int]] = [[] for _ in cit.names]
     for (u, v), attrs in cit.edges.items():
         if _valid_edge(attrs):
-            refs[g.pos[u]].append(g.pos[v])
-            citers[g.pos[v]].append(g.pos[u])
-    years = [cit.nodes[u]["year"] for u in g.names]
-    authors = [cit.nodes[u].get("authors", ()) for u in g.names]
+            refs[cit.pos[u]].append(cit.pos[v])
+            citers[cit.pos[v]].append(cit.pos[u])
+    years = [cit.nodes[u]["year"] for u in cit.names]
+    authors = [cit.nodes[u].get("authors", ()) for u in cit.names]
 
     out = []
     for i in focals:
@@ -117,7 +116,7 @@ def _cd_results(cit: ProjectedGraph, focals, window: int | None,
         kept = {c for c in f_all | b_all if t0 < years[c] <= t1 and own.isdisjoint(authors[c])}
         if kept:
             f, b = kept & f_all, kept & b_all
-            out.append(CdResult(paper=g.names[i], cd=(len(f) - 2 * len(f & b)) / len(kept),
+            out.append(CdResult(paper=cit.names[i], cd=(len(f) - 2 * len(f & b)) / len(kept),
                                 n_t=len(kept), f_count=len(f), b_count=len(b)))
     return out
 
@@ -140,7 +139,7 @@ def cd_index(cit: ProjectedGraph, focal: str, window: int | None = None,
     """
     if focal not in cit.nodes:
         raise KeyError(f"unknown paper {focal!r}")
-    results = _cd_results(cit, [cit.indexed.pos[focal]], window, exclude_self_citations)
+    results = _cd_results(cit, [cit.pos[focal]], window, exclude_self_citations)
     return results[0] if results else None
 
 
@@ -199,8 +198,7 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    g = cit.indexed
-    papers = g.names
+    papers = cit.names
     if not papers:
         return {}
     years = np.array([cit.nodes[pid]["year"] for pid in papers], dtype=float)
@@ -232,9 +230,9 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
     venue_paper_n = np.bincount(pv_venues, minlength=len(venues)).astype(float)
 
     # every citation edge, in (citer, cited) order
-    out_deg = np.array([len(refs) for refs in g.succ])
+    out_deg = np.array([len(refs) for refs in cit.succ])
     src_idx = np.repeat(np.arange(len(papers)), out_deg)
-    dst_idx = np.array([j for refs in g.succ for j in refs], dtype=int)
+    dst_idx = np.array([j for refs in cit.succ for j in refs], dtype=int)
     edge_factor = np.exp(-decay * (t_now - years[src_idx])) / out_deg[src_idx]
 
     n_p, n_a, n_v = len(papers), len(authors), len(venues)
@@ -324,12 +322,12 @@ def weight_edges(trimmed_edges, full: ProjectedGraph) -> ProjectedGraph:
     edges = sorted(set(trimmed_edges))
     cocites = {}
     jaccards = {}
+    pos, succ, pred = full.pos, full.succ, full.pred
     for u, v in edges:
-        citers_u = full.predecessors(u)
-        citers_v = full.predecessors(v)
-        cocites[(u, v)] = len(citers_u & citers_v)
-        refs_u = full.successors(u) - {v}
-        refs_v = full.successors(v) - {u}
+        i, j = pos[u], pos[v]
+        cocites[(u, v)] = len(set(pred[i]).intersection(pred[j]))
+        refs_u = set(succ[i]) - {j}
+        refs_v = set(succ[j]) - {i}
         union = refs_u | refs_v
         jaccards[(u, v)] = len(refs_u & refs_v) / len(union) if union else 0.0
     counts = np.array([cocites[pair] for pair in edges], dtype=float)

@@ -294,7 +294,7 @@ def stage_collabnet(corpus: Corpus, out) -> None:
     assignment = corpus.assignment
     nationality = {}
     topic_label = {}
-    for u in sorted(coauth.nodes):
+    for u in coauth.names:
         nationality[u] = co.author_attribute(kg, u, "nationality")
         topic_label[u] = co.author_attribute(kg, u, "primary_topic",
                                              topic_labels=assignment.labels)

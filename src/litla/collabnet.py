@@ -50,15 +50,14 @@ def _bfs(succ: list[list[int]], source: int) -> dict[int, int]:
 
 def connected_components(pg: ProjectedGraph) -> list[list[str]]:
     """Components as sorted node lists, largest first (ties by first node)."""
-    g = pg.indexed
     seen: set[int] = set()
     comps: list[list[str]] = []
-    for start in range(len(g.names)):
+    for start in range(len(pg.names)):
         if start in seen:
             continue
-        comp = sorted(_bfs(g.succ, start))
+        comp = sorted(_bfs(pg.succ, start))
         seen.update(comp)
-        comps.append([g.names[i] for i in comp])
+        comps.append([pg.names[i] for i in comp])
     comps.sort(key=lambda c: (-len(c), c[0]))
     return comps
 
@@ -69,10 +68,9 @@ def components(pg: ProjectedGraph) -> ComponentReport:
     if not comps:
         return ComponentReport(sizes=[], count=0, largest_size=0, diameter_of_largest=0,
                                hop_coverage=[])
-    g = pg.indexed
     # highest degree first, ties by index (= name order)
-    source = min((g.pos[u] for u in comps[0]), key=lambda i: (-len(g.succ[i]), i))
-    dist = _bfs(g.succ, source)
+    source = min((pg.pos[u] for u in comps[0]), key=lambda i: (-len(pg.succ[i]), i))
+    dist = _bfs(pg.succ, source)
     layer_counts = Counter(dist.values())
     reached = accumulate(layer_counts[k] for k in range(len(layer_counts)))
     sizes = [len(c) for c in comps]
@@ -80,7 +78,7 @@ def components(pg: ProjectedGraph) -> ComponentReport:
         sizes=sizes,
         count=len(comps),
         largest_size=sizes[0],
-        diameter_of_largest=_diameter_of(g.succ, dist),
+        diameter_of_largest=_diameter_of(pg.succ, dist),
         hop_coverage=[(k, r / sizes[0]) for k, r in enumerate(reached)],
     )
 
@@ -120,7 +118,7 @@ def hop_coverage(pg: ProjectedGraph) -> list[tuple[int, float]]:
 
 
 def degree_histogram(pg: ProjectedGraph) -> list[tuple[int, int]]:
-    return sorted(Counter(pg.degree(u) for u in pg.nodes).items())
+    return sorted(Counter(map(len, pg.succ)).items())
 
 
 # --- centralities ---------------------------------------------------------------
@@ -139,15 +137,14 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85, tol: float = 1e-10,
         raise ValueError("damping must lie in (0, 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    g = pg.indexed
-    nodes = g.names
+    nodes = pg.names
     n = len(nodes)
     if n == 0:
         return {}
     src, dst, prob = [], [], []
     dangling = np.zeros(n, dtype=bool)
     for i, u in enumerate(nodes):
-        nbrs = g.succ[i]
+        nbrs = pg.succ[i]
         weights = [pg.edge_attrs(u, nodes[j]).get("weight", 1.0) for j in nbrs]
         wsum = float(sum(weights))
         if wsum <= 0.0 or not nbrs:
@@ -178,8 +175,7 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85, tol: float = 1e-10,
 def betweenness(pg: ProjectedGraph) -> dict[str, float]:
     """Exact shortest-path betweenness (Brandes accumulation, hop metric),
     normalized by (n-1)(n-2)/2 so a star center scores 1."""
-    g = pg.indexed
-    n = len(g.names)
+    n = len(pg.names)
     cb = [0.0] * n
     # allocated once; after each source only the nodes it reached are reset
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -192,7 +188,7 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
         order = [s]  # BFS queue while it grows, then read back as the stack
         for v in order:
             step = dist[v] + 1
-            for w in g.succ[v]:
+            for w in pg.succ[v]:
                 if dist[w] < 0:
                     dist[w] = step
                     order.append(w)
@@ -211,9 +207,9 @@ def betweenness(pg: ProjectedGraph) -> dict[str, float]:
             delta[v] = 0.0
     norm = (n - 1) * (n - 2) / 2.0
     if norm <= 0:
-        return {u: 0.0 for u in g.names}
+        return {u: 0.0 for u in pg.names}
     # each unordered pair is accumulated from both endpoints
-    return {u: cb[i] / 2.0 / norm for i, u in enumerate(g.names)}
+    return {u: cb[i] / 2.0 / norm for i, u in enumerate(pg.names)}
 
 
 # --- cliques ---------------------------------------------------------------------
@@ -224,9 +220,8 @@ def count_k_cliques(pg: ProjectedGraph, k: int) -> int:
     over neighbor intersections (intended for k in {3, 4, 5})."""
     if k < 1:
         raise ValueError("k must be positive")
-    g = pg.indexed
     # each clique is counted once, from its lowest index upward
-    later = [{v for v in nbrs if v > u} for u, nbrs in enumerate(g.succ)]
+    later = [{v for v in nbrs if v > u} for u, nbrs in enumerate(pg.succ)]
 
     def extend(common: set[int], size: int) -> int:
         if size == k:

@@ -185,7 +185,7 @@ def kg_to_dot(path, kg: KnowledgeGraph) -> None:
 
 
 def projected_to_graphml(path, pg: ProjectedGraph) -> None:
-    nodes = {u: pg.nodes[u] for u in sorted(pg.nodes)}
+    nodes = {u: pg.nodes[u] for u in pg.names}
     edges = [(u, v, attrs) for (u, v), attrs in sorted(pg.edges.items())]
     write_graphml(path, nodes, edges, directed=pg.directed)
 

@@ -9,7 +9,6 @@ projection are structural: no per-year figure reads a weight.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
 from operator import itemgetter
@@ -180,31 +179,24 @@ class KnowledgeGraph:
         return ProjectedGraph(directed=False, nodes=nodes, edges=edges)
 
 
-@dataclass(frozen=True)
-class IndexedGraph:
-    """Integer view of a :class:`ProjectedGraph`: node ``i`` is ``names[i]``
-    (sorted, so index order is name order), ``pos`` maps a name back to its
-    index, and ``succ[i]`` is the sorted indices of its successors (of its
-    neighbours, when the graph is undirected)."""
-
-    names: list[str]
-    pos: dict[str, int]
-    succ: list[list[int]]
-
-
 class ProjectedGraph:
-    """Homogeneous graph view. Undirected edges are keyed by canonical
-    (u < v) pairs; adjacency is precomputed for read-heavy analysis. The
-    graph is immutable after construction, which the cached
-    :attr:`indexed` view relies on."""
+    """Homogeneous graph on string-named nodes. Undirected edges are keyed
+    by canonical (u < v) pairs.
+
+    The structure is fixed at construction and read as integers: node ``i``
+    is ``names[i]`` (sorted, so index order is name order), ``pos`` maps a
+    name back to its index, ``succ[i]`` is the sorted indices of its
+    successors (of its neighbours, when the graph is undirected) and
+    ``pred[i]`` those of its predecessors; an undirected graph's ``pred`` is
+    its ``succ``. Edge attribute values are not copied, so they are read
+    from ``edges`` when an algorithm runs.
+    """
 
     def __init__(self, directed: bool, nodes: dict[str, dict],
                  edges: dict[tuple[str, str], dict]):
         self.directed = directed
         self.nodes = nodes
         self.edges = {}
-        self._adj: dict[str, set[str]] = {u: set() for u in nodes}
-        self._radj: dict[str, set[str]] = {u: set() for u in nodes} if directed else self._adj
         for (u, v), attrs in edges.items():
             if u not in nodes or v not in nodes:
                 raise ValueError(f"dangling edge endpoint: {u} -> {v}")
@@ -213,11 +205,16 @@ class ProjectedGraph:
             if not directed and u > v:
                 u, v = v, u
             self.edges[(u, v)] = attrs
-            self._adj[u].add(v)
-            if directed:
-                self._radj[v].add(u)
-            else:
-                self._adj[v].add(u)
+        self.names = sorted(nodes)
+        self.pos = {u: i for i, u in enumerate(self.names)}
+        self.succ: list[list[int]] = [[] for _ in self.names]
+        self.pred = [[] for _ in self.names] if directed else self.succ
+        for u, v in self.edges:  # canonical, so an undirected pair is listed once
+            i, j = self.pos[u], self.pos[v]
+            self.succ[i].append(j)
+            self.pred[j].append(i)
+        for row in self.succ + self.pred if directed else self.succ:
+            row.sort()
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -236,26 +233,18 @@ class ProjectedGraph:
         return self.edges[(u, v)]
 
     def neighbors(self, u: str) -> set[str]:
-        return self._adj[u]
+        return {self.names[j] for j in self.succ[self.pos[u]]}
 
-    def successors(self, u: str) -> set[str]:
-        return self._adj[u]
+    successors = neighbors
 
     def predecessors(self, u: str) -> set[str]:
-        return self._radj[u]
+        return {self.names[j] for j in self.pred[self.pos[u]]}
 
     def degree(self, u: str) -> int:
-        return len(self._adj[u])
+        return len(self.succ[self.pos[u]])
 
     def in_degree(self, u: str) -> int:
-        return len(self._radj[u])
-
-    @cached_property
-    def indexed(self) -> IndexedGraph:
-        """The integer view every graph algorithm runs on, built on first use."""
-        names = sorted(self.nodes)
-        pos = {u: i for i, u in enumerate(names)}
-        return IndexedGraph(names, pos, [sorted(pos[v] for v in self._adj[u]) for u in names])
+        return len(self.pred[self.pos[u]])
 
     def snapshot(self, year: int) -> "ProjectedGraph":
         """Induced subgraph of the nodes and edges first appearing in or

@@ -57,24 +57,24 @@ def pair_features(snapshots: dict[int, ProjectedGraph], pair: tuple[str, str],
         raise KeyError(f"unknown node {u!r} at {year}")
     if v not in g.nodes:
         raise KeyError(f"unknown node {v!r} at {year}")
-    nu = g.neighbors(u)
-    nv = g.neighbors(v)
+    nu = g.succ[g.pos[u]]
+    nv = g.succ[g.pos[v]]
     du, dv = len(nu), len(nv)
-    common = nu & nv
-    union = nu | nv
-    jaccard = len(common) / len(union) if union else 0.0
-    # sorted iteration keeps the float sum reproducible across processes
-    aa = sum(1.0 / math.log(len(g.neighbors(w))) for w in sorted(common))
+    # index order is name order, which keeps the float sum reproducible
+    common = sorted(set(nu).intersection(nv))
+    union = du + dv - len(common)
+    jaccard = len(common) / union if union else 0.0
+    aa = sum(1.0 / math.log(len(g.succ[w])) for w in common)
 
     prev = snapshots.get(year - 1)
     if prev is None:
         du_delta = dv_delta = cn_delta = 0.0
     else:
-        pu = prev.neighbors(u) if u in prev.nodes else set()
-        pv = prev.neighbors(v) if v in prev.nodes else set()
+        pu = prev.succ[prev.pos[u]] if u in prev.pos else []
+        pv = prev.succ[prev.pos[v]] if v in prev.pos else []
         du_delta = float(du - len(pu))
         dv_delta = float(dv - len(pv))
-        cn_delta = float(len(common) - len(pu & pv))
+        cn_delta = float(len(common) - len(set(pu).intersection(pv)))
     return [float(du), float(dv), float(du + dv), float(du * dv),
             float(len(common)), jaccard, aa, du_delta, dv_delta, cn_delta]
 
@@ -93,7 +93,7 @@ def sample_negative_pairs(prev: ProjectedGraph, curr: ProjectedGraph, count: int
                           seed: int) -> list[tuple[str, str]]:
     """Uniform sample of pairs unconnected at both snapshots (endpoints
     present at the earlier one), reproducible for a fixed seed."""
-    nodes = sorted(prev.nodes)
+    nodes = prev.names
     n = len(nodes)
     max_pairs = n * (n - 1) // 2
     rng = random.Random(seed)
@@ -158,7 +158,7 @@ def train_link_model(samples: list[PairSample], n_trees: int = 100,
 def all_unconnected_pairs(g: ProjectedGraph) -> list[tuple[str, str]]:
     """Every canonical unconnected pair of nodes with at least one neighbour
     (degree-0 keywords carry no structural signal)."""
-    nodes = [u for u in sorted(g.nodes) if g.degree(u) >= 1]
+    nodes = [u for u, row in zip(g.names, g.succ) if row]
     return [(u, v) for u, v in combinations(nodes, 2) if not g.has_edge(u, v)]
 
 

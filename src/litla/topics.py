@@ -261,7 +261,7 @@ class QueryError(ValueError):
     pass
 
 
-_QUERY_TOKEN_RE = re.compile(r'\s*(?:(\()|(\))|"([^"]*)"|(AND\b|OR\b|NOT\b)|([^\s()"]+))')
+_QUERY_TOKEN_RE = re.compile(r'\s*(?:(\()|(\))|"([^"]*)"|(AND|OR|NOT)(?=[\s()"]|$)|([^\s()"]+))')
 
 
 def _lex_query(expr: str) -> list[tuple[str, str]]:

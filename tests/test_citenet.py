@@ -1,6 +1,8 @@
 import csv
 import random
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from litla.citenet import (
     weight_edges,
 )
 from litla.errors import ConvergenceError
-from litla.graph import FLAG_TEMPORAL_ANOMALY, PROJECTION_CITATION, build_graph
+from litla.graph import FLAG_TEMPORAL_ANOMALY, PROJECTION_CITATION, ProjectedGraph, build_graph
 from litla.cli import main
 from litla.config import load_config
 from litla.records import Author, PaperRecord, apply_exclusions
@@ -465,7 +467,51 @@ class TestTrim:
 # --- edge weighting ------------------------------------------------------------------
 
 
+def weight_edges_reference(trimmed_edges, full):
+    """:func:`weight_edges` as set algebra on the endpoints' names."""
+    edges = sorted(set(trimmed_edges))
+    cocites = {}
+    jaccards = {}
+    for u, v in edges:
+        citers_u = full.predecessors(u)
+        citers_v = full.predecessors(v)
+        cocites[(u, v)] = len(citers_u & citers_v)
+        refs_u = full.successors(u) - {v}
+        refs_v = full.successors(v) - {u}
+        union = refs_u | refs_v
+        jaccards[(u, v)] = len(refs_u & refs_v) / len(union) if union else 0.0
+    counts = np.array([cocites[pair] for pair in edges], dtype=float)
+    if len(counts) == 0:
+        normalized = counts
+    else:
+        span = counts.max() - counts.min()
+        normalized = (counts - counts.min()) / span if span else np.zeros_like(counts)
+    out_edges = {}
+    for pair, c_norm in zip(edges, normalized):
+        out_edges[pair] = {
+            "weight": (float(c_norm) + jaccards[pair]) / 2.0,
+            "cocite": cocites[pair],
+            "jaccard": jaccards[pair],
+        }
+    nodes = {n: {} for n in sorted({n for pair in edges for n in pair})}
+    return ProjectedGraph(directed=True, nodes=nodes, edges=out_edges)
+
+
 class TestWeightEdges:
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=100)
+    def test_random_dag_matches_set_reference_bit_for_bit(self, seed, trim):
+        nodes, edges, years = random_dag(seed, n_lo=2, n_hi=15, p=0.35)
+        cit = citation(edges, years)
+        surviving = trim_network(nodes, set(edges)) if trim else set(edges)
+        got = weight_edges(surviving, cit)
+        want = weight_edges_reference(surviving, cit)
+        assert got.nodes == want.nodes
+        assert list(got.edges) == list(want.edges)
+        for pair, attrs in want.edges.items():
+            assert {k: repr(x) for k, x in got.edges[pair].items()} == \
+                {k: repr(x) for k, x in attrs.items()}
+
     def test_no_cociters_disjoint_refs_weight_zero(self):
         years = {"u": 2001, "v": 2000}
         g = citation([("u", "v")], years)

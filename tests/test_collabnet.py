@@ -154,15 +154,13 @@ def clique_count_oracle(pg, k):
 
 def diameter_reference(pg):
     """Largest eccentricity over the largest component: one BFS per node."""
-    g = pg.indexed
-    return max(max(_bfs(g.succ, g.pos[u]).values()) for u in connected_components(pg)[0])
+    return max(max(_bfs(pg.succ, pg.pos[u]).values()) for u in connected_components(pg)[0])
 
 
 def brandes_reference(pg):
     """Brandes with fresh per-source lists, the float operations in the
     order ``betweenness`` must keep."""
-    g = pg.indexed
-    n = len(g.names)
+    n = len(pg.names)
     cb = [0.0] * n
     for s in range(n):
         stack = []
@@ -175,7 +173,7 @@ def brandes_reference(pg):
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in g.succ[v]:
+            for w in pg.succ[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -191,8 +189,8 @@ def brandes_reference(pg):
                 cb[w] += delta[w]
     norm = (n - 1) * (n - 2) / 2.0
     if norm <= 0:
-        return {u: 0.0 for u in g.names}
-    return {u: cb[i] / 2.0 / norm for i, u in enumerate(g.names)}
+        return {u: 0.0 for u in pg.names}
+    return {u: cb[i] / 2.0 / norm for i, u in enumerate(pg.names)}
 
 
 def reprs(scores):

@@ -319,6 +319,21 @@ class TestProjections:
             assert attrs["weight"] == co.edge_attrs(v, u)["weight"]
 
 
+def reference_rows(directed: bool, nodes, edges) -> tuple[list, list, list]:
+    """``(names, succ, pred)`` of the graph on ``nodes`` whose edge keys are
+    ``edges``, by definition: each row lists the indices into the sorted
+    names in index order."""
+    names = sorted(nodes)
+
+    def rows(linked):
+        return [[j for j, v in enumerate(names) if linked(u, v)] for u in names]
+
+    if directed:
+        return names, rows(lambda u, v: (u, v) in edges), rows(lambda u, v: (v, u) in edges)
+    succ = rows(lambda u, v: (u, v) in edges or (v, u) in edges)
+    return names, succ, succ
+
+
 class TestIndexed:
     # insertion order, string order and numeric order all differ
     NAMES = ["9", "10", "b", "a", "100"]
@@ -331,39 +346,60 @@ class TestIndexed:
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_names_sorted_and_positions_invert_them(self, directed):
-        g = self.graph(directed).indexed
-        assert g.names == ["10", "100", "9", "a", "b"]
-        assert all(g.pos[u] == i for i, u in enumerate(g.names))
-        assert len(g.pos) == len(g.names)
+        pg = self.graph(directed)
+        assert pg.names == ["10", "100", "9", "a", "b"]
+        assert all(pg.pos[u] == i for i, u in enumerate(pg.names))
+        assert len(pg.pos) == len(pg.names)
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_adjacency_sorted_and_matches_sets(self, directed):
         pg = self.graph(directed)
-        g = pg.indexed
-        for i, u in enumerate(g.names):
-            assert g.succ[i] == sorted(g.succ[i])
-            assert {g.names[j] for j in g.succ[i]} == pg.successors(u)
+        assert (pg.names, pg.succ, pg.pred) == reference_rows(directed, pg.nodes, pg.edges)
+        for i, u in enumerate(pg.names):
+            assert pg.succ[i] == sorted(pg.succ[i]) and pg.pred[i] == sorted(pg.pred[i])
+            assert {pg.names[j] for j in pg.succ[i]} == pg.successors(u) == pg.neighbors(u)
+            assert {pg.names[j] for j in pg.pred[i]} == pg.predecessors(u)
+            assert pg.degree(u) == len(pg.succ[i]) and pg.in_degree(u) == len(pg.pred[i])
 
     def test_directed_succ_holds_successors_only(self):
-        g = self.graph(True).indexed
-        assert g.succ[g.pos["9"]] == [g.pos["10"]]
+        pg = self.graph(True)
+        assert pg.succ[pg.pos["9"]] == [pg.pos["10"]]
+        assert pg.pred[pg.pos["9"]] == [pg.pos["100"], pg.pos["b"]]
+        transpose = [[i for i, row in enumerate(pg.succ) if j in row]
+                     for j in range(len(pg.names))]
+        assert pg.pred == transpose
 
     def test_undirected_succ_holds_every_neighbour(self):
-        g = self.graph(False).indexed
-        assert g.succ[g.pos["9"]] == [g.pos["10"], g.pos["100"], g.pos["b"]]
+        pg = self.graph(False)
+        assert pg.succ[pg.pos["9"]] == [pg.pos["10"], pg.pos["100"], pg.pos["b"]]
+        assert pg.pred is pg.succ
+
+    def test_both_orientations_of_an_undirected_pair_give_one_entry(self):
+        edges = {("a", "b"): {"weight": 1.0}, ("b", "a"): {"weight": 2.0},
+                 ("c", "a"): {"weight": 1.0}}
+        pg = ProjectedGraph(False, {u: {} for u in "abc"}, edges)
+        assert list(pg.edges) == [("a", "b"), ("a", "c")]
+        assert pg.succ == [[1, 2], [0], [0]]
+        assert pg.degree("a") == 2
 
     def test_view_built_once(self):
-        pg = self.graph(True)
-        assert pg.indexed is pg.indexed
+        # the structure is fixed at construction; edge attributes are read
+        # when asked for, so a reweighted edge shows without a rebuild
+        pg = self.graph(False)
+        succ = pg.succ
+        pg.edges[("10", "9")]["weight"] = 3.0
+        assert pg.succ is succ
+        assert pg.edge_attrs("9", "10")["weight"] == 3.0
 
     def test_snapshot_gets_its_own_view(self):
         pg = self.graph(True)
-        full = pg.indexed
+        full = pg.succ
         snap = pg.snapshot(2002)
-        assert snap.indexed is not full
-        assert snap.indexed.names == ["10", "9", "b"]
-        assert snap.indexed.succ == [[], [0], []]
-        assert pg.indexed is full
+        assert snap.succ is not full
+        assert snap.names == ["10", "9", "b"]
+        assert snap.succ == [[], [0], []]
+        assert snap.pred == [[1], [], []]
+        assert pg.succ is full and pg.names == ["10", "100", "9", "a", "b"]
 
 
 @given(st.lists(st.tuples(st.integers(2008, 2020), st.booleans()),
@@ -480,6 +516,8 @@ def test_snapshot_matches_reference(directed, node_years, specs):
         assert set(snap.nodes) == want_nodes and set(snap.edges) == want_edges
         assert all(snap.nodes[u] is pg.nodes[u] for u in snap.nodes)
         assert all(snap.edges[k] is pg.edges[k] for k in snap.edges)
+        assert (snap.names, snap.succ, snap.pred) == \
+            reference_rows(directed, want_nodes, want_edges)
         for u in snap.nodes:
             assert snap.successors(u) == {v for v in pg.successors(u) if snap.has_edge(u, v)}
             assert snap.predecessors(u) == {v for v in pg.predecessors(u)

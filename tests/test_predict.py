@@ -102,6 +102,63 @@ def kw_graph(edges, year=2010):
 # --- features ----------------------------------------------------------------------
 
 
+def pair_features_reference(snapshots, pair, year):
+    """:func:`pair_features` as set algebra on neighbour names."""
+    u, v = sorted(pair)
+    g = snapshots[year]
+    if u not in g.nodes:
+        raise KeyError(f"unknown node {u!r} at {year}")
+    if v not in g.nodes:
+        raise KeyError(f"unknown node {v!r} at {year}")
+    nu = g.neighbors(u)
+    nv = g.neighbors(v)
+    du, dv = len(nu), len(nv)
+    common = nu & nv
+    union = nu | nv
+    jaccard = len(common) / len(union) if union else 0.0
+    aa = sum(1.0 / math.log(len(g.neighbors(w))) for w in sorted(common))
+
+    prev = snapshots.get(year - 1)
+    if prev is None:
+        du_delta = dv_delta = cn_delta = 0.0
+    else:
+        pu = prev.neighbors(u) if u in prev.nodes else set()
+        pv = prev.neighbors(v) if v in prev.nodes else set()
+        du_delta = float(du - len(pu))
+        dv_delta = float(dv - len(pv))
+        cn_delta = float(len(common) - len(pu & pv))
+    return [float(du), float(dv), float(du + dv), float(du * dv),
+            float(len(common)), jaccard, aa, du_delta, dv_delta, cn_delta]
+
+
+# string order differs from numeric order, so name order is not draw order
+_KEYWORDS = ["k9", "k10", "k100", "kb", "ka", "k2", "k11", "kc", "k1", "k20", "k3", "kd"]
+_YEARS = st.integers(2000, 2003)
+
+
+@given(st.dictionaries(st.sampled_from(_KEYWORDS), _YEARS, min_size=2),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _YEARS), max_size=40),
+       st.sets(_YEARS, min_size=1))
+def test_pair_features_match_set_reference_bit_for_bit(first_seen, specs, years):
+    # a keyword history: nodes and edges appear in their first year, so a
+    # node of a later year is absent from the earlier snapshots
+    names = sorted(first_seen)
+    edges = {}
+    for i, j, year in specs:
+        u, v = names[i % len(names)], names[j % len(names)]
+        if u != v:
+            edges[u, v] = {"year": max(year, first_seen[u], first_seen[v]), "weight": 1.0}
+    full = ProjectedGraph(False, {u: {"year": y} for u, y in first_seen.items()}, edges)
+    snapshots = {year: full.snapshot(year) for year in years}  # gaps leave no history
+    for year, g in snapshots.items():
+        for pair in combinations(g.names, 2):
+            want = pair_features_reference(snapshots, pair, year)
+            assert list(map(repr, pair_features(snapshots, pair, year))) == \
+                list(map(repr, want))
+            assert list(map(repr, pair_features(snapshots, pair[::-1], year))) == \
+                list(map(repr, want))
+
+
 class TestPairFeatures:
     def snapshots(self):
         prev = kw_graph([("ka", "c1"), ("ka", "c2"), ("kb", "c2"), ("kb", "c4")])
@@ -117,6 +174,15 @@ class TestPairFeatures:
         aa = 1.0 / math.log(3) + 1.0 / math.log(2)  # deg(c2)=3, deg(c3)=2
         assert feats == pytest.approx(
             [3.0, 4.0, 7.0, 12.0, 2.0, 2 / 5, aa, 1.0, 2.0, 1.0], abs=1e-12)
+
+    def test_adamic_adar_sums_in_name_order(self):
+        # common neighbours c1, c2, c3 of degrees 2, 3 and 6: the float sum
+        # differs with the order of its terms
+        g = kw_graph([("a", "c1"), ("a", "c2"), ("a", "c3"), ("b", "c1"), ("b", "c2"),
+                      ("b", "c3"), ("c2", "x1")] + [("c3", f"x{i}") for i in range(1, 5)])
+        terms = [1.0 / math.log(d) for d in (2, 3, 6)]
+        assert sum(terms) != sum(reversed(terms))
+        assert repr(pair_features({2010: g}, ("a", "b"), 2010)[6]) == repr(sum(terms))
 
     def test_no_common_neighbors(self):
         g = kw_graph([("u", "x"), ("v", "y")])
@@ -135,8 +201,10 @@ class TestPairFeatures:
 
     def test_unknown_node_raises(self):
         g = kw_graph([("u", "x")])
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown node 'ghost' at 2010"):
             pair_features({2010: g}, ("u", "ghost"), 2010)
+        with pytest.raises(KeyError, match="unknown node 'zz' at 2010"):
+            pair_features({2010: g}, ("u", "zz"), 2010)
 
     def test_symmetric_components_invariant_under_swap(self):
         snaps = self.snapshots()

@@ -447,6 +447,19 @@ class TestQueries:
             text_index({"a": "alpha", "b": "beta gamma", "g": "alpha gamma", "z": "zeta"}))
         assert labels == {"a": {"t", "u"}, "b": set(), "g": {"u"}, "z": set()}
 
+    def test_operator_with_a_hyphen_is_a_word(self):
+        docs = text_index({"o": "OR-Library benchmark", "l": "library",
+                           "n": "NOT-dominated sorting", "d": "non dominated sorting"})
+        labels = assign_by_query({"lib": "OR-Library", "nd": "NOT-dominated",
+                                  "both": "benchmark AND OR-Library"}, docs)
+        assert labels == {"o": {"lib", "both"}, "l": set(), "n": {"nd"}, "d": set()}
+
+    def test_operator_is_a_whole_word(self):
+        assert _lex_query('a OR.b NOT(c) AND"d" OR-e') == [
+            ("WORD", "a"), ("WORD", "OR.b"), ("NOT", "NOT"), ("LPAREN", "("),
+            ("WORD", "c"), ("RPAREN", ")"), ("AND", "AND"), ("PHRASE", "d"),
+            ("WORD", "OR-e")]
+
     def test_malformed_expression_names_query(self):
         with pytest.raises(QueryError, match="broken"):
             assign_by_query({"broken": '(alpha AND'}, text_index({"p": "alpha"}))
@@ -504,11 +517,12 @@ _QUERY_DOCS = TextIndex({
     "p3": ("Weight", ""),
     "p4": ("", ""),
     "p5": ("vectors and pareto", "front"),
+    "p6": ("OR-Library or", "NOT-dominated and"),
 })
 _query_atom = st.sampled_from([
     "pareto", "front", "weight", "Vectors", "and", "zeta", '"pareto front"',
     '"front weight"', '"the pareto front"', '"AND"', '"and or"', '"zeta pareto"', '""',
-    '"  "'])
+    '"  "', "OR-Library", "NOT-dominated", "AND.or", "or-library"])
 _query_expr = st.recursive(_query_atom, lambda inner: st.one_of(
     st.tuples(inner, st.sampled_from(["AND", "OR"]), inner).map(" ".join),
     inner.map(lambda e: f"NOT {e}"),
@@ -547,7 +561,9 @@ class TestQueryOracle:
         assert str(got.value) == str(ref.value)
 
     @given(st.lists(st.sampled_from(["(", ")", "AND", "OR", "NOT", "pareto", '"pareto front"',
-                                     '"AND"', '"', "zeta", '""', "and"]), max_size=8))
+                                     '"AND"', '"', "zeta", '""', "and", "OR-Library",
+                                     "NOT-dominated", "AND.or", "NOT(pareto)", 'OR"front"']),
+                    max_size=8))
     def test_any_token_sequence_matches_reference(self, words):
         expr = " ".join(words)
         assert _labels_or_error(assign_by_query, expr) == _labels_or_error(labels_reference,
@@ -561,6 +577,7 @@ class TestQueryOracle:
         ("()", "unexpected token RPAREN"),
         ('alpha "beta gamma"', "trailing tokens after expression: [('PHRASE', 'beta gamma')]"),
         ('alpha AND "beta', "cannot tokenize query at ' \"beta'"),
+        ("benchmark OR-Library", "trailing tokens after expression: [('WORD', 'OR-Library')]"),
         (" \t ", "empty query")])
     def test_error_texts(self, expr, message):
         for fn in (labels_reference, assign_by_query):
