@@ -10,8 +10,13 @@ corpora with ``benchmark/corpus.py`` at the shapes of
 ``benchmark/run.py``'s workloads. Then runs ``litla all --seed 7`` from
 both trees on the bundled fixture and on each corpus, prints
 ``same_reports.differences`` (and any difference in exit code) for each
-input, and exits 1 on any difference. Needs Python 3.11 or later, as the
-benchmark does.
+input, and exits 1 on any difference.
+
+Each input is also run from the working tree with a one-CPU affinity, on
+platforms that have ``os.sched_setaffinity``. There ``run_stages`` runs
+every stage in process, and its reports must be the same as those of the
+working tree's forked run. Needs Python 3.11 or later, as the benchmark
+does.
 """
 
 from __future__ import annotations
@@ -43,13 +48,28 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def litla_all(src: Path, config: Path, out: Path) -> int:
-    """Exit code of ``litla all`` run from the sources under ``src``."""
+def one_cpu() -> None:
+    """Restrict the calling process to one of the CPUs it may use."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def litla_all(src: Path, config: Path, out: Path, in_process: bool = False) -> int:
+    """Exit code of ``litla all`` run from the sources under ``src``; with
+    ``in_process``, on one CPU, so that it forks no worker."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "litla", "all", "--config", str(config),
             "--output", str(out), "--seed", str(SEED)]
+    pin = one_cpu if in_process and hasattr(os, "sched_setaffinity") else None
     return subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+                          stderr=subprocess.DEVNULL, preexec_fn=pin).returncode
+
+
+def report(label: str, same: str, diffs: list[str]) -> bool:
+    """Print ``label``'s result; whether there was any difference."""
+    print(f"{label}: " + (same if not diffs else f"{len(diffs)} differences"))
+    for line in diffs:
+        print(f"  {line}")
+    return bool(diffs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,16 +86,19 @@ def main(argv: list[str] | None = None) -> int:
             inputs[name] = tmp / name / "config.toml"
         for name, config in inputs.items():
             out_rev, out_tree = tmp / f"{name}-rev", tmp / f"{name}-tree"
+            out_one = tmp / f"{name}-in-process"
             code_rev = litla_all(rev_src, config, out_rev)
             code_tree = litla_all(ROOT / "src", config, out_tree)
+            code_one = litla_all(ROOT / "src", config, out_one, in_process=True)
             diffs = differences(out_rev, out_tree)
             if code_rev != code_tree:
                 diffs.insert(0, f"exit code {code_rev} at {args.rev}, "
                                 f"{code_tree} in the working tree")
-            print(f"{name}: " + ("same reports" if not diffs else f"{len(diffs)} differences"))
-            for line in diffs:
-                print(f"  {line}")
-            found = found or bool(diffs)
+            found = report(name, "same reports", diffs) or found
+            diffs = differences(out_tree, out_one)
+            if code_tree != code_one:
+                diffs.insert(0, f"exit code {code_tree} with workers, {code_one} in process")
+            found = report(name, "workers same as in process", diffs) or found
     return 1 if found else 0
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import threading
@@ -489,49 +488,16 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _fork_stage(corpus: Corpus, outdir, name: str) -> tuple[int, int]:
-    """Fork a worker that runs one stage and writes its entry, as JSON, to a
-    pipe; return (pid, read end of the pipe). The worker dies with this
-    process, even if this process is killed."""
-    parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    sys.stdout.flush()  # else the worker would write the parent's buffered output again
-    sys.stderr.flush()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:  # the worker never returns: it skips the parent's finally blocks and exit hooks
-        os.close(read_fd)
-        _die_with_parent(parent)
-        payload = json.dumps(_run_stage(corpus, outdir, name)).encode()
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
+def _worker(conn, parent: int, corpus: Corpus, outdir, name: str) -> None:
+    """Body of a forked worker: run one stage and send its entry to ``conn``."""
+    _die_with_parent(parent)
+    conn.send(_run_stage(corpus, outdir, name))
 
 
-def _worker_entry(name: str, payload: bytes, status: int, start: float) -> dict:
-    """The entry a finished worker sent, or a failed one if it sent none."""
+def _worker_error(name: str, code: int, start: float) -> dict:
+    """The failed entry of a worker that exited with ``code`` before it sent one."""
     import signal  # see _run_forked
 
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        try:
-            return json.loads(payload)
-        except ValueError:
-            pass
     if code < 0:
         try:
             how = f"was killed by {signal.Signals(-code).name}"
@@ -549,14 +515,14 @@ def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[
     return their entries by stage."""
     # imported here, so that a process that forks no worker, such as every
     # single-stage command, does not load them
-    import select
-    import signal
+    import multiprocessing
+    from multiprocessing.connection import wait
 
+    ctx = multiprocessing.get_context("fork")  # the workers share the built corpus's pages
     pending = sorted(names, key=_LAUNCH_ORDER.index)
     # built once here, before the first of its two readers starts, if the graph is
     share_assignment = {"topics", "collabnet"} <= set(names) and "kg" in vars(corpus)
-    running: dict[int, tuple] = {}  # read end -> (stage, pid, start, chunks)
-    poller = select.poll()
+    running: dict = {}  # receive end -> (stage, process, start)
     entries = {}
     try:
         while pending or running:
@@ -569,30 +535,36 @@ def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[
                     except Exception:  # not cached: each stage that reads it fails alike
                         pass
                 start = time.monotonic()
+                conn, send_end = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_worker,
+                                   args=(send_end, os.getpid(), corpus, outdir, name))
                 try:
-                    pid, fd = _fork_stage(corpus, outdir, name)
+                    proc.start()
                 except OSError:  # no process to spare: run the stage here
+                    conn.close()
+                    send_end.close()
                     entries[name] = _run_stage(corpus, outdir, name)
                     continue
-                running[fd] = (name, pid, start, [])
-                poller.register(fd, select.POLLIN)
-            for fd, _ in poller.poll() if running else ():
-                name, pid, start, chunks = running[fd]
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    chunks.append(chunk)
-                    continue
-                poller.unregister(fd)
-                os.close(fd)
-                del running[fd]
-                _, status = os.waitpid(pid, 0)
-                entries[name] = _worker_entry(name, b"".join(chunks), status, start)
-    except BaseException:
-        for fd, (_, pid, _, _) in running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-        raise
+                send_end.close()  # else the receive end sees no EOF if the worker dies
+                running[conn] = (name, proc, start)
+            for conn in wait(list(running)) if running else ():  # wait([]) never returns
+                name, proc, start = running[conn]
+                try:
+                    entry = conn.recv()
+                except (EOFError, OSError):
+                    entry = None
+                proc.join()
+                del running[conn]
+                conn.close()
+                entries[name] = (entry if proc.exitcode == 0 and entry is not None
+                                 else _worker_error(name, proc.exitcode, start))
+                proc.close()  # frees the sentinel's descriptors now
+    finally:  # workers are left running only when the loop above raised
+        for conn, (_, proc, _) in running.items():
+            proc.kill()
+            proc.join()
+            proc.close()
+            conn.close()
     return entries
 
 
@@ -605,10 +577,9 @@ def run_stages(cfg: RunConfig, stage_names: list[str]) -> int:
     per remaining stage, at most one per usable CPU at a time, and builds
     the topic assignment first if both topics and collabnet are among them.
     A worker that dies without sending its entry fails only its own stage.
-    The manifest lists the stages in the order given.
+    The manifest lists the stages in the order given; the output directory must exist.
     """
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     corpus = Corpus(cfg)
     # a caller that froze objects itself keeps its collector as it is
     corpus._freeze_built = gc.get_freeze_count() == 0
@@ -642,6 +613,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, output_override=args.output,
                           seed_override=args.seed)
+        try:
+            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -270,6 +270,10 @@ def load_config(path, output_override=None, seed_override=None) -> RunConfig:
     out = data.get("output", {})
     if not isinstance(out, dict) or set(out) - {"dir"}:
         raise ConfigError("[output] allows only dir")
+    for section, block in (("input", inp), ("output", out)):
+        for key, value in block.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"[{section}] {key} must be a string, got {value!r}")
 
     records_path = (base / inp["records"]).resolve()
     if not records_path.is_file():

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from collections import Counter
 from contextlib import contextmanager
 import xml.etree.ElementTree as ET
@@ -162,6 +163,31 @@ class TestRunConfig:
         assert main(["all", "--config", str(config), "--output", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, output, message", [
+        ('dir = "out"', "dir = 5", None, "[output] dir must be a string, got 5"),
+        ('records = "records.jsonl"', "records = 5", "out",
+         "[input] records must be a string, got 5"),
+        ('queries = "queries.txt"', 'queries = ["q"]', "out",
+         "[input] queries must be a string, got ['q']"),
+        (None, None, "taken", "cannot create output directory"),
+    ], ids=["dir_int", "records_int", "queries_array", "output_is_a_file"])
+    def test_unusable_path_exits_two_before_any_stage(self, fixture_dir, tmp_path, capsys,
+                                                      old, new, output, message):
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        if old is not None:
+            text = config.read_text()
+            assert text.count(old) == 1
+            config.write_text(text.replace(old, new))
+        (tmp_path / "taken").write_text("")
+        argv = ["all", "--config", str(config)]
+        if output is not None:
+            argv += ["--output", str(tmp_path / output)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert list(tmp_path.rglob("run_manifest.json")) == []
 
     def test_config_hash_independent_of_checkout(self, fixture_dir, tmp_path):
         hashes = set()
@@ -735,6 +761,72 @@ class TestWorkers:
         assert [e["warnings"] for e in read_manifest(tmp_path / "collabnet")["stages"]] == [
             single_category]
 
+    def test_entry_larger_than_a_pipe_buffer_arrives_whole(self, fixture_dir, tmp_path,
+                                                          monkeypatch, forking):
+        parent = os.getpid()
+        sent = [f"UserWarning: distinct warning {i:04d}" for i in range(3000)]
+        assert len(json.dumps(sent)) > 1 << 16
+        stage_stats = cli.stage_stats
+
+        def chatty(corpus, out):
+            assert os.getpid() != parent, "stats ran in the test process"
+            for i in range(3000):
+                warnings.warn(f"distinct warning {i:04d}")
+            stage_stats(corpus, out)
+        monkeypatch.setitem(cli._STAGE_FUNCS, "stats", chatty)
+        with time_limit(60):
+            assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                         "--output", str(tmp_path)]) == 0
+        stages = read_manifest(tmp_path)["stages"]
+        assert [(e["stage"], e["status"]) for e in stages] == [(stage, "ok") for stage in STAGES]
+        assert stages[STAGES.index("stats")]["warnings"] == sent
+
+    def test_worker_exit_status_fails_only_its_stage(self, fixture_dir, tmp_path, monkeypatch,
+                                                     forking):
+        parent = os.getpid()
+
+        def exits(corpus, out):
+            assert os.getpid() != parent, "stats ran in the test process"
+            os._exit(3)
+        monkeypatch.setitem(cli._STAGE_FUNCS, "stats", exits)
+        with time_limit(60):
+            assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                         "--output", str(tmp_path)]) == 1
+        stages = read_manifest(tmp_path)["stages"]
+        assert [(e["stage"], e["status"]) for e in stages] == [
+            (stage, "failed" if stage == "stats" else "ok") for stage in STAGES]
+        assert stages[STAGES.index("stats")]["error"] == (
+            "WorkerError: the stats worker exited with status 3 before it sent its entry")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+    def test_forked_run_leaves_no_descriptor_open(self, fixture_dir, tmp_path, monkeypatch,
+                                                  forking):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counted_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        with time_limit(60):
+            assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                         "--output", str(tmp_path)]) == 0
+        assert len(forks) == len(STAGES) - 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_single_stage_loads_no_worker_modules(self, fixture_dir, tmp_path):
+        # a single-stage run forks nothing, so it pays for no worker import
+        code = ("import sys; from litla.cli import main; assert main(sys.argv[1:]) == 0; "
+                "print(sorted(m for m in sys.modules if m in "
+                "('multiprocessing', 'select', 'signal')))")
+        out = subprocess.run([sys.executable, "-c", code, "stats", "--config",
+                              str(fixture_dir / "config.toml"), "--output", str(tmp_path)],
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the parent-death signal is Linux only")
     @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM],
@@ -876,8 +968,8 @@ class TestExports:
     def test_cli_import_loads_no_network_modules(self):
         # xml.sax.saxutils imports urllib.request, http.client and email,
         # about 30-45 ms at the start of every litla process
-        # nor the process-pool modules, which the forked stage workers do
-        # without
+        # nor multiprocessing, which only a run that forks stage workers
+        # imports, nor concurrent.futures, which no part of litla uses
         code = ("import sys, litla.cli; print(sorted(m for m in sys.modules if m in "
                 "('xml.sax', 'urllib.request', 'http.client', 'email', "
                 "'multiprocessing', 'concurrent.futures')))")
