@@ -15,8 +15,7 @@ input, and exits 1 on any difference.
 Each input is also run from the working tree with a one-CPU affinity, on
 platforms that have ``os.sched_setaffinity``. There ``run_stages`` runs
 every stage in process, and its reports must be the same as those of the
-working tree's forked run. Needs Python 3.11 or later, as the benchmark
-does.
+working tree's forked run.
 """
 
 from __future__ import annotations

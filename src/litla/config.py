@@ -1,15 +1,17 @@
-"""Run configuration: a single TOML-style file drives every pipeline stage.
+"""Run configuration: a single TOML file drives every pipeline stage.
 
-A minimal TOML subset is parsed here (sections, dotted sections, scalar
-values, JSON-style arrays, quoted keys) so runs stay declarative without an
-external dependency. Unknown keys are rejected, and relative paths resolve
-against the config file's directory.
+The file is TOML 1.0, read by the standard library's ``tomllib``. Every
+value must have the type of the field it sets, so a value of a type no
+field takes (a date, a table where an array belongs) is rejected. Unknown
+keys are rejected, and relative paths resolve against the config file's
+directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tomllib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -18,99 +20,6 @@ from .records import ExclusionPolicy
 
 class ConfigError(ValueError):
     pass
-
-
-# --- TOML-subset parsing ---------------------------------------------------------
-
-
-def _strip_comment(line: str) -> str:
-    in_string = escaped = False
-    for i, ch in enumerate(line):
-        if escaped:
-            escaped = False
-        elif in_string and ch == "\\":
-            escaped = True
-        elif ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:i]
-    return line
-
-
-def _parse_scalar(text: str, lineno: int):
-    text = text.strip()
-    if not text:
-        raise ConfigError(f"line {lineno}: empty value")
-    if text.startswith('"'):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"line {lineno}: bad string: {exc.msg}") from exc
-    if text.startswith("["):
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"line {lineno}: bad array (JSON-style required): {exc.msg}") from exc
-        if not isinstance(value, list):
-            raise ConfigError(f"line {lineno}: expected array")
-        return value
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {text!r}") from None
-
-
-def _parse_key(text: str, lineno: int) -> str:
-    text = text.strip()
-    if text.startswith('"'):
-        try:
-            key = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"line {lineno}: bad quoted key: {exc.msg}") from exc
-        return key
-    if not text or any(ch in text for ch in ' \t[]"'):
-        raise ConfigError(f"line {lineno}: bad key {text!r}")
-    return text
-
-
-def parse_toml(text: str) -> dict:
-    """Parse the supported TOML subset into nested dicts."""
-    root: dict = {}
-    current = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {lineno}: unterminated section header")
-            path = line[1:-1].strip()
-            if not path:
-                raise ConfigError(f"line {lineno}: empty section name")
-            current = root
-            for part in path.split("."):
-                part = _parse_key(part, lineno)
-                nxt = current.setdefault(part, {})
-                if not isinstance(nxt, dict):
-                    raise ConfigError(f"line {lineno}: section {path!r} clashes with a value")
-                current = nxt
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        key_text, value_text = line.split("=", 1)
-        key = _parse_key(key_text, lineno)
-        if key in current:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        current[key] = _parse_scalar(value_text, lineno)
-    return root
 
 
 # --- typed blocks -----------------------------------------------------------------
@@ -251,7 +160,10 @@ def load_config(path, output_override=None, seed_override=None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    data = parse_toml(path.read_text(encoding="utf-8"))
+    try:
+        data = tomllib.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     base = path.resolve().parent
 
     known_sections = {"run", "input", "output"} | set(_BLOCK_TYPES)

@@ -362,18 +362,23 @@ def assign_by_query(queries: dict[str, str], text: TextIndex) -> dict[str, set[s
 def load_queries(path) -> dict[str, str]:
     """Read one `topic_name: expression` per line; # starts a comment line."""
     queries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise QueryError(f"{path}:{lineno}: expected 'name: expression'")
-            name, expr = line.split(":", 1)
-            name = name.strip()
-            if not name or name in queries:
-                raise QueryError(f"{path}:{lineno}: missing or duplicate topic name")
-            queries[name] = expr.strip()
+    with open(path, "rb") as fh:
+        # bytes.splitlines breaks lines where text mode's universal newlines do
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise QueryError(f"{path}:{lineno}: invalid UTF-8: {exc}") from None
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise QueryError(f"{path}:{lineno}: expected 'name: expression'")
+        name, expr = line.split(":", 1)
+        name = name.strip()
+        if not name or name in queries:
+            raise QueryError(f"{path}:{lineno}: missing or duplicate topic name")
+        queries[name] = expr.strip()
     return queries
 
 

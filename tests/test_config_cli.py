@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from litla import citenet, cli, collabnet, textutil, topics
 from litla.cli import STAGES, main
-from litla.config import ConfigError, load_config, parse_toml
+from litla.config import ConfigError, load_config
 from litla.exports import (
     _attr_str,
     _dot_id,
@@ -50,40 +50,66 @@ from litla.records import Author, PaperRecord
 
 
 class TestTomlSubset:
-    def test_sections_scalars_arrays(self):
-        data = parse_toml(
+    """The TOML forms the bundled configs are written in, read by
+    ``load_config``, and the syntax errors it turns into config errors."""
+
+    @staticmethod
+    def write(tmp_path, fixture_dir, body) -> Path:
+        """A config of ``body`` (text or bytes) that reads the fixture's records."""
+        path = tmp_path / "c.toml"
+        tail = '[input]\nrecords = "%s"\n[output]\ndir = "o"\n' % (fixture_dir / "records.jsonl")
+        if isinstance(body, str):
+            body = body.encode()
+        path.write_bytes(body + tail.encode())
+        return path
+
+    def themes(self, tmp_path, fixture_dir, line: str) -> dict:
+        path = self.write(tmp_path, fixture_dir, "[linkage.themes]\n" + line + "\n")
+        return load_config(path).linkage.themes
+
+    def config_error(self, tmp_path, fixture_dir, capsys, body) -> str:
+        """The stderr of ``litla all`` on ``body``, which must fail as a config error."""
+        path = self.write(tmp_path, fixture_dir, body)
+        assert main(["all", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ")
+        assert not (tmp_path / "out").exists()
+        return err
+
+    def test_sections_scalars_arrays(self, tmp_path, fixture_dir):
+        cfg = load_config(self.write(
+            tmp_path, fixture_dir,
             '# comment\n'
             '[run]\n'
             'seed = 42\n'
-            'ratio = 1e-10\n'
-            'flag = true\n'
-            '[input]\n'
-            'records = "r.jsonl"  # trailing comment\n'
+            '[citenet]\n'
+            'tol = 1e-10\n'
+            'cd_exclude_self = false  # trailing comment\n'
             '[linkage.themes]\n'
-            '"theme one" = ["kw a", "kw b"]\n')
-        assert data["run"] == {"seed": 42, "ratio": 1e-10, "flag": True}
-        assert data["input"]["records"] == "r.jsonl"
-        assert data["linkage"]["themes"]["theme one"] == ["kw a", "kw b"]
+            '"theme one" = ["kw a", "kw b"]\n'))
+        assert (cfg.seed, cfg.citenet.tol, cfg.citenet.cd_exclude_self) == (42, 1e-10, False)
+        assert cfg.linkage.themes == {"theme one": ["kw a", "kw b"]}
 
-    def test_hash_inside_string_kept(self):
-        data = parse_toml('[x]\nkey = "a#b"\n')
-        assert data["x"]["key"] == "a#b"
+    def test_hash_inside_string_kept(self, tmp_path, fixture_dir):
+        assert self.themes(tmp_path, fixture_dir, 't = ["a#b"]') == {"t": ["a#b"]}
 
-    def test_escaped_quote_does_not_end_string(self):
-        data = parse_toml('[x]\nkey = "a\\"#b"\n')
-        assert data["x"]["key"] == 'a"#b'
+    def test_escaped_quote_does_not_end_string(self, tmp_path, fixture_dir):
+        assert self.themes(tmp_path, fixture_dir, 't = ["a\\"#b"]') == {"t": ['a"#b']}
 
-    def test_hash_after_closed_string_starts_comment(self):
-        data = parse_toml('[x]\nkey = "a\\"b" # c "d"\n')
-        assert data["x"]["key"] == 'a"b'
+    def test_hash_after_closed_string_starts_comment(self, tmp_path, fixture_dir):
+        assert self.themes(tmp_path, fixture_dir, 't = ["a\\"b"] # c "d"') == {"t": ['a"b']}
 
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_toml("[x]\na = 1\na = 2\n")
+    def test_duplicate_key_rejected(self, tmp_path, fixture_dir, capsys):
+        err = self.config_error(tmp_path, fixture_dir, capsys, "[topics]\neps = 1.0\neps = 2.0\n")
+        assert "Cannot overwrite a value (at line 3, column 10)" in err
 
-    def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_toml("[x]\na = nonsense\n")
+    def test_bad_value_rejected(self, tmp_path, fixture_dir, capsys):
+        err = self.config_error(tmp_path, fixture_dir, capsys, "[topics]\neps = nonsense\n")
+        assert "Invalid value (at line 2, column 7)" in err
+
+    def test_non_utf8_config_rejected(self, tmp_path, fixture_dir, capsys):
+        err = self.config_error(tmp_path, fixture_dir, capsys, b"\xff\xfe[run]\nseed = 1\n")
+        assert "can't decode byte 0xff in position 0" in err
 
 
 class TestRunConfig:
@@ -151,8 +177,15 @@ class TestRunConfig:
         ("min_pts = 4", "min_pts = 4.0", "[topics] min_pts must be an integer"),
         ("exclude_unknown = true", "exclude_unknown = 1",
          "[collabnet] exclude_unknown must be a boolean"),
+        ("seed = 42", "seed = 1979-05-27", "seed must be an integer"),
+        ("eps = 1.4", "eps = 1979-05-27",
+         "[topics] eps must be a number, got datetime.date(1979, 5, 27)"),
+        ('allowed_languages = ["English"]', 'allowed_languages = {first = "English"}',
+         "[exclusions] allowed_languages must be an array of strings"),
+        ("[topics]", "[[topics]]", "[topics] must be a section"),
     ], ids=["language_string", "eps_string", "theme_ints", "max_iter_bool", "min_pts_float",
-            "exclude_unknown_int"])
+            "exclude_unknown_int", "seed_date", "eps_date", "language_table",
+            "topics_array_of_tables"])
     def test_mistyped_value_exits_two_before_any_stage(self, fixture_dir, tmp_path, capsys,
                                                        old, new, message):
         shutil.copytree(fixture_dir, tmp_path / "fixtures")
@@ -170,8 +203,10 @@ class TestRunConfig:
          "[input] records must be a string, got 5"),
         ('queries = "queries.txt"', 'queries = ["q"]', "out",
          "[input] queries must be a string, got ['q']"),
+        ('records = "records.jsonl"', "records = 1979-05-27", "out",
+         "[input] records must be a string, got datetime.date(1979, 5, 27)"),
         (None, None, "taken", "cannot create output directory"),
-    ], ids=["dir_int", "records_int", "queries_array", "output_is_a_file"])
+    ], ids=["dir_int", "records_int", "queries_array", "records_date", "output_is_a_file"])
     def test_unusable_path_exits_two_before_any_stage(self, fixture_dir, tmp_path, capsys,
                                                       old, new, output, message):
         shutil.copytree(fixture_dir, tmp_path / "fixtures")
@@ -188,6 +223,21 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert list(tmp_path.rglob("run_manifest.json")) == []
+
+    def test_other_toml_forms_hash_like_the_fixture(self, fixture_dir, tmp_path):
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        text = config.read_text()
+        for old, new in [('dir = "out"', "dir = 'out'"),
+                         ('excluded_doc_types = ["book", "keynote", "workshop paper", '
+                          '"unpublished"]',
+                          'excluded_doc_types = [\n    "book",\n    "keynote",  # a comment\n'
+                          '    "workshop paper",\n    "unpublished",\n]')]:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        config.write_text(text)
+        assert load_config(config).config_hash() == (
+            "021eb8c240b4e603d9e0cd076cf651145b0941549b83c98ac9488e5624eb9023")
 
     def test_config_hash_independent_of_checkout(self, fixture_dir, tmp_path):
         hashes = set()
@@ -562,6 +612,18 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["stages"][0]["status"] == "failed"
         assert manifest["stages"][0]["error"]
+
+    def test_non_utf8_query_line_fails_topics_naming_it(self, fixture_dir, tmp_path):
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        queries = tmp_path / "fixtures" / "queries.txt"
+        lines = queries.read_bytes().splitlines(keepends=True)
+        lines[2] = b"broken: \xff\n"
+        queries.write_bytes(b"".join(lines))
+        assert main(["topics", "--config", str(tmp_path / "fixtures" / "config.toml"),
+                     "--output", str(tmp_path / "out")]) == 1
+        entry = read_manifest(tmp_path / "out")["stages"][0]
+        assert entry["status"] == "failed"
+        assert entry["error"].startswith(f"QueryError: {queries.resolve()}:3: invalid UTF-8")
 
     def test_outputs_list_each_report_in_write_order(self, fixture_dir, tmp_path):
         outputs = {

@@ -8,8 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "litla").glob("*.py"))
-# standard-library modules added after the declared floor
-NEWER_STDLIB = {"tomllib"}
+# standard-library modules added after the declared floor (3.14 added both)
+NEWER_STDLIB = {"annotationlib", "compression"}
 
 
 def declared_floor() -> tuple[int, int]:
@@ -36,7 +36,7 @@ def test_module_parses_at_the_floor_and_imports_no_newer_stdlib(path):
 
 
 def test_newer_syntax_and_imports_are_caught():
-    with pytest.raises(SyntaxError):  # except* is 3.11 syntax
-        newer_imports("try:\n    pass\nexcept* ValueError:\n    pass\n")
-    assert newer_imports("import tomllib") == {"tomllib"}
-    assert newer_imports("from tomllib import loads") == {"tomllib"}
+    with pytest.raises(SyntaxError):  # the type statement is 3.12 syntax
+        newer_imports("type X = int\n")
+    assert newer_imports("import annotationlib") == {"annotationlib"}
+    assert newer_imports("from compression import zstd") == {"compression"}
