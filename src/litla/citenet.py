@@ -152,11 +152,14 @@ def cd_index_all(cit: ProjectedGraph, window: int | None = None,
 def cd_index_yearly(cit: ProjectedGraph, results: list[CdResult]) -> YearSeries:
     """Mean CD by publication year of ``results`` (from :func:`cd_index_all`
     on ``cit``); years without a defined CD are omitted."""
-    by_year: dict[int, list[float]] = defaultdict(list)
-    for res in results:
-        by_year[cit.nodes[res.paper]["year"]].append(res.cd)
-    years = sorted(by_year)
-    return YearSeries(years, [sum(by_year[y]) / len(by_year[y]) for y in years])
+    totals: dict[int, float] = defaultdict(int)
+    counts: dict[int, int] = defaultdict(int)
+    for res in results:  # left to right: Python 3.12's sum() of floats compensates
+        year = cit.nodes[res.paper]["year"]
+        totals[year] += res.cd
+        counts[year] += 1
+    years = sorted(totals)
+    return YearSeries(years, [totals[y] / counts[y] for y in years])
 
 
 # --- lexical novelty -------------------------------------------------------------

@@ -99,7 +99,7 @@ class Corpus:
                 for ref in self.kg.nodes_of_type(NODE_PAPER)}
         ids = [pid for pid, emb in embs.items() if emb is not None]
         block = self.cfg.topics
-        assignment = topics.cluster_embeddings([list(embs[pid]) for pid in ids],
+        assignment = topics.cluster_embeddings([embs[pid] for pid in ids],
                                                block.eps, block.min_pts, ids=ids)
         assignment.labels.update((pid, topics.NOISE) for pid, emb in embs.items() if emb is None)
         return assignment
@@ -195,9 +195,10 @@ def stage_topics(corpus: Corpus, out) -> None:
     centroids = []
     names = []
     for topic in sorted(assignment.topic_sizes):
-        member_embs = [kg.paper(pid)["embedding"] for pid in assignment.members(topic)]
+        rows = [kg.paper(pid)["embedding"] for pid in assignment.members(topic)]
         names.append(f"T{topic}")
-        centroids.append([sum(col) / len(col) for col in zip(*member_embs)])
+        # sum() adds rows left to right on every Python; numpy's axis-0 sum may not
+        centroids.append(sum(rows) / len(rows))
     if len(centroids) >= 2:
         merges = topics.hierarchical_topics(centroids)
         write_json(out("dendrogram.json"), topics.dendrogram_json(merges, names))
@@ -512,7 +513,7 @@ def _worker_error(name: str, code: int, start: float) -> dict:
 
 def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[str, dict]:
     """Run each stage in a forked worker, at most ``workers`` at a time, and
-    return their entries by stage."""
+    return their entries by stage; after a failed fork, the rest run here."""
     # imported here, so that a process that forks no worker, such as every
     # single-stage command, does not load them
     import multiprocessing
@@ -540,11 +541,12 @@ def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[
                                    args=(send_end, os.getpid(), corpus, outdir, name))
                 try:
                     proc.start()
-                except OSError:  # no process to spare: run the stage here
+                except OSError:  # each failed start leaks 4 fds: fork no more
                     conn.close()
                     send_end.close()
-                    entries[name] = _run_stage(corpus, outdir, name)
-                    continue
+                    entries.update((n, _run_stage(corpus, outdir, n)) for n in [name, *pending])
+                    pending = []
+                    break
                 send_end.close()  # else the receive end sees no EOF if the worker dies
                 running[conn] = (name, proc, start)
             for conn in wait(list(running)) if running else ():  # wait([]) never returns

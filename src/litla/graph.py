@@ -315,8 +315,8 @@ class _Interned(dict):
 def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     """Assemble the knowledge graph from deduplicated records.
 
-    Citation edges are restricted to within-corpus targets; external
-    reference counts stay on the paper node. Backward-in-time citations are
+    Citation edges are restricted to within-corpus targets. A paper node
+    holds its record's embedding object itself. Backward-in-time citations are
     flagged as temporal anomalies and citation cycles among the remaining
     edges are flagged so DAG-based analyses can drop them. A paper's
     ``text_keywords`` are its canonical keywords whose token sequence occurs
@@ -392,16 +392,8 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             "countries": tuple(known_countries) if known_countries else (UNKNOWN,) if rec.authors else (),
             "subject_categories": tuple(dict.fromkeys(rec.subject_categories)),
             "intents": intents,
-            "keywords": tuple(all_keywords),
             "text_keywords": tuple(text_kws),
-            "references": tuple(rec.references),
-            "external_refs": len(set(rec.references)) - len(in_refs),
-            "reported_citations": rec.citation_count,
-            "language": rec.language,
-            "doc_type": rec.doc_type,
-            "page_count": rec.page_count,
-            "publisher": rec.publisher,
-            "embedding": tuple(rec.embedding) if rec.embedding is not None else None,
+            "embedding": rec.embedding,
         }
 
         for u, v in combinations(sorted(author_keys), 2):

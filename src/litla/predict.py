@@ -64,7 +64,9 @@ def pair_features(snapshots: dict[int, ProjectedGraph], pair: tuple[str, str],
     common = sorted(set(nu).intersection(nv))
     union = du + dv - len(common)
     jaccard = len(common) / union if union else 0.0
-    aa = sum(1.0 / math.log(len(g.succ[w])) for w in common)
+    aa = 0
+    for w in common:  # left to right: Python 3.12's sum() of floats compensates
+        aa += 1.0 / math.log(len(g.succ[w]))
 
     prev = snapshots.get(year - 1)
     if prev is None:

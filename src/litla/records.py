@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import IO, Collection
 
+import numpy as np
+
 PUB_TYPES = ("journal", "conference", "other")
 INTENT_LABELS = ("background", "method", "extension", "comparison")
 
@@ -53,7 +55,7 @@ class PaperRecord:
     doc_type: str = "article"
     citation_statements: list[CitationStatement] = field(default_factory=list)
     extracted_keywords: list[str] = field(default_factory=list)
-    embedding: list[float] | None = None
+    embedding: np.ndarray | None = None  # one read-only float64 row
 
 
 @dataclass
@@ -132,7 +134,9 @@ def _record_from_obj(obj: dict) -> PaperRecord:
         # int/float comparison is exact, so integers beyond the float range fail too
         _expect(all(abs(v) <= sys.float_info.max for v in embedding) if int in kinds
                 else all(map(math.isfinite, embedding)), "embedding values must be finite")
-        embedding = list(map(float, embedding))
+        # each value as float(v) gives it, held once for the graph and DBSCAN
+        embedding = np.array(embedding, dtype=float)
+        embedding.flags.writeable = False
 
     for name in ("abstract", "venue", "publisher", "language", "doc_type"):
         _expect(isinstance(obj.get(name, ""), str), f"{name} must be a string")

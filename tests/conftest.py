@@ -63,7 +63,7 @@ def record_to_obj(rec: PaperRecord) -> dict:
             {"text": s.text, "intent": s.intent} for s in rec.citation_statements
         ],
         "extracted_keywords": list(rec.extracted_keywords),
-        "embedding": rec.embedding,
+        "embedding": None if rec.embedding is None else rec.embedding.tolist(),
     }
 
 

@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import json
+import math
 import os
+import random
+import runpy
 import shutil
 import signal
 import subprocess
@@ -12,6 +15,8 @@ import time
 import warnings
 from collections import Counter
 from contextlib import contextmanager
+from functools import reduce
+from operator import add
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax import saxutils
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from litla import citenet, cli, collabnet, textutil, topics
+from litla import citenet, cli, collabnet, powerlaw, predict, textutil, topics
 from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config
 from litla.exports import (
@@ -297,6 +302,25 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+differences = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "scripts" / "same_reports.py"))["differences"]
+
+
+def compensated_sum(iterable, start=0):
+    """Builtin ``sum`` as Python 3.12 computes it over floats: each float
+    after the first is added with Neumaier's compensation, which 3.11 does
+    not apply. Any other item sequence sums as it does on 3.11."""
+    items = list(iterable)
+    if start != 0 or not items or any(type(x) is not float for x in items):
+        return sum(items, start)
+    total, comp = 0 + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
 class TestCli:
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.toml"
@@ -368,6 +392,38 @@ class TestCli:
                      "--output", str(tmp_path)]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in pinned} == pinned
+
+    def test_reports_do_not_depend_on_compensated_sum(self, fixture_dir, tmp_path,
+                                                      monkeypatch):
+        # the CI runs Python 3.11 and 3.12, whose float sums differ in the last bits
+        argv = ["all", "--config", str(fixture_dir / "config.toml"), "--seed", "7", "--output"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+        for module in (cli, citenet, powerlaw, predict):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+        assert main(argv + [str(tmp_path / "compensated")]) == 0
+        assert differences(tmp_path / "plain", tmp_path / "compensated") == []
+
+    def test_topic_centroid_adds_rows_left_to_right(self, tmp_path, monkeypatch):
+        # numpy's axis-0 sum and mean may add the rows pairwise, with other last bits
+        rng = random.Random(0)
+        values = [[c + rng.uniform(0, 0.3) for _ in range(40)] for c in (0.0, 50.0)]
+        with open(tmp_path / "records.jsonl", "w") as fh:
+            for i, x in enumerate(x for group in values for x in group):
+                fh.write(json.dumps({"id": f"p{i:03d}", "title": "t", "year": 2015,
+                                     "page_count": 8, "embedding": [x]}) + "\n")
+        (tmp_path / "c.toml").write_text('[input]\nrecords = "records.jsonl"\n'
+                                         '[output]\ndir = "out"\n[topics]\neps = 1.0\n')
+        seen = []
+        hierarchical_topics = topics.hierarchical_topics
+
+        def spy(centroids):
+            seen.extend(c.tolist() for c in centroids)
+            return hierarchical_topics(centroids)
+        monkeypatch.setattr(topics, "hierarchical_topics", spy)
+        assert main(["topics", "--config", str(tmp_path / "c.toml")]) == 0
+        expected = [[reduce(add, group, 0.0) / len(group)] for group in values]
+        assert seen == expected
+        assert [np.mean([[x] for x in group], axis=0).tolist() for group in values] != expected
 
     def test_ingest_stats_and_assignment_reports_pinned(self, fixture_dir, tmp_path):
         # sha256 of the fixture's reports at seed 7 that no np.exp, log,
@@ -782,6 +838,23 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", no_process)
         assert main(["all", "--config", str(fixture_dir / "config.toml"),
                      "--output", str(tmp_path)]) == 0
+        assert [(e["stage"], e["status"]) for e in read_manifest(tmp_path)["stages"]] == [
+            (stage, "ok") for stage in STAGES]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+    def test_failed_fork_is_not_tried_again(self, fixture_dir, tmp_path, monkeypatch, forking):
+        # each failed start leaks the 4 descriptors of two pipes inside multiprocessing
+        attempts = []
+
+        def no_process():
+            attempts.append(1)
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_process)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["all", "--config", str(fixture_dir / "config.toml"),
+                     "--output", str(tmp_path)]) == 0
+        assert len(os.listdir("/proc/self/fd")) <= before + 4
+        assert len(attempts) == 1
         assert [(e["stage"], e["status"]) for e in read_manifest(tmp_path)["stages"]] == [
             (stage, "ok") for stage in STAGES]
 

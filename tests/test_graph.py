@@ -81,11 +81,9 @@ class TestBuild:
         author_of = kg.edges_of_type("author_of")
         assert len(author_of) == 2
 
-    def test_external_references_become_attributes(self):
+    def test_external_references_make_no_edge(self):
         kg = build_graph([rec("A", 2012, refs=["nowhere-1", "nowhere-2"])])
         assert kg.edges_of_type(EDGE_CITES) == []
-        assert kg.paper("A")["external_refs"] == 2
-        assert kg.paper("A")["references"] == ("nowhere-1", "nowhere-2")
 
     def test_duplicate_id_is_fatal(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -141,8 +139,9 @@ class TestBuild:
     def test_text_keywords_match_per_record_function(self, fixture_records):
         kg = build_graph(fixture_records)
         for r in fixture_records:
-            attrs = kg.paper(r.id)
-            assert attrs["text_keywords"] == tuple(match_text_keywords(r, attrs["keywords"]))
+            keywords = sorted({canonical(k) for k in r.extracted_keywords + r.author_keywords}
+                              - {""})
+            assert kg.paper(r.id)["text_keywords"] == tuple(match_text_keywords(r, keywords))
 
 
 class TestValidation:

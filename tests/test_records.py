@@ -4,8 +4,10 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,7 +59,7 @@ class TestParse:
             extracted_keywords=["k2"], embedding=[0.5, 1.5]))
         assert len(records) == 1 and not errors
         assert records[0].authors[0].name == "A B"
-        assert records[0].embedding == [0.5, 1.5]
+        assert records[0].embedding.tolist() == [0.5, 1.5]
 
     def test_missing_id_is_line_error(self):
         records, errors = _parse(json.dumps({"title": "t", "year": 2000}))
@@ -125,8 +127,43 @@ class TestParse:
             assert [e.message for e in errors] == [expected] and not records
         else:
             assert not errors
-            assert repr(records[0].embedding) == repr(expected)
-            assert all(type(v) is float for v in records[0].embedding)
+            # the exact float list: numpy prints array values to 8 digits
+            assert repr(records[0].embedding.tolist()) == repr(expected)
+            assert records[0].embedding.dtype == np.float64
+
+    @pytest.mark.parametrize("value", [2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 63 + 12345, 10 ** 300,
+                                       int(sys.float_info.max), -int(sys.float_info.max)],
+                             ids=["2^53+1", "-(2^53+1)", "2^63+12345", "10^300", "max", "-max"])
+    def test_integer_embedding_value_is_its_float(self, value):
+        records, errors = _parse(_line(embedding=[0.5, value]))
+        assert not errors
+        assert records[0].embedding.tolist() == [0.5, float(value)]
+
+    def test_embedding_is_one_read_only_float64_row(self):
+        records, errors = _parse(_line(embedding=[1, 2.5, -3]))
+        emb = records[0].embedding
+        assert (emb.dtype, emb.shape, emb.flags.writeable) == (np.float64, (3,), False)
+        with pytest.raises(ValueError):
+            emb[0] = 0.0
+        assert build_graph(records).paper("p1")["embedding"] is emb
+
+    def test_parsed_embeddings_are_held_compactly(self):
+        # 2,000 x 384 values once held 44 retained bytes each, as a float list
+        # on the record and a tuple copy on the paper node
+        papers, dim = 2000, 384
+        rng = np.random.default_rng(3)
+        data = "".join(json.dumps({"id": f"p{i:04d}", "title": f"paper {i}", "year": 2015,
+                                   "embedding": rng.normal(size=dim).round(6).tolist()}) + "\n"
+                       for i in range(papers)).encode()
+        tracemalloc.start()
+        try:
+            records, errors = parse_records(io.BytesIO(data))
+            kg = build_graph(records)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not errors and kg.node_count("paper") == papers
+        assert retained / (papers * dim) <= 16
 
     @pytest.mark.parametrize("value", [{}, "1.0", 3.0, [[1.0]], [True, 1.0]])
     def test_embedding_of_wrong_shape_rejected(self, value):
@@ -314,15 +351,22 @@ _WRONG_VALUES = {
 }
 
 
+def _comparable(rec: PaperRecord) -> tuple[str, str]:
+    """``repr`` of ``rec`` without its embedding, and of the embedding as an
+    exact float list (numpy prints array values to 8 digits)."""
+    emb = None if rec.embedding is None else [float(v) for v in rec.embedding]
+    return repr(dataclasses.replace(rec, embedding=None)), repr(emb)
+
+
 def _parsed_outcome(obj):
-    """(record reprs, error messages) of ``obj`` as one parsed line."""
+    """(comparable records, error messages) of ``obj`` as one parsed line."""
     records, errors = _parse(json.dumps(obj))
-    return [repr(r) for r in records], [e.message for e in errors]
+    return [_comparable(r) for r in records], [e.message for e in errors]
 
 
 def _reference_outcome(obj):
     try:
-        return [repr(record_reference(json.loads(json.dumps(obj))))], []
+        return [_comparable(record_reference(json.loads(json.dumps(obj))))], []
     except SchemaError as exc:
         return [], [str(exc)]
 
