@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .graph import FLAG_CYCLE, FLAG_TEMPORAL_ANOMALY, ProjectedGraph
 from .powerlaw import PowerLawFit, fit_power_law_ls
-from .stats import YearSeries
+from .stats import YearSeries, ordered_sum
 from .textutil import TextIndex
 
 
@@ -152,14 +152,11 @@ def cd_index_all(cit: ProjectedGraph, window: int | None = None,
 def cd_index_yearly(cit: ProjectedGraph, results: list[CdResult]) -> YearSeries:
     """Mean CD by publication year of ``results`` (from :func:`cd_index_all`
     on ``cit``); years without a defined CD are omitted."""
-    totals: dict[int, float] = defaultdict(int)
-    counts: dict[int, int] = defaultdict(int)
-    for res in results:  # left to right: Python 3.12's sum() of floats compensates
-        year = cit.nodes[res.paper]["year"]
-        totals[year] += res.cd
-        counts[year] += 1
-    years = sorted(totals)
-    return YearSeries(years, [totals[y] / counts[y] for y in years])
+    by_year: dict[int, list[float]] = defaultdict(list)
+    for res in results:
+        by_year[cit.nodes[res.paper]["year"]].append(res.cd)
+    years = sorted(by_year)
+    return YearSeries(years, [ordered_sum(by_year[y]) / len(by_year[y]) for y in years])
 
 
 # --- lexical novelty -------------------------------------------------------------
@@ -199,6 +196,8 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
     stops when the maximum absolute change of any of them falls below
     ``tol``. Returns the paper scores.
     """
+    if not 0.0 < damping < 1.0:
+        raise ValueError("damping must lie in (0, 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     papers = cit.names

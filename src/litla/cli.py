@@ -59,14 +59,15 @@ class Corpus:
     """Everything the stages of one invocation read, each part computed on
     first use and then shared.
 
-    It holds only the parts that two or more stages read; a part one stage
-    reads is that stage's own local. A part whose computation raises is not
-    cached, so every stage that reads it fails the same way. Stages must not
-    mutate what they read.
-    When :func:`run_stages` forks workers, the parent has built the parsed
-    and screened records and ``kg`` (its first stage reads them), and
-    ``assignment`` when both topics and collabnet run; each worker inherits
-    them and computes any other part it reads itself.
+    It holds only the parts that two or more stages read, and beside the
+    graph the few figures ingest writes about the records, so that no
+    record outlives the build. A part whose computation raises is not
+    cached, so every stage that reads it fails the same way. Stages must
+    not mutate what they read.
+    When :func:`run_stages` forks workers, the parent has built the graph
+    (its first stage reads it), and ``assignment`` when both topics and
+    collabnet run; each worker inherits them and computes any other part it
+    reads itself.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -74,23 +75,24 @@ class Corpus:
         self._freeze_built = False  # run_stages sets it when it owns the frozen set
 
     @cached_property
-    def parsed(self) -> tuple[list, list]:
-        """(records, parse errors) of the records file."""
-        return load_records(self.cfg.records_path)
-
-    @cached_property
-    def screened(self) -> tuple[list, list]:
-        """(kept records, rejected (record, reason) pairs)."""
-        return apply_exclusions(self.parsed[0], self.cfg.exclusions)
-
-    @cached_property
-    def kg(self) -> KnowledgeGraph:
-        kg = build_graph(self.screened[0])
+    def built(self) -> tuple[KnowledgeGraph, int, list, list]:
+        """The knowledge graph of the screened records, the number of records
+        parsed, the (line, message) parse-error rows and the sorted (id,
+        reason) rejection rows."""
+        records, errors = load_records(self.cfg.records_path)
+        kept, rejected = apply_exclusions(records, self.cfg.exclusions)
+        built = (build_graph(kept), len(records), [(e.line, e.message) for e in errors],
+                 sorted((rec.id, reason) for rec, reason in rejected))
+        del records, kept, rejected  # no record outlives the build
         if self._freeze_built:
             # the built corpus lives until the run ends: keep it out of the
             # collector's passes, which would otherwise walk it every time
             gc.freeze()
-        return kg
+        return built
+
+    @property
+    def kg(self) -> KnowledgeGraph:
+        return self.built[0]
 
     @cached_property
     def assignment(self) -> topics.TopicAssignment:
@@ -110,21 +112,17 @@ class Corpus:
 
 
 def stage_ingest(corpus: Corpus, out) -> None:
-    kg = corpus.kg
-    records, errors = corpus.parsed
-    kept, rejected = corpus.screened
-    write_csv(out("parse_errors.csv"), ["line", "message"],
-              [(e.line, e.message) for e in errors])
-    write_csv(out("rejections.csv"), ["id", "reason"],
-              sorted((rec.id, reason) for rec, reason in rejected))
+    kg, parsed, errors, rejections = corpus.built
+    write_csv(out("parse_errors.csv"), ["line", "message"], errors)
+    write_csv(out("rejections.csv"), ["id", "reason"], rejections)
     kg_to_graphml(out("graph.graphml"), kg)
     kg_to_dot(out("graph.dot"), kg)
     flagged = [e for e in kg.edges_of_type(EDGE_CITES) if e.flags]
     write_json(out("ingest_summary.json"), {
-        "records_parsed": len(records),
+        "records_parsed": parsed,
         "parse_errors": len(errors),
-        "records_kept": len(kept),
-        "rejections_by_reason": rejection_counts(rejected),
+        "records_kept": kg.node_count(NODE_PAPER),
+        "rejections_by_reason": rejection_counts(rejections),
         "corpus_year_range": list(kg.corpus_year_range),
         "node_counts": {t: kg.node_count(t) for t in NODE_TYPES},
         "edge_counts": dict(sorted(Counter(e.edge_type for e in kg.edges).items())),
@@ -522,7 +520,7 @@ def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[
     ctx = multiprocessing.get_context("fork")  # the workers share the built corpus's pages
     pending = sorted(names, key=_LAUNCH_ORDER.index)
     # built once here, before the first of its two readers starts, if the graph is
-    share_assignment = {"topics", "collabnet"} <= set(names) and "kg" in vars(corpus)
+    share_assignment = {"topics", "collabnet"} <= set(names) and "built" in vars(corpus)
     running: dict = {}  # receive end -> (stage, process, start)
     entries = {}
     try:
@@ -573,11 +571,11 @@ def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[
 def run_stages(cfg: RunConfig, stage_names: list[str]) -> int:
     """Run the stages and write ``run_manifest.json``; 1 if any stage failed.
 
-    The first stage runs in process and leaves the parsed records and the
-    graph cached. When more stages follow, the platform has ``os.fork``, a
-    CPU is left over and no other thread runs, the parent forks one worker
-    per remaining stage, at most one per usable CPU at a time, and builds
-    the topic assignment first if both topics and collabnet are among them.
+    The first stage runs in process and leaves the graph built. When more
+    stages follow, the platform has ``os.fork``, a CPU is left over and no
+    other thread runs, the parent forks one worker per remaining stage, at
+    most one per usable CPU at a time, and builds the topic assignment
+    first if both topics and collabnet are among them.
     A worker that dies without sending its entry fails only its own stage.
     The manifest lists the stages in the order given; the output directory must exist.
     """

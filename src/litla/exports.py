@@ -12,10 +12,11 @@ import csv
 import json
 import os
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 from typing import Iterable
 
-from .graph import NODE_TYPES, Edge, KnowledgeGraph, NodeRef, ProjectedGraph, _Interned
+from .graph import NODE_TYPES, Edge, KnowledgeGraph, NodeRef, ProjectedGraph
 
 
 @contextmanager
@@ -82,8 +83,8 @@ def _column(values, fmt) -> list[str]:
     """``fmt`` of each of ``values``, called once per distinct value. The
     key holds the type and, at zero, the text, because 1, 1.0 and True, or
     0.0 and -0.0, are equal as keys but format differently."""
-    made = _Interned(lambda key: fmt(key[1]))
-    return [made[type(v), v, v == 0 and str(v)] for v in values]
+    made = cache(lambda kind, value, zero: fmt(value))
+    return [made(type(v), v, v == 0 and str(v)) for v in values]
 
 
 _GRAPHML_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -9,7 +9,7 @@ projection are structural: no per-year figure reads a weight.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -44,6 +44,10 @@ _EDGE_ENDPOINTS = {
 
 FLAG_TEMPORAL_ANOMALY = "temporal_anomaly"
 FLAG_CYCLE = "cycle"
+# a citation edge's flags: one of these three sets, shared by every edge that has it
+NO_FLAGS = frozenset()
+TEMPORAL_ANOMALY_FLAGS = frozenset({FLAG_TEMPORAL_ANOMALY})
+CYCLE_FLAGS = frozenset({FLAG_CYCLE})
 
 PROJECTION_CITATION = "citation"
 PROJECTION_COAUTHORSHIP = "coauthorship"
@@ -81,7 +85,7 @@ class Edge(NamedTuple("Edge", [("src", NodeRef), ("dst", NodeRef), ("edge_type",
     __slots__ = ()
 
     def __new__(cls, src: NodeRef, dst: NodeRef, edge_type: str, weight: float = 1.0,
-                year: int = 0, flags: frozenset[str] = frozenset()):
+                year: int = 0, flags: frozenset[str] = NO_FLAGS):
         expect = _EDGE_ENDPOINTS.get(edge_type)
         if expect is None:
             raise ValueError(f"unknown edge type {edge_type!r}")
@@ -299,19 +303,6 @@ def _scc_roots(adj: dict[str, list[str]]) -> dict[str, str]:
     return comp
 
 
-class _Interned(dict):
-    """A dict that makes a missing value from its key on first lookup and
-    returns that same object on every later one."""
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
-
-
 def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     """Assemble the knowledge graph from deduplicated records.
 
@@ -334,9 +325,9 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
 
     records = sorted(records, key=lambda r: r.id)
     text = TextIndex({rec.id: (rec.title, rec.abstract) for rec in records})
-    refs = _Interned(lambda key: NodeRef(*key))  # one NodeRef per node
-    phrases = _Interned(tokenize)  # keyword -> its tokens
-    canon = _Interned(canonical)  # name -> its canonical key
+    refs = cache(NodeRef)  # one NodeRef per node
+    phrases = cache(tokenize)  # keyword -> its tokens
+    canon = cache(canonical)  # name -> its canonical key
     nodes: dict[NodeRef, dict] = {}
     edges: list[Edge] = []
     author_meta: dict[str, dict] = {}
@@ -348,11 +339,11 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     cites_pairs: list[tuple[str, str]] = []
 
     for rec in records:
-        paper_ref = refs[NODE_PAPER, rec.id]
+        paper_ref = refs(NODE_PAPER, rec.id)
         author_keys = []
         countries = []
         for a in rec.authors:
-            akey = canon[a.name]
+            akey = canon(a.name)
             if not akey:
                 continue
             country = infer_country(a.affiliation) if a.affiliation else UNKNOWN
@@ -368,17 +359,17 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
                 affil_years.setdefault((akey, ikey), []).append(rec.year)
         author_keys = list(dict.fromkeys(author_keys))  # dedupe, keep order
 
-        vkey = canon[rec.venue]
+        vkey = canon(rec.venue)
         if vkey:
             meta = venue_meta.setdefault(vkey, {"name": rec.venue, "year": rec.year})
             meta["year"] = min(meta["year"], rec.year)
 
-        all_keywords = sorted({canon[k] for k in rec.extracted_keywords + rec.author_keywords
+        all_keywords = sorted({canon(k) for k in rec.extracted_keywords + rec.author_keywords
                                if k.strip()})
         for kw in all_keywords:
             keyword_first[kw] = min(keyword_first.get(kw, rec.year), rec.year)
         stream = text.streams[rec.id]
-        text_kws = [kw for kw in all_keywords if contains_phrase(stream, phrases[kw])]
+        text_kws = [kw for kw in all_keywords if contains_phrase(stream, phrases(kw))]
 
         in_refs = sorted(r for r in set(rec.references) if r in corpus_ids and r != rec.id)
         known_countries = sorted({c for c in countries if c != UNKNOWN})
@@ -400,28 +391,28 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             coauthor_years.setdefault((u, v), []).append(rec.year)
 
         for akey in author_keys:
-            edges.append(Edge(refs[NODE_AUTHOR, akey], paper_ref, EDGE_AUTHOR_OF, 1.0, rec.year))
+            edges.append(Edge(refs(NODE_AUTHOR, akey), paper_ref, EDGE_AUTHOR_OF, 1.0, rec.year))
         if vkey:
-            edges.append(Edge(paper_ref, refs[NODE_VENUE, vkey], EDGE_PUBLISHED_AT, 1.0, rec.year))
+            edges.append(Edge(paper_ref, refs(NODE_VENUE, vkey), EDGE_PUBLISHED_AT, 1.0, rec.year))
         for kw in all_keywords:
-            edges.append(Edge(paper_ref, refs[NODE_KEYWORD, kw], EDGE_MENTIONS_KEYWORD,
+            edges.append(Edge(paper_ref, refs(NODE_KEYWORD, kw), EDGE_MENTIONS_KEYWORD,
                               1.0, rec.year))
         cites_pairs.extend((rec.id, tgt) for tgt in in_refs)
 
     # entity nodes
     for akey, meta in sorted(author_meta.items()):
         incidences = tuple(sorted(meta["incidences"]))
-        nodes[refs[NODE_AUTHOR, akey]] = {
+        nodes[refs(NODE_AUTHOR, akey)] = {
             "name": meta["name"],
             "year": incidences[0][0],
             "incidences": incidences,
         }
     for vkey, meta in sorted(venue_meta.items()):
-        nodes[refs[NODE_VENUE, vkey]] = meta
+        nodes[refs(NODE_VENUE, vkey)] = meta
     for kw, first in sorted(keyword_first.items()):
-        nodes[refs[NODE_KEYWORD, kw]] = {"year": first}
+        nodes[refs(NODE_KEYWORD, kw)] = {"year": first}
     for ikey, meta in sorted(inst_meta.items()):
-        nodes[refs[NODE_INSTITUTION, ikey]] = meta
+        nodes[refs(NODE_INSTITUTION, ikey)] = meta
 
     # cycle detection runs on temporally valid edges only
     paper_years = {rec.id: rec.year for rec in records}
@@ -431,19 +422,16 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             valid_adj[src].append(dst)
     comp = _scc_roots(valid_adj)
     for src, dst in cites_pairs:  # src != dst, so one component means a cycle
-        flags = set()
-        if paper_years[src] < paper_years[dst]:
-            flags.add(FLAG_TEMPORAL_ANOMALY)
-        elif comp[src] == comp[dst]:
-            flags.add(FLAG_CYCLE)
-        edges.append(Edge(refs[NODE_PAPER, src], refs[NODE_PAPER, dst], EDGE_CITES, 1.0,
-                          paper_years[src], flags=frozenset(flags)))
+        flags = (TEMPORAL_ANOMALY_FLAGS if paper_years[src] < paper_years[dst]
+                 else CYCLE_FLAGS if comp[src] == comp[dst] else NO_FLAGS)
+        edges.append(Edge(refs(NODE_PAPER, src), refs(NODE_PAPER, dst), EDGE_CITES, 1.0,
+                          paper_years[src], flags=flags))
 
     for (u, v), years in sorted(coauthor_years.items()):
-        edges.append(Edge(refs[NODE_AUTHOR, u], refs[NODE_AUTHOR, v],
+        edges.append(Edge(refs(NODE_AUTHOR, u), refs(NODE_AUTHOR, v),
                           EDGE_COAUTHORS_WITH, float(len(years)), min(years)))
     for (akey, ikey), years in sorted(affil_years.items()):
-        edges.append(Edge(refs[NODE_AUTHOR, akey], refs[NODE_INSTITUTION, ikey],
+        edges.append(Edge(refs(NODE_AUTHOR, akey), refs(NODE_INSTITUTION, ikey),
                           EDGE_AFFILIATED_WITH, float(len(years)), min(years)))
 
     kg = KnowledgeGraph(nodes, edges, (year_lo, year_hi))

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stats import ordered_sum
+
 METHOD_LS = "loglog_ls"
 METHOD_MLE = "discrete_mle"
 
@@ -75,8 +77,6 @@ def fit_power_law_mle(samples, x_min: int = 1, min_samples: int = 50) -> PowerLa
         raise ValueError(f"need at least {min_samples} samples >= x_min, got {len(xs)}")
     if len(set(xs)) < 2:
         raise ValueError("divergence: all samples equal, exponent unidentifiable")
-    denom = 0
-    for s in xs:  # left to right: Python 3.12's sum() of floats compensates
-        denom += math.log(s / (x_min - 0.5))
+    denom = ordered_sum(math.log(s / (x_min - 0.5)) for s in xs)
     alpha = 1.0 + len(xs) / denom
     return PowerLawFit(alpha=alpha, method=METHOD_MLE, n_samples=len(xs), x_min=x_min)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .gbdt import GbdtModel, train_gbdt
 from .graph import ProjectedGraph
+from .stats import ordered_sum
 
 FEATURE_NAMES = (
     "deg_u", "deg_v", "deg_sum", "deg_product", "common_neighbors",
@@ -64,9 +65,7 @@ def pair_features(snapshots: dict[int, ProjectedGraph], pair: tuple[str, str],
     common = sorted(set(nu).intersection(nv))
     union = du + dv - len(common)
     jaccard = len(common) / union if union else 0.0
-    aa = 0
-    for w in common:  # left to right: Python 3.12's sum() of floats compensates
-        aa += 1.0 / math.log(len(g.succ[w]))
+    aa = ordered_sum(1.0 / math.log(len(g.succ[w])) for w in common)
 
     prev = snapshots.get(year - 1)
     if prev is None:

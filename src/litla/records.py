@@ -267,5 +267,6 @@ def apply_exclusions(
     return kept, rejected
 
 
-def rejection_counts(rejected: list[tuple[PaperRecord, str]]) -> dict[str, int]:
+def rejection_counts(rejected: list[tuple[object, str]]) -> dict[str, int]:
+    """How many of the (record or id, reason) pairs give each reason."""
     return dict(sorted(Counter(reason for _, reason in rejected).items()))

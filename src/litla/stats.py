@@ -5,12 +5,23 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
 from .countries import UNKNOWN
 from .graph import NODE_AUTHOR, NODE_PAPER, KnowledgeGraph
+
+
+def ordered_sum(values) -> float:
+    """``values`` added left to right from 0, the same bits on every Python.
+
+    A report never reads the builtin ``sum()`` of floats: from Python 3.12
+    it adds floats with Neumaier compensation, which 3.11 does not, so the
+    last bits of the two sums can differ."""
+    return reduce(add, values, 0)
 
 
 @dataclass

@@ -12,7 +12,9 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
@@ -51,7 +53,7 @@ from litla.graph import (
     NodeRef,
     build_graph,
 )
-from litla.records import Author, PaperRecord
+from litla.records import Author, PaperRecord, apply_exclusions, load_records
 
 
 class TestTomlSubset:
@@ -514,13 +516,66 @@ class TestCli:
 
         config = fixture_dir / "config.toml"
         assert main(["all", "--config", str(config), "--output", str(tmp_path)]) == 0
-        kept = cli.Corpus(load_config(config)).screened[0]
+        cfg = load_config(config)
+        kept = apply_exclusions(load_records(cfg.records_path)[0], cfg.exclusions)[0]
         assert kept
         calls = Counter(tokenized)
         fields = Counter(text for rec in kept for text in (rec.title, rec.abstract))
         # each field of each kept paper once (some titles repeat), never the two joined
         assert {text: calls[text] for text in fields} == fields
         assert not any(calls[rec.title + " " + rec.abstract] for rec in kept)
+
+    def test_no_record_outlives_the_build(self, fixture_dir, monkeypatch):
+        # the corpus once cached the parsed and the screened records for the
+        # whole run, although only ingest read them
+        held = []
+        build_graph = cli.build_graph
+
+        def watched(records):
+            held.extend(weakref.ref(rec) for rec in records)
+            return build_graph(records)
+        monkeypatch.setattr(cli, "build_graph", watched)
+        corpus = cli.Corpus(load_config(fixture_dir / "config.toml"))
+        assert corpus.kg.node_count(NODE_PAPER) == len(held) > 0
+        gc.collect()
+        assert [ref for ref in held if ref() is not None] == []
+
+    def test_built_corpus_retains_bounded_bytes_per_paper(self, tmp_path):
+        # 300 papers with 3 authors, 150-word abstracts, 2 to 8 references and
+        # 384-d embeddings: about 12,000 bytes each while the corpus kept the
+        # records, about 8,200 without them
+        rng = random.Random(3)
+        words = [f"w{i}" for i in range(400)]
+        with open(tmp_path / "records.jsonl", "w") as fh:
+            for i in range(300):
+                fh.write(json.dumps({
+                    "id": f"p{i:04d}", "year": 2000 + i // 15, "page_count": 10,
+                    "title": " ".join(rng.choices(words, k=10)),
+                    "abstract": " ".join(rng.choices(words, k=150)),
+                    "authors": [{"name": f"Author {rng.randrange(150)}",
+                                 "affiliation": f"Univ {rng.randrange(30)}, City, China"}
+                                for _ in range(3)],
+                    "venue": f"Venue {rng.randrange(10)}",
+                    "author_keywords": rng.sample(words[:40], 5),
+                    "references": [f"p{j:04d}" for j in
+                                   rng.sample(range(i), min(i, rng.randint(2, 8)))],
+                    "publisher": "Publisher", "citation_count": 5,
+                    "embedding": [rng.gauss(0, 1) for _ in range(384)]}) + "\n")
+        (tmp_path / "c.toml").write_text('[input]\nrecords = "records.jsonl"\n'
+                                         '[output]\ndir = "out"\n')
+        cfg = load_config(tmp_path / "c.toml")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            corpus = cli.Corpus(cfg)
+            papers = corpus.kg.node_count(NODE_PAPER)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert papers == 300 and corpus.kg.edges_of_type(EDGE_CITES)
+        assert retained / papers < 10_000
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_collector_frozen_only_during_the_run(self, fixture_dir, tmp_path, monkeypatch,
@@ -611,6 +666,23 @@ class TestCli:
         stages = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["stages"]
         assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
             ("collabnet", "failed", "ValueError: max_iter must be positive")]
+
+    @pytest.mark.parametrize("damping", ["1.5", "1.0", "-0.5"])
+    def test_citenet_damping_outside_unit_interval_names_itself(self, damping, fixture_dir,
+                                                                tmp_path):
+        # 1.5 once ranked the backbone with negative teleport mass and exited
+        # 0; -0.5 failed as a ConvergenceError with a nan residual
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        text = config.read_text()
+        block = "[citenet]\ndecay = 0.2\ndamping = 0.85\n"
+        assert block in text
+        config.write_text(text.replace(block, block.replace("0.85", damping)))
+        assert main(["citenet", "--config", str(config),
+                     "--output", str(tmp_path / "out")]) == 1
+        stages = read_manifest(tmp_path / "out")["stages"]
+        assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
+            ("citenet", "failed", "ValueError: damping must lie in (0, 1)")]
 
     @pytest.mark.parametrize("stage, setting, error", [
         ("predict", "top_n = -5", "top_n must be non-negative, got -5"),

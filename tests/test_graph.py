@@ -102,6 +102,20 @@ class TestBuild:
         assert flags[("a", "b")] == flags[("b", "a")] == {FLAG_CYCLE}
         assert flags[("a", "old")] == frozenset()
 
+    def test_equal_citation_flags_are_one_shared_set(self):
+        # each citation edge once made its own frozenset (216 bytes), nearly
+        # always an empty one
+        records = [rec("a", 2010, refs=["b", "old", "new"]), rec("b", 2010, refs=["a"]),
+                   rec("c", 2010, refs=["b", "old", "new"]), rec("old", 2005),
+                   rec("new", 2015, refs=["old"]), rec("d", 2012, refs=["old", "new"])]
+        cites = build_graph(records).edges_of_type(EDGE_CITES)
+        shared = {}
+        for e in cites:
+            assert shared.setdefault(e.flags, e.flags) is e.flags
+        assert set(shared) == {frozenset(), frozenset({FLAG_TEMPORAL_ANOMALY}),
+                               frozenset({FLAG_CYCLE})}
+        assert len(cites) > len(shared)
+
     def test_node_counts_match_set_cardinalities(self, fixture_records):
         kg = build_graph(fixture_records)
         assert kg.node_count(NODE_PAPER) == len(fixture_records)
@@ -489,6 +503,8 @@ def test_citation_flags_by_definition(data):
             assert got == {FLAG_TEMPORAL_ANOMALY}
         else:
             assert got == ({FLAG_CYCLE} if reaches(d, s) else frozenset())
+    # one object per distinct set of flags, whatever the edges
+    assert len({id(got) for got in flags.values()}) == len(set(flags.values()))
 
 
 _maybe_year = st.one_of(st.none(), st.sampled_from([2000, 2001, 2003]))
