@@ -180,21 +180,40 @@ def type_token_ratio(text: TextIndex, paper_years: dict[str, int]) -> YearSeries
 # --- main path step 1: mutual-reinforcement ranking --------------------------------
 
 
+def _membership(groups_of: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (paper index, group index) arrays of each paper's list of groups,
+    in paper then list order with groups indexed in sorted order, each
+    paper's group count floored at 1 and each group's paper count."""
+    names = sorted({g for groups in groups_of for g in groups})
+    index = {g: k for k, g in enumerate(names)}
+    paper_idx = np.array([i for i, groups in enumerate(groups_of) for _ in groups], dtype=int)
+    group_idx = np.array([index[g] for groups in groups_of for g in groups], dtype=int)
+    per_paper = np.maximum(np.bincount(paper_idx, minlength=len(groups_of)), 1).astype(float)
+    per_group = np.bincount(group_idx, minlength=len(names)).astype(float)
+    return paper_idx, group_idx, per_paper, per_group
+
+
 def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.85,
                    tol: float = 1e-10, max_iter: int = 500) -> dict[str, float]:
     """Paper importance via mutual reinforcement between papers, authors and
-    venues, read from the year, authors and venue of each paper node of the
-    citation projection ``cit``.
+    venues (FutureRank), read from the year, authors and venue of each
+    paper node of the citation projection ``cit``.
 
+    Authors and venues are one paper-group membership rule applied twice:
+    a paper belongs to each of its authors, and to its venue if it has one.
     Each iteration:
-      paper  p(u) = damping * (citations(u) + mean-author(u) + venue(u)) / 3
+      paper  p(u) = damping * (citations(u) + authors(u) + venue(u)) / 3
                     + (1 - damping)/|P|
       citations(u) = sum over citers c of p(c)/outdeg(c) * exp(-decay*(t_now - t_c))
-      author a = mean of its papers' scores; venue v = mean of its papers'.
+      authors(u), venue(u) = mean score of u's groups, 0 with none
+      group g = mean of its papers' scores.
 
     All three vectors are renormalized to sum 1 every iteration; iteration
     stops when the maximum absolute change of any of them falls below
-    ``tol``. Returns the paper scores.
+    ``tol``. Returns the paper scores. Each sparse sum adds by ascending
+    index (``np.bincount``) and the paper total adds citations, then
+    authors, then venues, so the scores keep their bits; a venue mean
+    divides by a count of 1, exactly.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie in (0, 1)")
@@ -203,81 +222,36 @@ def rank_essential(cit: ProjectedGraph, decay: float = 0.2, damping: float = 0.8
     papers = cit.names
     if not papers:
         return {}
-    years = np.array([cit.nodes[pid]["year"] for pid in papers], dtype=float)
+    n_p = len(papers)
+    nodes = [cit.nodes[pid] for pid in papers]
+    years = np.array([node["year"] for node in nodes], dtype=float)
     t_now = years.max()
-
-    authors = sorted({a for pid in papers for a in cit.nodes[pid]["authors"]})
-    a_idx = {a: i for i, a in enumerate(authors)}
-    venues = sorted({cit.nodes[pid]["venue"] for pid in papers if cit.nodes[pid]["venue"]})
-    v_idx = {v: i for i, v in enumerate(venues)}
-
-    pa_papers, pa_authors = [], []
-    for i, pid in enumerate(papers):
-        for a in cit.nodes[pid]["authors"]:
-            pa_papers.append(i)
-            pa_authors.append(a_idx[a])
-    pa_papers = np.array(pa_papers, dtype=int)
-    pa_authors = np.array(pa_authors, dtype=int)
-    paper_author_n = np.bincount(pa_papers, minlength=len(papers)).astype(float)
-    author_paper_n = np.bincount(pa_authors, minlength=len(authors)).astype(float)
-
-    pv_papers, pv_venues = [], []
-    for i, pid in enumerate(papers):
-        v = cit.nodes[pid]["venue"]
-        if v:
-            pv_papers.append(i)
-            pv_venues.append(v_idx[v])
-    pv_papers = np.array(pv_papers, dtype=int)
-    pv_venues = np.array(pv_venues, dtype=int)
-    venue_paper_n = np.bincount(pv_venues, minlength=len(venues)).astype(float)
+    memberships = [_membership([node["authors"] for node in nodes]),
+                   _membership([[node["venue"]] if node["venue"] else [] for node in nodes])]
 
     # every citation edge, in (citer, cited) order
     out_deg = np.array([len(refs) for refs in cit.succ])
-    src_idx = np.repeat(np.arange(len(papers)), out_deg)
+    src_idx = np.repeat(np.arange(n_p), out_deg)
     dst_idx = np.array([j for refs in cit.succ for j in refs], dtype=int)
     edge_factor = np.exp(-decay * (t_now - years[src_idx])) / out_deg[src_idx]
 
-    n_p, n_a, n_v = len(papers), len(authors), len(venues)
     p = np.full(n_p, 1.0 / n_p)
-    a = np.full(n_a, 1.0 / n_a) if n_a else np.zeros(0)
-    v = np.full(n_v, 1.0 / n_v) if n_v else np.zeros(0)
-
+    scores = [np.full(len(per_group), 1.0 / max(len(per_group), 1))
+              for _, _, _, per_group in memberships]
     for _ in range(max_iter):
-        cit_term = np.zeros(n_p)
-        if len(src_idx):
-            np.add.at(cit_term, dst_idx, p[src_idx] * edge_factor)
-        author_term = np.zeros(n_p)
-        if n_a:
-            np.add.at(author_term, pa_papers, a[pa_authors])
-            author_term /= np.maximum(paper_author_n, 1.0)
-        venue_term = np.zeros(n_p)
-        if n_v:
-            np.add.at(venue_term, pv_papers, v[pv_venues])
-        p_new = damping * (cit_term + author_term + venue_term) / 3.0 \
-            + (1.0 - damping) / n_p
+        total = np.bincount(dst_idx, p[src_idx] * edge_factor, minlength=n_p)
+        for (paper_idx, group_idx, per_paper, _), g in zip(memberships, scores):
+            # not +=: with no citation, bincount returns integer zeros
+            total = total + np.bincount(paper_idx, g[group_idx], minlength=n_p) / per_paper
+        p_new = damping * total / 3.0 + (1.0 - damping) / n_p
         p_new /= p_new.sum()
-
-        if n_a:
-            a_new = np.zeros(n_a)
-            np.add.at(a_new, pa_authors, p_new[pa_papers])
-            a_new /= author_paper_n
-            a_new /= a_new.sum()
-        else:
-            a_new = a
-        if n_v:
-            v_new = np.zeros(n_v)
-            np.add.at(v_new, pv_venues, p_new[pv_papers])
-            v_new /= venue_paper_n
-            v_new /= v_new.sum()
-        else:
-            v_new = v
-
-        residual = float(np.max(np.abs(p_new - p)))
-        if n_a:
-            residual = max(residual, float(np.max(np.abs(a_new - a))))
-        if n_v:
-            residual = max(residual, float(np.max(np.abs(v_new - v))))
-        p, a, v = p_new, a_new, v_new
+        new_scores = []
+        for paper_idx, group_idx, _, per_group in memberships:
+            g_new = np.bincount(group_idx, p_new[paper_idx], minlength=len(per_group)) / per_group
+            new_scores.append(g_new / g_new.sum())
+        residual = max(float(np.max(np.abs(new - old), initial=0.0))
+                       for new, old in zip([p_new, *new_scores], [p, *scores]))
+        p, scores = p_new, new_scores
         if residual < tol:
             return {pid: float(p[i]) for i, pid in enumerate(papers)}
     raise ConvergenceError(f"ranking failed to converge in {max_iter} iterations", residual)
@@ -322,29 +296,20 @@ def weight_edges(trimmed_edges, full: ProjectedGraph) -> ProjectedGraph:
     in [0, 1].
     """
     edges = sorted(set(trimmed_edges))
-    cocites = {}
-    jaccards = {}
+    cocites, jaccards = [], []
     pos, succ, pred = full.pos, full.succ, full.pred
     for u, v in edges:
         i, j = pos[u], pos[v]
-        cocites[(u, v)] = len(set(pred[i]).intersection(pred[j]))
+        cocites.append(len(set(pred[i]).intersection(pred[j])))
         refs_u = set(succ[i]) - {j}
         refs_v = set(succ[j]) - {i}
         union = refs_u | refs_v
-        jaccards[(u, v)] = len(refs_u & refs_v) / len(union) if union else 0.0
-    counts = np.array([cocites[pair] for pair in edges], dtype=float)
-    if len(counts) == 0:
-        normalized = counts
-    else:
-        span = counts.max() - counts.min()
-        normalized = (counts - counts.min()) / span if span else np.zeros_like(counts)
+        jaccards.append(len(refs_u & refs_v) / len(union) if union else 0.0)
+    lo, hi = min(cocites, default=0), max(cocites, default=0)
     out_edges = {}
-    for pair, c_norm in zip(edges, normalized):
-        out_edges[pair] = {
-            "weight": (float(c_norm) + jaccards[pair]) / 2.0,
-            "cocite": cocites[pair],
-            "jaccard": jaccards[pair],
-        }
+    for pair, c, jac in zip(edges, cocites, jaccards):
+        c_norm = (c - lo) / (hi - lo) if hi > lo else 0.0
+        out_edges[pair] = {"weight": (c_norm + jac) / 2.0, "cocite": c, "jaccard": jac}
     nodes = {n: {} for n in sorted({n for pair in edges for n in pair})}
     return ProjectedGraph(directed=True, nodes=nodes, edges=out_edges)
 

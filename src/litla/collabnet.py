@@ -14,7 +14,7 @@ import numpy as np
 from .countries import UNKNOWN
 from .errors import ConvergenceError
 from .graph import NODE_AUTHOR, KnowledgeGraph, NodeRef, ProjectedGraph
-from .stats import modal_country, modal_label
+from .stats import modal_country, modal_label, ordered_sum
 
 
 @dataclass
@@ -146,7 +146,7 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85, tol: float = 1e-10,
     for i, u in enumerate(nodes):
         nbrs = pg.succ[i]
         weights = [pg.edge_attrs(u, nodes[j]).get("weight", 1.0) for j in nbrs]
-        wsum = float(sum(weights))
+        wsum = float(ordered_sum(weights))
         if wsum <= 0.0 or not nbrs:
             dangling[i] = True
             continue
@@ -160,10 +160,7 @@ def pagerank(pg: ProjectedGraph, damping: float = 0.85, tol: float = 1e-10,
 
     p = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        inflow = np.zeros(n)
-        if len(src):
-            np.add.at(inflow, dst, p[src] * prob)
-        inflow += p[dangling].sum() / n
+        inflow = np.bincount(dst, p[src] * prob, minlength=n) + p[dangling].sum() / n
         p_new = damping * inflow + (1.0 - damping) / n
         residual = float(np.max(np.abs(p_new - p)))
         p = p_new
@@ -262,7 +259,10 @@ def assortativity_categorical(pg: ProjectedGraph, labels: dict[str, str],
     The mixing matrix counts each undirected edge once in each direction.
     Returns None (with a warning) when every endpoint falls in a single
     category, which makes the denominator vanish. The counts are integers,
-    exact in float64, so edge order cannot change the result.
+    exact in float64, so edge order cannot change the mixing matrix. The
+    result is not exact, though: ``np.dot(a, b)`` adds in an order set by
+    the BLAS kernel, so r may differ in its last bits from one CPU to
+    another.
     """
     pairs = []
     for (u, v) in pg.edges:

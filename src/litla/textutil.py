@@ -97,16 +97,6 @@ class TextIndex:
                 holders[tok].append(i)
         return {tok: self._mask(papers) for tok, papers in holders.items()}
 
-    @cached_property
-    def _title_only(self) -> dict[str, int]:
-        """token -> the mask of the papers that hold it in the title but not
-        in the abstract."""
-        holders = defaultdict(list)
-        for i, (stream, start) in enumerate(zip(self.streams.values(), self._abstract_start)):
-            for tok in set(stream[:start]).difference(stream[start:]):
-                holders[tok].append(i)
-        return {tok: self._mask(papers) for tok, papers in holders.items()}
-
     def _mask(self, papers: list[int]) -> int:
         bits = np.zeros(len(self.ids), dtype=bool)
         bits[papers] = True
@@ -131,9 +121,7 @@ class TextIndex:
         found = self.everything
         for tok in phrase:
             found &= self.postings.get(tok, 0)
-            if abstract_only:
-                found &= ~self._title_only.get(tok, 0)
-        if len(phrase) == 1:
+        if len(phrase) == 1 and not abstract_only:
             return found
         for i in _bits(found):
             stream = self.streams[self.ids[i]]

@@ -16,7 +16,7 @@ from operator import or_
 
 import numpy as np
 
-from .stats import YearSeries
+from .stats import YearSeries, ordered_sum
 from .textutil import STOPWORDS, TextIndex, tokenize
 
 NOISE = -1
@@ -56,7 +56,7 @@ class LinkageMatrix:
     def row_shares(self) -> list[list[float]]:
         shares = []
         for row in self.weights:
-            total = sum(row)
+            total = ordered_sum(row)
             shares.append([w / total if total else 0.0 for w in row])
         return shares
 

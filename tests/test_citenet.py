@@ -4,7 +4,7 @@ import random
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from litla.citenet import (
@@ -412,6 +412,167 @@ class TestRankEssential:
         with pytest.raises(ConvergenceError) as err:
             rank_essential(cit, tol=0.0, max_iter=3)
         assert err.value.residual >= 0.0
+
+
+def rank_essential_reference(cit, decay=0.2, damping=0.85, tol=1e-10, max_iter=500):
+    """:func:`rank_essential` with its author and venue halves written out
+    one by one and each sparse sum by ``np.add.at``."""
+    papers = cit.names
+    if not papers:
+        return {}
+    years = np.array([cit.nodes[pid]["year"] for pid in papers], dtype=float)
+    t_now = years.max()
+
+    authors = sorted({a for pid in papers for a in cit.nodes[pid]["authors"]})
+    a_idx = {a: i for i, a in enumerate(authors)}
+    venues = sorted({cit.nodes[pid]["venue"] for pid in papers if cit.nodes[pid]["venue"]})
+    v_idx = {v: i for i, v in enumerate(venues)}
+
+    pa_papers, pa_authors = [], []
+    for i, pid in enumerate(papers):
+        for a in cit.nodes[pid]["authors"]:
+            pa_papers.append(i)
+            pa_authors.append(a_idx[a])
+    pa_papers = np.array(pa_papers, dtype=int)
+    pa_authors = np.array(pa_authors, dtype=int)
+    paper_author_n = np.bincount(pa_papers, minlength=len(papers)).astype(float)
+    author_paper_n = np.bincount(pa_authors, minlength=len(authors)).astype(float)
+
+    pv_papers, pv_venues = [], []
+    for i, pid in enumerate(papers):
+        v = cit.nodes[pid]["venue"]
+        if v:
+            pv_papers.append(i)
+            pv_venues.append(v_idx[v])
+    pv_papers = np.array(pv_papers, dtype=int)
+    pv_venues = np.array(pv_venues, dtype=int)
+    venue_paper_n = np.bincount(pv_venues, minlength=len(venues)).astype(float)
+
+    out_deg = np.array([len(refs) for refs in cit.succ])
+    src_idx = np.repeat(np.arange(len(papers)), out_deg)
+    dst_idx = np.array([j for refs in cit.succ for j in refs], dtype=int)
+    edge_factor = np.exp(-decay * (t_now - years[src_idx])) / out_deg[src_idx]
+
+    n_p, n_a, n_v = len(papers), len(authors), len(venues)
+    p = np.full(n_p, 1.0 / n_p)
+    a = np.full(n_a, 1.0 / n_a) if n_a else np.zeros(0)
+    v = np.full(n_v, 1.0 / n_v) if n_v else np.zeros(0)
+
+    for _ in range(max_iter):
+        cit_term = np.zeros(n_p)
+        if len(src_idx):
+            np.add.at(cit_term, dst_idx, p[src_idx] * edge_factor)
+        author_term = np.zeros(n_p)
+        if n_a:
+            np.add.at(author_term, pa_papers, a[pa_authors])
+            author_term /= np.maximum(paper_author_n, 1.0)
+        venue_term = np.zeros(n_p)
+        if n_v:
+            np.add.at(venue_term, pv_papers, v[pv_venues])
+        p_new = damping * (cit_term + author_term + venue_term) / 3.0 \
+            + (1.0 - damping) / n_p
+        p_new /= p_new.sum()
+
+        if n_a:
+            a_new = np.zeros(n_a)
+            np.add.at(a_new, pa_authors, p_new[pa_papers])
+            a_new /= author_paper_n
+            a_new /= a_new.sum()
+        else:
+            a_new = a
+        if n_v:
+            v_new = np.zeros(n_v)
+            np.add.at(v_new, pv_venues, p_new[pv_papers])
+            v_new /= venue_paper_n
+            v_new /= v_new.sum()
+        else:
+            v_new = v
+
+        residual = float(np.max(np.abs(p_new - p)))
+        if n_a:
+            residual = max(residual, float(np.max(np.abs(a_new - a))))
+        if n_v:
+            residual = max(residual, float(np.max(np.abs(v_new - v))))
+        p, a, v = p_new, a_new, v_new
+        if residual < tol:
+            return {pid: float(p[i]) for i, pid in enumerate(papers)}
+    raise ConvergenceError(f"ranking failed to converge in {max_iter} iterations", residual)
+
+
+def ranked_corpus(years, cites, authors, venues) -> ProjectedGraph:
+    """Citation projection of papers ``p0, p1, ...`` with the given years,
+    author tuples and venues (None or "" for none); ``cites`` holds
+    (citer, cited) index pairs."""
+    names = [f"p{i}" for i in range(len(years))]
+    nodes = {pid: {"year": y, "authors": tuple(au), "venue": v}
+             for pid, y, au, v in zip(names, years, authors, venues)}
+    edges = {(names[i], names[j]): {"year": years[i], "weight": 1.0, "flags": frozenset()}
+             for i, j in cites if i != j}
+    return ProjectedGraph(directed=True, nodes=nodes, edges=edges)
+
+
+@st.composite
+def ranked_corpora(draw):
+    """(years, cites, authors, venues): up to 12 papers over pools of up to
+    4 authors and 3 venues; an empty pool gives a corpus without any, and
+    a paper may have none or cite and be cited by none."""
+    n = draw(st.integers(1, 12))
+    author_pool = [f"a{k}" for k in range(draw(st.integers(0, 4)))]
+    venue_pool = [f"v{k}" for k in range(draw(st.integers(0, 3)))]
+    years = draw(st.lists(st.integers(2000, 2005), min_size=n, max_size=n))
+    cites = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    names = st.lists(st.sampled_from(author_pool), max_size=3, unique=True) \
+        if author_pool else st.just([])
+    authors = draw(st.lists(names, min_size=n, max_size=n))
+    venue = st.sampled_from([None, "", *venue_pool])
+    venues = draw(st.lists(venue, min_size=n, max_size=n))
+    return years, cites, authors, venues
+
+
+def rank_outcome(rank, cit, **kwargs):
+    """The repr of every score, or of the residual of a ConvergenceError."""
+    try:
+        return {pid: repr(s) for pid, s in rank(cit, **kwargs).items()}
+    except ConvergenceError as err:
+        return ("ConvergenceError", str(err), repr(err.residual))
+
+
+NO_AUTHOR_AT_ALL = ([2000, 2001, 2002, 2003], [(1, 0), (2, 0), (2, 1)], [[], [], [], []],
+                    ["v0", None, "v1", "v0"])
+NO_VENUE_AT_ALL = ([2000, 2001, 2002, 2003], [(1, 0), (3, 1)], [["a0"], ["a0", "a1"], [], ["a1"]],
+                   [None, "", None, None])
+NEITHER_AND_UNCITED = ([2000, 2003, 2001], [], [[], [], []], [None, None, ""])
+MIXED_WITH_ISOLATED = ([2000, 2001, 2002, 2004, 2004], [(1, 0), (2, 0), (2, 1)],
+                       [["a0"], [], ["a1", "a0"], ["a2"], []], ["v0", "v0", None, "v1", None])
+
+
+class TestRankEssentialReference:
+    @given(ranked_corpora(), st.sampled_from([0.0, 0.2, 1.0]), st.sampled_from([0.5, 0.85]),
+           st.sampled_from([(1e-10, 500), (1e-13, 40), (0.0, 3)]))
+    @example(NO_AUTHOR_AT_ALL, 0.2, 0.85, (1e-10, 500))
+    @example(NO_VENUE_AT_ALL, 0.2, 0.85, (1e-10, 500))
+    @example(NEITHER_AND_UNCITED, 0.2, 0.85, (1e-10, 500))
+    @example(MIXED_WITH_ISOLATED, 0.2, 0.85, (1e-10, 500))
+    @example(MIXED_WITH_ISOLATED, 0.2, 0.85, (0.0, 3))
+    @settings(max_examples=200)
+    def test_every_score_and_residual_keeps_its_bits(self, corpus, decay, damping, stop):
+        cit = ranked_corpus(*corpus)
+        tol, max_iter = stop
+        kwargs = dict(decay=decay, damping=damping, tol=tol, max_iter=max_iter)
+        assert rank_outcome(rank_essential, cit, **kwargs) == \
+            rank_outcome(rank_essential_reference, cit, **kwargs)
+
+    def test_fixture_scores_keep_their_bits(self, fixture_records):
+        cit = build_graph(fixture_records).project(PROJECTION_CITATION)
+        want = rank_outcome(rank_essential_reference, cit)
+        assert isinstance(want, dict) and rank_outcome(rank_essential, cit) == want
+
+    def test_convergence_error_keeps_its_residual(self, fixture_records):
+        cit = build_graph(fixture_records).project(PROJECTION_CITATION)
+        want = rank_outcome(rank_essential_reference, cit, max_iter=50)
+        assert want[0] == "ConvergenceError"
+        assert rank_outcome(rank_essential, cit, max_iter=50) == want
 
 
 # --- trimming ----------------------------------------------------------------------

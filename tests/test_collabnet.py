@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from litla import collabnet
@@ -25,7 +25,7 @@ from litla.collabnet import (
 from litla.cli import main
 from litla.config import load_config
 from litla.errors import ConvergenceError
-from litla.graph import PROJECTION_COAUTHORSHIP, build_graph
+from litla.graph import PROJECTION_COAUTHORSHIP, ProjectedGraph, build_graph
 from litla.records import Author, PaperRecord, apply_exclusions
 
 from conftest import random_undirected, undirected
@@ -114,6 +114,73 @@ def betweenness_oracle(pg):
     if norm <= 0:
         return {u: 0.0 for u in nodes}
     return {u: val / norm for u, val in cb.items()}
+
+
+def pagerank_reference(pg, damping=0.85, tol=1e-10, max_iter=500):
+    """:func:`pagerank` with each sparse sum by ``np.add.at`` and each
+    node's weighted degree by the builtin ``sum``."""
+    nodes = pg.names
+    n = len(nodes)
+    if n == 0:
+        return {}
+    src, dst, prob = [], [], []
+    dangling = np.zeros(n, dtype=bool)
+    for i, u in enumerate(nodes):
+        nbrs = pg.succ[i]
+        weights = [pg.edge_attrs(u, nodes[j]).get("weight", 1.0) for j in nbrs]
+        wsum = float(sum(weights))
+        if wsum <= 0.0 or not nbrs:
+            dangling[i] = True
+            continue
+        for j, w in zip(nbrs, weights):
+            src.append(i)
+            dst.append(j)
+            prob.append(w / wsum)
+    src = np.array(src, dtype=int)
+    dst = np.array(dst, dtype=int)
+    prob = np.array(prob, dtype=float)
+
+    p = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        inflow = np.zeros(n)
+        if len(src):
+            np.add.at(inflow, dst, p[src] * prob)
+        inflow += p[dangling].sum() / n
+        p_new = damping * inflow + (1.0 - damping) / n
+        residual = float(np.max(np.abs(p_new - p)))
+        p = p_new
+        if residual < tol:
+            return {u: float(p[i]) for i, u in enumerate(nodes)}
+    raise ConvergenceError(f"pagerank failed to converge in {max_iter} iterations", residual)
+
+
+def weighted_graph(n, links) -> ProjectedGraph:
+    """Undirected graph on ``n00, n01, ...``; ``links`` holds (i, j, weight)
+    triples, a weight of None leaving the edge without one (so 1.0)."""
+    names = [f"n{i:02d}" for i in range(n)]
+    edges = {(names[min(i, j)], names[max(i, j)]): {} if w is None else {"weight": w}
+             for i, j, w in links if i != j}
+    return ProjectedGraph(False, {u: {} for u in names}, edges)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(n, links) of up to 10 nodes; weights are sums of halves, exact in
+    any order, and may be 0, so a node may have no edge or a zero-weight
+    row (both dangling)."""
+    n = draw(st.integers(1, 10))
+    weight = st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, 3.0])
+    links = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                          max_size=2 * n))
+    return n, links
+
+
+def pagerank_outcome(rank, pg, **kwargs):
+    """The repr of every score, or of the residual of a ConvergenceError."""
+    try:
+        return {u: repr(s) for u, s in rank(pg, **kwargs).items()}
+    except ConvergenceError as err:
+        return ("ConvergenceError", str(err), repr(err.residual))
 
 
 def pagerank_oracle(pg, damping=0.85):
@@ -464,6 +531,19 @@ class TestPagerank:
             pagerank(pg, tol=0.0, max_iter=2)
         assert err.value.residual > 0
 
+
+    @given(weighted_graphs(), st.sampled_from([0.5, 0.85]),
+           st.sampled_from([(1e-10, 500), (1e-14, 30), (0.0, 2)]))
+    @example((4, [(0, 1, 0.0), (0, 2, 0.0), (1, 2, 1.0)]), 0.85, (1e-10, 500))
+    @example((3, []), 0.85, (1e-10, 500))
+    @example((5, [(0, 1, 2.0), (1, 2, None), (0, 2, 0.5)]), 0.85, (0.0, 2))
+    @settings(max_examples=200)
+    def test_every_score_and_residual_matches_reference_bits(self, graph, damping, stop):
+        pg = weighted_graph(*graph)
+        tol, max_iter = stop
+        kwargs = dict(damping=damping, tol=tol, max_iter=max_iter)
+        assert pagerank_outcome(pagerank, pg, **kwargs) == \
+            pagerank_outcome(pagerank_reference, pg, **kwargs)
 
     def test_zero_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be positive"):

@@ -51,6 +51,7 @@ from litla.graph import (
     Edge,
     KnowledgeGraph,
     NodeRef,
+    ProjectedGraph,
     build_graph,
 )
 from litla.records import Author, PaperRecord, apply_exclusions, load_records
@@ -323,6 +324,18 @@ def compensated_sum(iterable, start=0):
     return total + comp if comp and math.isfinite(comp) else total
 
 
+def test_weighted_degree_and_row_shares_add_left_to_right(monkeypatch):
+    # 1e16 + 1.0 + 1.0 is 1e16 left to right, and 1e16 + 2 compensated
+    hub = ProjectedGraph(False, {u: {} for u in "habc"},
+                         {("a", "h"): {"weight": 1e16}, ("b", "h"): {"weight": 1.0},
+                          ("c", "h"): {"weight": 1.0}})
+    linkage = topics.LinkageMatrix(themes=["t"], weights=[[1e16, 1.0, 1.0]])
+    plain = collabnet.pagerank(hub), linkage.row_shares()
+    for module in (collabnet, topics):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert repr((collabnet.pagerank(hub), linkage.row_shares())) == repr(plain)
+
+
 class TestCli:
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.toml"
@@ -400,7 +413,7 @@ class TestCli:
         # the CI runs Python 3.11 and 3.12, whose float sums differ in the last bits
         argv = ["all", "--config", str(fixture_dir / "config.toml"), "--seed", "7", "--output"]
         assert main(argv + [str(tmp_path / "plain")]) == 0
-        for module in (cli, citenet, powerlaw, predict):
+        for module in (cli, citenet, collabnet, powerlaw, predict, topics):
             monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
         assert main(argv + [str(tmp_path / "compensated")]) == 0
         assert differences(tmp_path / "plain", tmp_path / "compensated") == []
