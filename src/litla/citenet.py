@@ -50,9 +50,8 @@ def preferential_attachment_curve(
     in-network citation count k >= 1 (log2 bins against the heavy tail) and
     the average gain over the next snapshot is recorded. The fit runs over
     bucket means with positive gain and needs at least 3 such buckets.
+    Fewer than 2 snapshots have no pair and give ``([], None)``.
     """
-    if len(snapshots) < 2:
-        raise ValueError("need at least 2 snapshots")
     gains: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for g0, g1 in zip(snapshots, snapshots[1:]):
         for u in g0.nodes:

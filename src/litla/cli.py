@@ -41,6 +41,7 @@ from .graph import (
     EDGE_CITES,
     FLAG_CYCLE,
     FLAG_TEMPORAL_ANOMALY,
+    NODE_AUTHOR,
     NODE_PAPER,
     NODE_TYPES,
     PROJECTION_CITATION,
@@ -197,12 +198,8 @@ def stage_topics(corpus: Corpus, out) -> None:
         names.append(f"T{topic}")
         # sum() adds rows left to right on every Python; numpy's axis-0 sum may not
         centroids.append(sum(rows) / len(rows))
-    if len(centroids) >= 2:
-        merges = topics.hierarchical_topics(centroids)
-        write_json(out("dendrogram.json"), topics.dendrogram_json(merges, names))
-    else:
-        write_json(out("dendrogram.json"),
-                   {"name": names[0] if names else None, "height": 0.0})
+    write_json(out("dendrogram.json"),
+               topics.dendrogram_json(topics.hierarchical_topics(centroids), names))
 
     if cfg.queries_path is not None:
         queries = topics.load_queries(cfg.queries_path)
@@ -238,8 +235,9 @@ def stage_topics(corpus: Corpus, out) -> None:
 
 def stage_citenet(corpus: Corpus, out) -> None:
     block = corpus.cfg.citenet
-    if block.backbone_k < 0:
-        raise ValueError(f"backbone_k must be non-negative, got {block.backbone_k}")
+    for key in ("backbone_k", "cd_window"):
+        if getattr(block, key) < 0:
+            raise ValueError(f"{key} must be non-negative, got {getattr(block, key)}")
     cit = corpus.kg.project(PROJECTION_CITATION)
 
     node_years = [attrs["year"] for attrs in cit.nodes.values()]
@@ -254,13 +252,9 @@ def stage_citenet(corpus: Corpus, out) -> None:
     degrees = [d for d in cn.in_degree_samples(cit) if d >= max(1, block.degree_xmin)]
     fits["degree_mle"] = _fit_payload(fit_power_law_mle, degrees, block.degree_xmin)
 
-    if len(snapshots) >= 2:
-        curve, pa_fit = cn.preferential_attachment_curve(snapshots)
-        write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"], curve)
-        fits["preferential_attachment"] = pa_fit.as_dict() if pa_fit else None
-    else:
-        write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"], [])
-        fits["preferential_attachment"] = None
+    curve, pa_fit = cn.preferential_attachment_curve(snapshots)
+    write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"], curve)
+    fits["preferential_attachment"] = pa_fit.as_dict() if pa_fit else None
     write_json(out("fits.json"), fits)
 
     results = cn.cd_index_all(cit, window=block.window(),
@@ -289,22 +283,22 @@ def stage_collabnet(corpus: Corpus, out) -> None:
     kg = corpus.kg
     coauth = kg.project(PROJECTION_COAUTHORSHIP)
 
-    assignment = corpus.assignment
+    paper_topic = corpus.assignment.labels  # every paper's
     nationality = {}
-    topic_label = {}
-    for u in coauth.names:
-        nationality[u] = co.author_attribute(kg, u, "nationality")
-        topic_label[u] = co.author_attribute(kg, u, "primary_topic",
-                                             topic_labels=assignment.labels)
+    topic_label = {}  # modal topic over the author's papers, noise left out
+    for ref in kg.nodes_of_type(NODE_AUTHOR):
+        incidences = kg.nodes[ref]["incidences"]
+        nationality[ref.key] = stats.modal_country(incidences)
+        topic_label[ref.key] = stats.modal_label(
+            (paper_topic[pid] for _y, pid, _c in incidences), topics.NOISE)
 
     lo, hi = kg.corpus_year_range
     per_year = []
-    report = None  # ends as the last snapshot's, which is the whole network
     for y in range(lo, hi + 1):
         snap = coauth.snapshot(y)
+        report = co.components(snap)  # the last year's is the whole network's
         if snap.node_count() == 0:
             continue
-        report = co.components(snap)
         entry = {
             "year": y,
             "nodes": snap.node_count(),
@@ -325,8 +319,6 @@ def stage_collabnet(corpus: Corpus, out) -> None:
     except ValueError:  # fewer than 3 years with co-authorships
         growth_fit = None
 
-    if report is None:  # no author at all
-        report = co.components(coauth)
     write_csv(out("component_sizes.csv"), ["size", "count"],
               sorted(Counter(report.sizes[1:]).items()))
     write_csv(out("degree_distribution.csv"), ["degree", "count"],
@@ -360,6 +352,8 @@ def stage_predict(corpus: Corpus, out) -> None:
     cfg, kg = corpus.cfg, corpus.kg
     kw = kg.project(PROJECTION_KEYWORD)
     block = cfg.predict
+    if block.neg_ratio < 1:
+        raise ValueError(f"neg_ratio must be at least 1, got {block.neg_ratio}")
     if kw.node_count() == 0:
         raise RuntimeError("keyword co-occurrence network is empty")
     lo, hi = kg.corpus_year_range
@@ -489,6 +483,9 @@ def _die_with_parent(parent: int) -> None:
 
 def _worker(conn, parent: int, corpus: Corpus, outdir, name: str) -> None:
     """Body of a forked worker: run one stage and send its entry to ``conn``."""
+    import signal  # see _run_forked
+
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})  # blocked by _run_forked
     _die_with_parent(parent)
     conn.send(_run_stage(corpus, outdir, name))
 
@@ -515,6 +512,7 @@ def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[
     # imported here, so that a process that forks no worker, such as every
     # single-stage command, does not load them
     import multiprocessing
+    import signal
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")  # the workers share the built corpus's pages
@@ -537,16 +535,24 @@ def _run_forked(corpus: Corpus, outdir, names: list[str], workers: int) -> dict[
                 conn, send_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(target=_worker,
                                    args=(send_end, os.getpid(), corpus, outdir, name))
+                # a SIGINT waits until the worker is in ``running``, which the
+                # finally below kills and reaps, and is raised on unblocking
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
                     proc.start()
                 except OSError:  # each failed start leaks 4 fds: fork no more
                     conn.close()
                     send_end.close()
+                    proc = None
+                else:
+                    send_end.close()  # else the receive end sees no EOF if the worker dies
+                    running[conn] = (name, proc, start)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                if proc is None:
                     entries.update((n, _run_stage(corpus, outdir, n)) for n in [name, *pending])
                     pending = []
                     break
-                send_end.close()  # else the receive end sees no EOF if the worker dies
-                running[conn] = (name, proc, start)
             for conn in wait(list(running)) if running else ():  # wait([]) never returns
                 name, proc, start = running[conn]
                 try:

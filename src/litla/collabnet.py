@@ -13,8 +13,8 @@ import numpy as np
 
 from .countries import UNKNOWN
 from .errors import ConvergenceError
-from .graph import NODE_AUTHOR, KnowledgeGraph, NodeRef, ProjectedGraph
-from .stats import modal_country, modal_label, ordered_sum
+from .graph import ProjectedGraph
+from .stats import ordered_sum
 
 
 @dataclass
@@ -228,26 +228,7 @@ def count_k_cliques(pg: ProjectedGraph, k: int) -> int:
     return sum(extend(later[u], 1) for u in range(len(later)))
 
 
-# --- node attributes and mixing ----------------------------------------------------
-
-
-def author_attribute(kg: KnowledgeGraph, author_key: str, kind: str,
-                     topic_labels: dict[str, int] | None = None) -> str:
-    """Modal category of an author across their papers.
-
-    nationality: modal resolved country over (paper, author) incidences.
-    primary_topic: modal topic id over the author's papers, outliers (-1)
-    excluded. Ties break lexicographically; UNKNOWN when no data.
-    """
-    attrs = kg.nodes[NodeRef(NODE_AUTHOR, author_key)]
-    incidences = attrs["incidences"]
-    if kind == "nationality":
-        return modal_country(incidences)
-    if kind == "primary_topic":
-        if topic_labels is None:
-            raise ValueError("primary_topic requires topic_labels")
-        return modal_label((topic_labels.get(pid, -1) for _y, pid, _c in incidences), -1)
-    raise ValueError(f"unknown attribute kind {kind!r}")
+# --- mixing ----------------------------------------------------------------------
 
 
 def assortativity_categorical(pg: ProjectedGraph, labels: dict[str, str],

@@ -16,7 +16,7 @@ from functools import cache
 from pathlib import Path
 from typing import Iterable
 
-from .graph import NODE_TYPES, Edge, KnowledgeGraph, NodeRef, ProjectedGraph
+from .graph import NODE_TYPES, KnowledgeGraph, NodeRef, ProjectedGraph
 
 
 @contextmanager
@@ -131,22 +131,21 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _kg_order(kg: KnowledgeGraph, quote) -> tuple[list[NodeRef], dict[NodeRef, str], list[Edge]]:
-    """The KG's nodes sorted, each one's ``type:key`` id through ``quote``,
-    and its edges stably sorted by (source id, target id). No node type is a
-    prefix of another, so sorting refs sorts their ids: the per-type lists,
-    joined in type order, are the sorted refs. The edge order is the KG's
-    own, shared by both exports."""
+def _kg_nodes(kg: KnowledgeGraph, quote) -> tuple[list[NodeRef], dict[NodeRef, str]]:
+    """The KG's nodes sorted, and each one's ``type:key`` id through
+    ``quote``. No node type is a prefix of another, so sorting refs sorts
+    their ids: the per-type lists, joined in type order, are the sorted
+    refs, and ``kg.edges``, sorted by endpoints first, is sorted by (source
+    id, target id)."""
     refs = [ref for t in sorted(NODE_TYPES) for ref in kg.nodes_of_type(t)]
-    ids = {ref: quote(f"{ref.node_type}:{ref.key}") for ref in refs}
-    return refs, ids, kg.edges_by_endpoints
+    return refs, {ref: quote(f"{ref.node_type}:{ref.key}") for ref in refs}
 
 
 def kg_to_graphml(path, kg: KnowledgeGraph) -> None:
     """The KG as ``write_graphml`` writes it with node attributes name,
     node_type and year and edge attributes edge_type, weight and year,
     written straight from that fixed schema."""
-    refs, quoted, edges = _kg_order(kg, _quoteattr)
+    refs, quoted = _kg_nodes(kg, _quoteattr)
     names = [kg.nodes[ref].get("name") or kg.nodes[ref].get("title") for ref in refs]
     years = [kg.nodes[ref].get("year") for ref in refs]
     lines = [_GRAPHML_HEAD]
@@ -154,7 +153,7 @@ def kg_to_graphml(path, kg: KnowledgeGraph) -> None:
         lines += [_key_line("node", "name", names),
                   _key_line("node", "node_type", (ref.node_type for ref in refs)),
                   _key_line("node", "year", years)]
-    if edges:  # typed in the KG's own edge order, as write_graphml types them
+    if kg.edges:
         lines += [_key_line("edge", k, (getattr(e, k) for e in kg.edges))
                   for k in ("edge_type", "weight", "year")]
     lines.append('  <graph edgedefault="directed">')
@@ -162,13 +161,13 @@ def kg_to_graphml(path, kg: KnowledgeGraph) -> None:
         lines.append(f'    <node id={quoted[ref]}>')
         lines += _data_lines("node", {"name": name, "node_type": ref.node_type, "year": year})
         lines.append('    </node>')
-    weights = _column((e.weight for e in edges), _data_str)
-    edge_years = _column((e.year for e in edges), _data_str)
+    weights = _column((e.weight for e in kg.edges), _data_str)
+    edge_years = _column((e.year for e in kg.edges), _data_str)
     lines += [f'    <edge source={quoted[e.src]} target={quoted[e.dst]}>\n'
               f'      <data key="e_edge_type">{_escape(e.edge_type)}</data>\n'
               f'      <data key="e_weight">{weight}</data>\n'
               f'      <data key="e_year">{year}</data>\n'
-              '    </edge>' for e, weight, year in zip(edges, weights, edge_years)]
+              '    </edge>' for e, weight, year in zip(kg.edges, weights, edge_years)]
     lines.append('  </graph>\n</graphml>\n')
     write_text(path, "\n".join(lines))
 
@@ -176,11 +175,11 @@ def kg_to_graphml(path, kg: KnowledgeGraph) -> None:
 def kg_to_dot(path, kg: KnowledgeGraph) -> None:
     """The KG as a DOT digraph: its node ids, then its weighted edges in
     the order ``kg_to_graphml`` writes them."""
-    refs, quoted, edges = _kg_order(kg, _dot_id)
+    refs, quoted = _kg_nodes(kg, _dot_id)
     lines = ["digraph G {"] + [f"  {quoted[ref]};" for ref in refs]
-    weights = _column((e.weight for e in edges), _attr_str)
+    weights = _column((e.weight for e in kg.edges), _attr_str)
     lines += [f"  {quoted[e.src]} -> {quoted[e.dst]} [weight={weight}];"
-              for e, weight in zip(edges, weights)]
+              for e, weight in zip(kg.edges, weights)]
     lines.append("}\n")
     write_text(path, "\n".join(lines))
 

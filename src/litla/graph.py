@@ -9,8 +9,8 @@ projection are structural: no per-year figure reads a weight.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, cached_property
-from itertools import combinations, groupby
+from functools import cache
+from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -101,9 +101,10 @@ class Edge(NamedTuple("Edge", [("src", NodeRef), ("dst", NodeRef), ("edge_type",
 class KnowledgeGraph:
     """Immutable-after-build typed multigraph.
 
-    ``edges`` are sorted by (edge_type, src, dst, year). The sorted refs of
-    each node type and the edges of each edge type are kept once, at
-    construction; :meth:`nodes_of_type` and :meth:`edges_of_type` return
+    ``edges`` are sorted once, by (src, dst, edge_type, year), the order
+    the exports write; each edge type's list keeps that order. The sorted
+    refs of each node type and the edges of each edge type are kept once,
+    at construction; :meth:`nodes_of_type` and :meth:`edges_of_type` return
     those shared lists, which callers must not mutate. ``text`` indexes the
     papers' titles and abstracts; :func:`build_graph` fills it.
     """
@@ -116,18 +117,14 @@ class KnowledgeGraph:
             if e.src not in nodes or e.dst not in nodes:
                 raise ValueError(f"dangling edge endpoint: {e.src} -> {e.dst}")
         self.nodes = nodes
-        self.edges = sorted(edges, key=itemgetter(2, 0, 1, 4))
+        self.edges = sorted(edges, key=itemgetter(0, 1, 2, 4))
         self.corpus_year_range = corpus_year_range
         self._nodes_by_type: dict[str, list[NodeRef]] = {}
         for ref in sorted(nodes):
             self._nodes_by_type.setdefault(ref.node_type, []).append(ref)
-        # edges are sorted by type first, so each type is one run
-        self._edges_by_type = {t: list(run) for t, run in groupby(self.edges, itemgetter(2))}
-
-    @cached_property
-    def edges_by_endpoints(self) -> list[Edge]:
-        """``edges`` stably sorted by (src, dst)."""
-        return sorted(self.edges, key=itemgetter(0, 1))
+        self._edges_by_type: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            self._edges_by_type.setdefault(e.edge_type, []).append(e)
 
     def node_count(self, node_type: str) -> int:
         return len(self.nodes_of_type(node_type))

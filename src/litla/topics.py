@@ -208,14 +208,10 @@ def hierarchical_topics(centroids) -> list[tuple[int, int, float, int]]:
     Returns scipy-style rows (left, right, height, size): leaves are
     0..n-1, merge i creates cluster n+i. Distances are Euclidean and the
     average-linkage update follows Lance-Williams, so merge heights are
-    non-decreasing. A single centroid yields an empty merge list.
+    non-decreasing. Fewer than 2 centroids yield an empty merge list.
     """
     pts = np.asarray(centroids, dtype=float)
     n = len(pts)
-    if n == 0:
-        raise ValueError("at least one centroid required")
-    if n == 1:
-        return []
     dist = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -244,14 +240,15 @@ def hierarchical_topics(centroids) -> list[tuple[int, int, float, int]]:
 
 def dendrogram_json(merges: list[tuple[int, int, float, int]],
                     leaf_names: list[str]) -> dict:
-    """Nested {name|children, height} tree from a merge list."""
+    """Nested {name|children, height} tree from a merge list: with no merge
+    the first leaf, and with no leaf ``{"name": None, "height": 0.0}``."""
     n = len(leaf_names)
     nodes: dict[int, dict] = {
         i: {"name": leaf_names[i], "height": 0.0} for i in range(n)
     }
     for idx, (a, b, h, _size) in enumerate(merges):
         nodes[n + idx] = {"height": h, "children": [nodes[a], nodes[b]]}
-    return nodes[n + len(merges) - 1] if merges else nodes[0]
+    return nodes[n + len(merges) - 1] if merges else nodes.get(0, {"name": None, "height": 0.0})
 
 
 # --- boolean keyword queries ----------------------------------------------------

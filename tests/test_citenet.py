@@ -95,8 +95,8 @@ class TestPreferentialAttachment:
 
     def test_requires_two_snapshots(self):
         g = citation([], years={"a": 2000})
-        with pytest.raises(ValueError):
-            preferential_attachment_curve([g])
+        assert preferential_attachment_curve([g]) == ([], None)
+        assert preferential_attachment_curve([]) == ([], None)
 
 
 # --- CD index ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from litla import collabnet
 from litla.collabnet import (
     _bfs,
     assortativity_categorical,
-    author_attribute,
     betweenness,
     components,
     connected_components,
@@ -25,8 +24,10 @@ from litla.collabnet import (
 from litla.cli import main
 from litla.config import load_config
 from litla.errors import ConvergenceError
-from litla.graph import PROJECTION_COAUTHORSHIP, ProjectedGraph, build_graph
+from litla.graph import NODE_AUTHOR, PROJECTION_COAUTHORSHIP, NodeRef, ProjectedGraph, build_graph
 from litla.records import Author, PaperRecord, apply_exclusions
+from litla.stats import modal_country, modal_label
+from litla.topics import NOISE
 
 from conftest import random_undirected, undirected
 
@@ -639,35 +640,45 @@ def kgraph(author_specs):
     return build_graph(records)
 
 
+def incidences(kg, author_key):
+    return kg.nodes[NodeRef(NODE_AUTHOR, author_key)]["incidences"]
+
+
+def primary_topic(kg, author_key, labels):
+    """The author's topic label as stage_collabnet computes it."""
+    return modal_label((labels[pid] for _y, pid, _c in incidences(kg, author_key)), NOISE)
+
+
 class TestAuthorAttribute:
     def test_all_papers_same_country(self):
         kg = kgraph([("p1", 2010, [("A B", "CN")]), ("p2", 2011, [("A B", "CN")])])
-        assert author_attribute(kg, "a b", "nationality") == "CN"
+        assert modal_country(incidences(kg, "a b")) == "CN"
 
     def test_tie_breaks_lexicographically(self):
         kg = kgraph([("p1", 2010, [("A B", "CN")]), ("p2", 2011, [("A B", "GB")])])
-        assert author_attribute(kg, "a b", "nationality") == "CN"
+        assert modal_country(incidences(kg, "a b")) == "CN"
 
     def test_unknown_when_no_data(self):
         kg = kgraph([("p1", 2010, [("A B", None)])])
-        assert author_attribute(kg, "a b", "nationality") == "UNKNOWN"
+        assert modal_country(incidences(kg, "a b")) == "UNKNOWN"
 
     def test_modal_topic_excludes_outliers(self):
         kg = kgraph([("p1", 2010, [("A B", "CN")]),
                      ("p2", 2011, [("A B", "CN")]),
                      ("p3", 2012, [("A B", "CN")])])
-        labels = {"p1": 2, "p2": 2, "p3": -1}
-        assert author_attribute(kg, "a b", "primary_topic", topic_labels=labels) == "2"
+        labels = {"p1": 2, "p2": 2, "p3": NOISE}
+        assert primary_topic(kg, "a b", labels) == "2"
+        assert primary_topic(kg, "a b", {"p1": NOISE, "p2": NOISE, "p3": NOISE}) == "UNKNOWN"
 
     def test_modal_topic_ties_break_in_string_order(self):
         kg = kgraph([("p1", 2010, [("A B", "CN")]), ("p2", 2011, [("A B", "CN")])])
         labels = {"p1": 9, "p2": 10}
-        assert author_attribute(kg, "a b", "primary_topic", topic_labels=labels) == "10"
+        assert primary_topic(kg, "a b", labels) == "10"
 
     def test_counting_oracle(self):
         kg = kgraph([(f"p{i}", 2010 + i, [("A B", c)])
                      for i, c in enumerate(["CN", "GB", "GB", "US", "GB"])])
-        assert author_attribute(kg, "a b", "nationality") == "GB"
+        assert modal_country(incidences(kg, "a b")) == "GB"
 
 
 class TestAssortativity:

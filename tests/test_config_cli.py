@@ -336,6 +336,25 @@ def test_weighted_degree_and_row_shares_add_left_to_right(monkeypatch):
     assert repr((collabnet.pagerank(hub), linkage.row_shares())) == repr(plain)
 
 
+def degenerate_records(kind: str) -> list[dict]:
+    """One paper; five papers with neither authors nor embeddings, each
+    citing all earlier ones; or seven papers of three authors whose
+    near-equal embeddings make one topic."""
+    if kind == "one_paper":
+        return [{"id": "p0", "title": "Weight vectors for decomposition", "year": 2015,
+                 "page_count": 8, "embedding": [0.1, 0.2, 0.3],
+                 "authors": [{"name": "Ann Lee", "affiliation": "Tsinghua University, China"}]}]
+    if kind == "no_authors_or_embeddings":
+        return [{"id": f"p{i}", "title": f"Paper {i}", "year": 2010 + i, "page_count": 8,
+                 "references": [f"p{j}" for j in range(i)]} for i in range(5)]
+    names = ["Ann Lee", "Bo Chen", "Cy Park"]
+    return [{"id": f"p{i}", "title": f"Paper {i}", "year": 2012 + i, "page_count": 8,
+             "embedding": [1.0 + i * 1e-3, 0.0, 0.0],
+             "authors": [{"name": names[i % 3], "affiliation": "Tsinghua University, China"},
+                         {"name": names[(i + 1) % 3], "affiliation": "ETH Zurich, Switzerland"}],
+             "references": [f"p{j}" for j in range(max(0, i - 2), i)]} for i in range(7)]
+
+
 class TestCli:
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.toml"
@@ -439,6 +458,46 @@ class TestCli:
         expected = [[reduce(add, group, 0.0) / len(group)] for group in values]
         assert seen == expected
         assert [np.mean([[x] for x in group], axis=0).tolist() for group in values] != expected
+
+    @pytest.mark.parametrize("kind", ["one_paper", "no_authors_or_embeddings", "one_topic"])
+    def test_degenerate_corpus_reports_pinned(self, kind, tmp_path):
+        # zero or one topic, one year, no author: each analysis's own empty case
+        with open(tmp_path / "records.jsonl", "w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in degenerate_records(kind))
+        (tmp_path / "c.toml").write_text('[input]\nrecords = "records.jsonl"\n'
+                                         '[output]\ndir = "out"\n')
+        assert main(["all", "--config", str(tmp_path / "c.toml"), "--seed", "7"]) == 1
+        out = tmp_path / "out"
+        assert [(e["stage"], e["error"]) for e in read_manifest(out)["stages"]] == [
+            (stage, None) for stage in STAGES[:-1]] + [
+            ("predict", "RuntimeError: keyword co-occurrence network is empty")]
+        metrics = json.loads((out / "collab_metrics.json").read_text())
+        header = "mean_prior_citations,mean_gain\n"
+        no_topic = {"name": None, "height": 0.0}
+        # dendrogram, pref_attachment.csv, components, hop coverage
+        want = {
+            "one_paper": (no_topic, header, 1, [[0, "1.0"]]),
+            "no_authors_or_embeddings": (no_topic, header + "1.0,1.0\n2.3333333333333335,1.0\n",
+                                         0, []),
+            "one_topic": ({"name": "T0", "height": 0.0}, header + "1.0,1.0\n2.0,0.0\n", 1,
+                          [[0, "0.3333333333333333"], [1, "1.0"]]),
+        }[kind]
+        assert (json.loads((out / "dendrogram.json").read_text()),
+                (out / "pref_attachment.csv").read_text(),
+                json.loads((out / "fits.json").read_text())["preferential_attachment"],
+                metrics["components"], metrics["hop_coverage"]) == (*want[:2], None, *want[2:])
+        # year, nodes, edges, diameter, nationality assortativity
+        years = {
+            "one_paper": [(2015, 1, 0, 0, None)],
+            "no_authors_or_embeddings": [],
+            "one_topic": [(2012, 2, 1, 1, -1.0), (2013, 3, 2, 2, -1 / 3)]
+                         + [(year, 3, 3, 1, -0.5) for year in range(2014, 2019)],
+        }[kind]
+        # assortativity goes through np.dot, whose last bits depend on the BLAS kernel
+        assert metrics["per_year"] == [pytest.approx({
+            "year": year, "nodes": n, "edges": e, "components": 1, "largest_component": n,
+            "diameter": d, "assortativity_nationality": r, "assortativity_primary_topic": None})
+            for year, n, e, d, r in years]
 
     def test_ingest_stats_and_assignment_reports_pinned(self, fixture_dir, tmp_path):
         # sha256 of the fixture's reports at seed 7 that no np.exp, log,
@@ -703,9 +762,13 @@ class TestCli:
         ("topics", "emerging_k = -2", "k must be non-negative, got -2"),
         ("collabnet", "top_k = -1", "top_k must be non-negative, got -1"),
         ("citenet", "backbone_k = -1", "backbone_k must be non-negative, got -1"),
-    ], ids=["top_n", "top_terms", "emerging_k", "top_k", "backbone_k"])
+        ("citenet", "cd_window = -3", "cd_window must be non-negative, got -3"),
+        ("predict", "neg_ratio = 0", "neg_ratio must be at least 1, got 0"),
+    ], ids=["top_n", "top_terms", "emerging_k", "top_k", "backbone_k", "cd_window", "neg_ratio"])
     def test_negative_count_fails_its_stage(self, stage, setting, error, fixture_dir, tmp_path):
-        # each once cut its report from the end and exited 0
+        # each once cut its report from the end and exited 0, except cd_window,
+        # which ran as 0 (all later papers), and neg_ratio, whose training
+        # failed without naming it
         shutil.copytree(fixture_dir, tmp_path / "fixtures")
         config = tmp_path / "fixtures" / "config.toml"
         key = setting.split(" = ")[0]
@@ -881,6 +944,29 @@ class TestWorkers:
         with pytest.raises(ChildProcessError):  # already reaped
             os.waitpid(pids[0], os.WNOHANG)
         assert gc.get_freeze_count() == 0
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    def test_interrupt_while_a_worker_starts_kills_and_reaps_it(self, fixture_dir, tmp_path,
+                                                                monkeypatch, forking):
+        # a Ctrl-C that lands inside proc.start(), after the fork but before
+        # the worker is registered, once left the worker running on
+        forked = []
+        real_fork = os.fork
+
+        def fork_then_interrupt():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+        monkeypatch.setattr(os, "fork", fork_then_interrupt)
+        monkeypatch.setitem(cli._STAGE_FUNCS, "predict", lambda corpus, out: time.sleep(60))
+        with time_limit(60), pytest.raises(KeyboardInterrupt):
+            main(["all", "--config", str(fixture_dir / "config.toml"),
+                  "--output", str(tmp_path / "out")])
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(forked[0], os.WNOHANG)
         assert not (tmp_path / "out" / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("case", ["single_stage", "one_cpu", "threaded"])

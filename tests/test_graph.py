@@ -51,8 +51,8 @@ def match_text_keywords(record: PaperRecord, keywords: list[str]) -> list[str]:
 
 
 def edge_sort_key(e: Edge):
-    """Reference order of ``KnowledgeGraph.edges``."""
-    return (e.edge_type, e.src, e.dst, e.year)
+    """Reference order of ``KnowledgeGraph.edges``, the exports' order."""
+    return (e.src, e.dst, e.edge_type, e.year)
 
 
 def reference_snapshot(pg: ProjectedGraph, year: int) -> tuple[set, set]:
@@ -229,7 +229,7 @@ def test_edges_repr_hash_and_order_are_their_fields(edges):
                                                for name in EDGE_FIELDS) + ")")
         assert hash(e) == hash(tuple(getattr(e, name) for name in EDGE_FIELDS))
     by_key = sorted(edges, key=edge_sort_key)
-    by_fields = sorted(edges, key=lambda e: (e.edge_type, _fields(e.src), _fields(e.dst), e.year))
+    by_fields = sorted(edges, key=lambda e: (_fields(e.src), _fields(e.dst), e.edge_type, e.year))
     assert [_fields(e) for e in by_key] == [_fields(e) for e in by_fields]
 
 
@@ -443,9 +443,9 @@ def test_kg_edge_orders_match_reference_sorts(edges):
     kg = KnowledgeGraph(nodes, edges, (2000, 2003))
     assert [_fields(e) for e in kg.edges] == \
         [_fields(e) for e in sorted(edges, key=edge_sort_key)]
-    assert [_fields(e) for e in kg.edges_by_endpoints] == \
-        [_fields(e) for e in sorted(kg.edges, key=lambda e: (e.src, e.dst))]
-    assert kg.edges_by_endpoints is kg.edges_by_endpoints
+    # each type's list runs by (src, dst, year)
+    assert [_fields(e) for e in kg.edges_of_type(EDGE_CITES)] == \
+        [_fields(e) for e in sorted(edges, key=lambda e: (e.src, e.dst, e.year))]
 
 
 @given(st.data())
