@@ -170,8 +170,16 @@ def stage_stats(corpus: Corpus, out) -> None:
     })
 
 
+def _check_non_negative(block, *keys: str) -> None:
+    """Fail the stage, naming the key, when one of ``block``'s ``keys`` is negative."""
+    for key in keys:
+        if getattr(block, key) < 0:
+            raise ValueError(f"{key} must be non-negative, got {getattr(block, key)}")
+
+
 def stage_topics(corpus: Corpus, out) -> None:
     cfg, kg = corpus.cfg, corpus.kg
+    _check_non_negative(cfg.topics, "top_terms", "emerging_k")
     years = {ref.key: kg.nodes[ref]["year"] for ref in kg.nodes_of_type(NODE_PAPER)}
     assignment = corpus.assignment
 
@@ -235,9 +243,7 @@ def stage_topics(corpus: Corpus, out) -> None:
 
 def stage_citenet(corpus: Corpus, out) -> None:
     block = corpus.cfg.citenet
-    for key in ("backbone_k", "cd_window"):
-        if getattr(block, key) < 0:
-            raise ValueError(f"{key} must be non-negative, got {getattr(block, key)}")
+    _check_non_negative(block, "backbone_k", "cd_window")
     cit = corpus.kg.project(PROJECTION_CITATION)
 
     node_years = [attrs["year"] for attrs in cit.nodes.values()]
@@ -278,8 +284,7 @@ def stage_citenet(corpus: Corpus, out) -> None:
 
 def stage_collabnet(corpus: Corpus, out) -> None:
     block = corpus.cfg.collabnet
-    if block.top_k < 0:
-        raise ValueError(f"top_k must be non-negative, got {block.top_k}")
+    _check_non_negative(block, "top_k")
     kg = corpus.kg
     coauth = kg.project(PROJECTION_COAUTHORSHIP)
 
@@ -360,6 +365,9 @@ def stage_predict(corpus: Corpus, out) -> None:
     snapshots = {y: kw.snapshot(y) for y in range(lo, hi + 1)}
 
     eval_year = hi
+    if block.train_start >= eval_year:
+        raise ValueError(f"train_start must be before the held-out year {eval_year}, "
+                         f"got {block.train_start}")
     first_train = max(lo + 1, block.train_start) if block.train_start else lo + 1
     train_samples = []
     used_years = []
@@ -373,6 +381,10 @@ def stage_predict(corpus: Corpus, out) -> None:
         used_years.append(year)
     if not train_samples:
         raise RuntimeError("no usable training years: keyword network never grew")
+    if all(s.label == 1 for s in train_samples):  # each used year has a new edge
+        raise RuntimeError(f"no negative pair could be sampled in training years {used_years}: "
+                           "by each year's end, every pair of the keywords seen the year "
+                           "before was linked")
 
     model = pr.train_link_model(train_samples, n_trees=block.n_trees,
                                 max_depth=block.max_depth,

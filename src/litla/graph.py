@@ -12,7 +12,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Hashable, Iterable, NamedTuple
 
 from .countries import UNKNOWN, infer_country
 from .records import PaperRecord
@@ -141,43 +141,35 @@ class KnowledgeGraph:
     # -- homogeneous views ----------------------------------------------------
 
     def project(self, kind: str) -> "ProjectedGraph":
+        """The homogeneous view ``kind``. The citation and co-authorship
+        projections hold the graph's own paper and author dicts as their
+        nodes, which callers must not mutate; the keyword projection tallies
+        its nodes and edges from the papers' ``text_keywords``."""
         if kind == PROJECTION_CITATION:
-            papers = ((ref.key, self.nodes[ref]) for ref in self.nodes_of_type(NODE_PAPER))
-            nodes = {key: {"year": attrs["year"], "authors": attrs["authors"],
-                           "venue": attrs["venue"]} for key, attrs in papers}
             edges = {
                 (e.src.key, e.dst.key): {"year": e.year, "weight": 1.0, "flags": e.flags}
                 for e in self.edges_of_type(EDGE_CITES)
             }
-            return ProjectedGraph(directed=True, nodes=nodes, edges=edges)
+            return ProjectedGraph(directed=True, nodes=self._by_key(NODE_PAPER), edges=edges)
         if kind == PROJECTION_COAUTHORSHIP:
-            nodes = {ref.key: {"year": self.nodes[ref]["year"]}
-                     for ref in self.nodes_of_type(NODE_AUTHOR)}
             edges = {
                 (e.src.key, e.dst.key): {"year": e.year, "weight": e.weight}
                 for e in self.edges_of_type(EDGE_COAUTHORS_WITH)
             }
-            return ProjectedGraph(directed=False, nodes=nodes, edges=edges)
-        if kind == PROJECTION_KEYWORD:
-            return self._project_keywords()
-        raise ValueError(f"unknown projection {kind!r}")
-
-    def _project_keywords(self) -> "ProjectedGraph":
-        first_seen: dict[str, int] = {}
-        pair_years: dict[tuple[str, str], list[int]] = {}
-        for ref in self.nodes_of_type(NODE_PAPER):
-            attrs = self.nodes[ref]
-            kws = sorted(set(attrs["text_keywords"]))
-            year = attrs["year"]
-            for kw in kws:
-                if kw not in first_seen or year < first_seen[kw]:
-                    first_seen[kw] = year
-            for u, v in combinations(kws, 2):
-                pair_years.setdefault((u, v), []).append(year)
-        nodes = {kw: {"year": y} for kw, y in first_seen.items()}
-        edges = {pair: {"year": min(years), "weight": float(len(years))}
-                 for pair, years in pair_years.items()}
+            return ProjectedGraph(directed=False, nodes=self._by_key(NODE_AUTHOR), edges=edges)
+        if kind != PROJECTION_KEYWORD:
+            raise ValueError(f"unknown projection {kind!r}")
+        papers = [(attrs["text_keywords"], attrs["year"])
+                  for attrs in self._by_key(NODE_PAPER).values()]
+        firsts = _tally((kw, year) for kws, year in papers for kw in kws)
+        pairs = _tally((pair, year) for kws, year in papers for pair in combinations(kws, 2))
+        nodes = {kw: {"year": first} for kw, (_, first) in firsts.items()}
+        edges = {pair: {"year": first, "weight": float(count)}
+                 for pair, (count, first) in pairs.items()}
         return ProjectedGraph(directed=False, nodes=nodes, edges=edges)
+
+    def _by_key(self, node_type: str) -> dict[str, dict]:
+        return {ref.key: self.nodes[ref] for ref in self.nodes_of_type(node_type)}
 
 
 class ProjectedGraph:
@@ -300,6 +292,16 @@ def _scc_roots(adj: dict[str, list[str]]) -> dict[str, str]:
     return comp
 
 
+def _tally(keyed_years: Iterable[tuple[Hashable, int]]) -> dict:
+    """Each key's (paper count, first year) over its (key, paper year)
+    pairs, in first-seen order: a shared-paper edge's weight and year."""
+    tally: dict = {}
+    for key, year in keyed_years:
+        count, first = tally.get(key, (0, year))
+        tally[key] = (count + 1, min(first, year))
+    return tally
+
+
 def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     """Assemble the knowledge graph from deduplicated records.
 
@@ -307,18 +309,18 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     holds its record's embedding object itself. Backward-in-time citations are
     flagged as temporal anomalies and citation cycles among the remaining
     edges are flagged so DAG-based analyses can drop them. A paper's
-    ``text_keywords`` are its canonical keywords whose token sequence occurs
-    contiguously in its title+abstract stream of the graph's ``text`` index.
+    ``text_keywords`` are its canonical keywords, sorted, whose token sequence
+    occurs contiguously in its title+abstract stream of the graph's ``text``
+    index. A non-citation edge weighs its joint-paper count and is dated by
+    the first of those papers. An author, venue, keyword or institution is
+    dated by its first paper and named by its first record in id order.
     """
     if not records:
         return KnowledgeGraph({}, [], (0, 0))
-    ids = [r.id for r in records]
-    if len(set(ids)) != len(ids):
-        dupes = sorted(k for k, c in Counter(ids).items() if c > 1)
+    paper_years = {r.id: r.year for r in records}
+    if len(paper_years) != len(records):
+        dupes = sorted(k for k, c in Counter(r.id for r in records).items() if c > 1)
         raise ValueError(f"duplicate record ids: {dupes}")
-    corpus_ids = set(ids)
-    year_lo = min(r.year for r in records)
-    year_hi = max(r.year for r in records)
 
     records = sorted(records, key=lambda r: r.id)
     text = TextIndex({rec.id: (rec.title, rec.abstract) for rec in records})
@@ -327,48 +329,40 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     canon = cache(canonical)  # name -> its canonical key
     nodes: dict[NodeRef, dict] = {}
     edges: list[Edge] = []
-    author_meta: dict[str, dict] = {}
-    venue_meta: dict[str, dict] = {}
-    keyword_first: dict[str, int] = {}
-    inst_meta: dict[str, dict] = {}
-    coauthor_years: dict[tuple[str, str], list[int]] = {}
-    affil_years: dict[tuple[str, str], list[int]] = {}
+    shared: list[tuple[tuple[NodeRef, NodeRef, str], int]] = []  # (edge key, year) per joint paper
     cites_pairs: list[tuple[str, str]] = []
 
+    # an entity is named by its first record, which dates it until its edges are in
     for rec in records:
         paper_ref = refs(NODE_PAPER, rec.id)
-        author_keys = []
+        author_refs = []
         countries = []
         for a in rec.authors:
             akey = canon(a.name)
             if not akey:
                 continue
             country = infer_country(a.affiliation) if a.affiliation else UNKNOWN
-            meta = author_meta.setdefault(akey, {"name": a.name, "incidences": []})
-            meta["incidences"].append((rec.year, rec.id, country))
-            author_keys.append(akey)
+            author_ref = refs(NODE_AUTHOR, akey)
+            author = nodes.setdefault(author_ref, {"name": a.name, "year": rec.year,
+                                                   "incidences": []})
+            author["incidences"].append((rec.year, rec.id, country))
+            author_refs.append(author_ref)
             countries.append(country)
             ikey = institution_key(a.affiliation)
             if ikey:
-                inst_meta.setdefault(ikey, {"name": a.affiliation.split(",", 1)[0].strip(),
+                inst_ref = refs(NODE_INSTITUTION, ikey)
+                nodes.setdefault(inst_ref, {"name": a.affiliation.split(",", 1)[0].strip(),
                                             "year": rec.year})
-                inst_meta[ikey]["year"] = min(inst_meta[ikey]["year"], rec.year)
-                affil_years.setdefault((akey, ikey), []).append(rec.year)
-        author_keys = list(dict.fromkeys(author_keys))  # dedupe, keep order
+                shared.append(((author_ref, inst_ref, EDGE_AFFILIATED_WITH), rec.year))
+        author_refs = list(dict.fromkeys(author_refs))  # dedupe, keep order
 
         vkey = canon(rec.venue)
-        if vkey:
-            meta = venue_meta.setdefault(vkey, {"name": rec.venue, "year": rec.year})
-            meta["year"] = min(meta["year"], rec.year)
-
         all_keywords = sorted({canon(k) for k in rec.extracted_keywords + rec.author_keywords
                                if k.strip()})
-        for kw in all_keywords:
-            keyword_first[kw] = min(keyword_first.get(kw, rec.year), rec.year)
         stream = text.streams[rec.id]
         text_kws = [kw for kw in all_keywords if contains_phrase(stream, phrases(kw))]
 
-        in_refs = sorted(r for r in set(rec.references) if r in corpus_ids and r != rec.id)
+        in_refs = sorted(r for r in set(rec.references) if r in paper_years and r != rec.id)
         known_countries = sorted({c for c in countries if c != UNKNOWN})
         intents = tuple(s.intent for s in rec.citation_statements if s.intent)
         nodes[paper_ref] = {
@@ -376,7 +370,7 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             "title": rec.title,
             "venue": vkey,
             "pub_type": rec.pub_type,
-            "authors": tuple(author_keys),
+            "authors": tuple(ref.key for ref in author_refs),
             "countries": tuple(known_countries) if known_countries else (UNKNOWN,) if rec.authors else (),
             "subject_categories": tuple(dict.fromkeys(rec.subject_categories)),
             "intents": intents,
@@ -384,35 +378,30 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             "embedding": rec.embedding,
         }
 
-        for u, v in combinations(sorted(author_keys), 2):
-            coauthor_years.setdefault((u, v), []).append(rec.year)
-
-        for akey in author_keys:
-            edges.append(Edge(refs(NODE_AUTHOR, akey), paper_ref, EDGE_AUTHOR_OF, 1.0, rec.year))
+        shared.extend(((u, v, EDGE_COAUTHORS_WITH), rec.year)
+                      for u, v in combinations(sorted(author_refs), 2))
+        for author_ref in author_refs:
+            edges.append(Edge(author_ref, paper_ref, EDGE_AUTHOR_OF, 1.0, rec.year))
         if vkey:
-            edges.append(Edge(paper_ref, refs(NODE_VENUE, vkey), EDGE_PUBLISHED_AT, 1.0, rec.year))
+            venue_ref = refs(NODE_VENUE, vkey)
+            nodes.setdefault(venue_ref, {"name": rec.venue, "year": rec.year})
+            edges.append(Edge(paper_ref, venue_ref, EDGE_PUBLISHED_AT, 1.0, rec.year))
         for kw in all_keywords:
-            edges.append(Edge(paper_ref, refs(NODE_KEYWORD, kw), EDGE_MENTIONS_KEYWORD,
-                              1.0, rec.year))
+            kw_ref = refs(NODE_KEYWORD, kw)
+            nodes.setdefault(kw_ref, {"year": rec.year})
+            edges.append(Edge(paper_ref, kw_ref, EDGE_MENTIONS_KEYWORD, 1.0, rec.year))
         cites_pairs.extend((rec.id, tgt) for tgt in in_refs)
 
-    # entity nodes
-    for akey, meta in sorted(author_meta.items()):
-        incidences = tuple(sorted(meta["incidences"]))
-        nodes[refs(NODE_AUTHOR, akey)] = {
-            "name": meta["name"],
-            "year": incidences[0][0],
-            "incidences": incidences,
-        }
-    for vkey, meta in sorted(venue_meta.items()):
-        nodes[refs(NODE_VENUE, vkey)] = meta
-    for kw, first in sorted(keyword_first.items()):
-        nodes[refs(NODE_KEYWORD, kw)] = {"year": first}
-    for ikey, meta in sorted(inst_meta.items()):
-        nodes[refs(NODE_INSTITUTION, ikey)] = meta
+    for (src, dst, edge_type), (count, first) in _tally(shared).items():
+        edges.append(Edge(src, dst, edge_type, float(count), first))
+    # each edge so far is dated by a paper of both its endpoints, and a
+    # paper's by its own year, so an entity's first paper dates its earliest edge
+    for src, dst, _, _, year, _ in edges:
+        for ref in (src, dst):
+            if year < nodes[ref]["year"]:
+                nodes[ref]["year"] = year
 
     # cycle detection runs on temporally valid edges only
-    paper_years = {rec.id: rec.year for rec in records}
     valid_adj: dict[str, list[str]] = {pid: [] for pid in paper_years}
     for src, dst in cites_pairs:
         if paper_years[src] >= paper_years[dst]:
@@ -424,13 +413,8 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
         edges.append(Edge(refs(NODE_PAPER, src), refs(NODE_PAPER, dst), EDGE_CITES, 1.0,
                           paper_years[src], flags=flags))
 
-    for (u, v), years in sorted(coauthor_years.items()):
-        edges.append(Edge(refs(NODE_AUTHOR, u), refs(NODE_AUTHOR, v),
-                          EDGE_COAUTHORS_WITH, float(len(years)), min(years)))
-    for (akey, ikey), years in sorted(affil_years.items()):
-        edges.append(Edge(refs(NODE_AUTHOR, akey), refs(NODE_INSTITUTION, ikey),
-                          EDGE_AFFILIATED_WITH, float(len(years)), min(years)))
-
-    kg = KnowledgeGraph(nodes, edges, (year_lo, year_hi))
+    kg = KnowledgeGraph(nodes, edges, (min(paper_years.values()), max(paper_years.values())))
+    for ref in kg.nodes_of_type(NODE_AUTHOR):
+        nodes[ref]["incidences"] = tuple(sorted(nodes[ref]["incidences"]))
     kg.text = text
     return kg

@@ -758,8 +758,8 @@ class TestCli:
 
     @pytest.mark.parametrize("stage, setting, error", [
         ("predict", "top_n = -5", "top_n must be non-negative, got -5"),
-        ("topics", "top_terms = -3", "top_n must be non-negative, got -3"),
-        ("topics", "emerging_k = -2", "k must be non-negative, got -2"),
+        ("topics", "top_terms = -3", "top_terms must be non-negative, got -3"),
+        ("topics", "emerging_k = -2", "emerging_k must be non-negative, got -2"),
         ("collabnet", "top_k = -1", "top_k must be non-negative, got -1"),
         ("citenet", "backbone_k = -1", "backbone_k must be non-negative, got -1"),
         ("citenet", "cd_window = -3", "cd_window must be non-negative, got -3"),
@@ -767,8 +767,8 @@ class TestCli:
     ], ids=["top_n", "top_terms", "emerging_k", "top_k", "backbone_k", "cd_window", "neg_ratio"])
     def test_negative_count_fails_its_stage(self, stage, setting, error, fixture_dir, tmp_path):
         # each once cut its report from the end and exited 0, except cd_window,
-        # which ran as 0 (all later papers), and neg_ratio, whose training
-        # failed without naming it
+        # which ran as 0 (all later papers), and neg_ratio, top_terms and
+        # emerging_k, whose stages failed without naming them
         shutil.copytree(fixture_dir, tmp_path / "fixtures")
         config = tmp_path / "fixtures" / "config.toml"
         key = setting.split(" = ")[0]
@@ -780,6 +780,18 @@ class TestCli:
         stages = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["stages"]
         assert [(e["stage"], e["status"], e["error"]) for e in stages] == [
             (stage, "failed", f"ValueError: {error}")]
+
+    def test_train_start_after_the_data_names_itself(self, fixture_dir, tmp_path):
+        # failed as "no usable training years: keyword network never grew"
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        config.write_text(config.read_text().replace("[predict]\n",
+                                                     "[predict]\ntrain_start = 3000\n"))
+        assert main(["predict", "--config", str(config),
+                     "--output", str(tmp_path / "out")]) == 1
+        (entry,) = read_manifest(tmp_path / "out")["stages"]
+        assert entry["error"] == \
+            "ValueError: train_start must be before the held-out year 2023, got 3000"
 
     def test_unsafe_characters_cost_their_lines(self, fixture_dir, tmp_path):
         # a lone surrogate failed the whole ingest stage; U+0001 and U+000B

@@ -5,10 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from litla import graph
+from litla.countries import UNKNOWN, infer_country
 from litla.graph import (
+    EDGE_AFFILIATED_WITH,
     EDGE_AUTHOR_OF,
     EDGE_CITES,
     EDGE_COAUTHORS_WITH,
+    EDGE_MENTIONS_KEYWORD,
+    EDGE_PUBLISHED_AT,
     FLAG_CYCLE,
     FLAG_TEMPORAL_ANOMALY,
     NODE_AUTHOR,
@@ -548,3 +552,91 @@ def test_snapshot_shares_settled_attributes(fixture_records):
             snap = g.snapshot(year)
             assert all(snap.edges[k] is g.edges[k] for k in snap.edges)
         assert len(snap.edges) == len(g.edges) > 0
+
+
+# names that differ only in case or spacing, an empty one, and affiliations
+# that share their first comma segment
+_names = st.sampled_from(["Ann Lee", "ann  LEE", " Ann Lee ", "Bo Chen", "bo chen", "Cy", " "])
+_affiliations = st.sampled_from(["X Univ, Dept A, UK", "x univ,  Dept B, China",
+                                 " Y Lab , Paris, France", "Y LAB", ""])
+_venues = st.sampled_from(["Venue A", "venue  a", "Venue B", ""])
+_keywords = st.sampled_from(["Alpha", "alpha", "beta gamma", "Beta  Gamma", "delta", " "])
+
+
+@st.composite
+def shared_paper_records(draw):
+    """Up to 7 records whose ids are not in year order; an author may be
+    listed twice on one record."""
+    ids = draw(st.lists(st.sampled_from([f"p{i}" for i in range(9)]), unique=True,
+                        max_size=7))
+    return [rec(pid, draw(st.integers(2010, 2013)),
+                authors=draw(st.lists(st.tuples(_names, _affiliations), max_size=4)),
+                venue=draw(_venues), kws=draw(st.lists(_keywords, max_size=3)),
+                title=draw(st.sampled_from(["alpha and beta gamma", "delta", "none"])))
+            for pid in ids]
+
+
+@given(shared_paper_records())
+def test_shared_paper_rule_by_definition(records):
+    """Every non-citation edge's weight and year, every entity's name and
+    year and every author's incidences, computed from the records alone:
+    an edge weighs its joint papers and is dated by the first of them, an
+    entity is dated by its first paper and named by its first record in id
+    order."""
+    kg = build_graph(records)
+    want_nodes: dict[NodeRef, dict] = {}
+    want_edges: dict[tuple, list[int]] = {}  # (src, dst, type) -> the year of each joint paper
+
+    def entity(node_type, key, year, **name):
+        attrs = want_nodes.setdefault(NodeRef(node_type, key), {**name, "year": year})
+        attrs["year"] = min(attrs["year"], year)
+        return attrs
+
+    def link(src, dst, edge_type, year):
+        want_edges.setdefault((src, dst, edge_type), []).append(year)
+
+    for r in sorted(records, key=lambda r: r.id):
+        paper = NodeRef(NODE_PAPER, r.id)
+        listed = [(canonical(a.name), a) for a in r.authors if canonical(a.name)]
+        # an author listed twice on a record counts twice in its incidences
+        # and affiliation weights, and once in every other edge
+        for key, a in listed:
+            author = entity(NODE_AUTHOR, key, r.year, name=a.name)
+            country = infer_country(a.affiliation) if a.affiliation else UNKNOWN
+            author.setdefault("incidences", []).append((r.year, r.id, country))
+            ikey = institution_key(a.affiliation)
+            if ikey:
+                entity(NODE_INSTITUTION, ikey, r.year, name=a.affiliation.split(",")[0].strip())
+                link(NodeRef(NODE_AUTHOR, key), NodeRef(NODE_INSTITUTION, ikey),
+                     EDGE_AFFILIATED_WITH, r.year)
+        keys = sorted({key for key, _ in listed})
+        for key in keys:
+            link(NodeRef(NODE_AUTHOR, key), paper, EDGE_AUTHOR_OF, r.year)
+        for u, v in combinations(keys, 2):
+            link(NodeRef(NODE_AUTHOR, u), NodeRef(NODE_AUTHOR, v), EDGE_COAUTHORS_WITH, r.year)
+        if canonical(r.venue):
+            entity(NODE_VENUE, canonical(r.venue), r.year, name=r.venue)
+            link(paper, NodeRef(NODE_VENUE, canonical(r.venue)), EDGE_PUBLISHED_AT, r.year)
+        for kw in {canonical(k) for k in r.extracted_keywords} - {""}:
+            entity(NODE_KEYWORD, kw, r.year)
+            link(paper, NodeRef(NODE_KEYWORD, kw), EDGE_MENTIONS_KEYWORD, r.year)
+
+    got_nodes = {ref: dict(attrs) for ref, attrs in kg.nodes.items()
+                 if ref.node_type != NODE_PAPER}
+    for attrs in want_nodes.values():
+        if "incidences" in attrs:
+            attrs["incidences"] = tuple(sorted(attrs["incidences"]))
+    assert got_nodes == want_nodes
+    got_edges = {(e.src, e.dst, e.edge_type): (e.weight, e.year) for e in kg.edges
+                 if e.edge_type != EDGE_CITES}
+    assert got_edges == {k: (float(len(years)), min(years)) for k, years in want_edges.items()}
+
+
+def test_citation_and_coauthorship_projections_hold_the_graph_s_node_dicts(fixture_records):
+    kg = build_graph(fixture_records)
+    cit = kg.project(PROJECTION_CITATION)
+    assert cit.nodes.keys() == {ref.key for ref in kg.nodes_of_type(NODE_PAPER)}
+    assert all(cit.nodes[pid] is kg.paper(pid) for pid in cit.nodes)
+    co = kg.project(PROJECTION_COAUTHORSHIP)
+    assert co.nodes.keys() == {ref.key for ref in kg.nodes_of_type(NODE_AUTHOR)}
+    assert all(co.nodes[a] is kg.nodes[NodeRef(NODE_AUTHOR, a)] for a in co.nodes)
