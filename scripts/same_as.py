@@ -10,7 +10,9 @@ corpora with ``benchmark/corpus.py`` at the shapes of
 ``benchmark/run.py``'s workloads. Then runs ``litla all --seed 7`` from
 both trees on the bundled fixture and on each corpus, prints
 ``same_reports.differences`` (and any difference in exit code) for each
-input, and exits 1 on any difference.
+input, and exits 1 on any difference. First it prints the line count of
+``src/litla/*.py`` at ``REV`` and in the working tree, counted as ``wc -l``
+counts them.
 
 Each input is also run from the working tree with a one-CPU affinity, on
 platforms that have ``os.sched_setaffinity``. There ``run_stages`` runs
@@ -47,6 +49,11 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def line_count(src: Path) -> int:
+    """Newlines in ``src/litla/*.py``, the count ``wc -l`` gives."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "litla").glob("*.py"))
+
+
 def one_cpu() -> None:
     """Restrict the calling process to one of the CPUs it may use."""
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -79,6 +86,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_as-") as tmp:
         tmp = Path(tmp)
         rev_src = export_src(args.rev, tmp / "rev")
+        short = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.rev],
+                               check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+        at_rev, in_tree = line_count(rev_src), line_count(ROOT / "src")
+        print(f"src/litla/*.py: {at_rev} lines at {short}, {in_tree} in the working tree "
+              f"({in_tree - at_rev:+d})")
         inputs = {"fixture": ROOT / "fixtures" / "config.toml"}
         for name in CORPORA:
             corpus.generate(WORKLOADS[name].shape, SEED, tmp / name)

@@ -33,11 +33,6 @@ def densification_fit(n_t: list[int], e_t: list[int]) -> PowerLawFit:
     return fit_power_law_ls([p[0] for p in pairs], [p[1] for p in pairs])
 
 
-def in_degree_samples(cit: ProjectedGraph) -> list[int]:
-    """In-network citation counts (in-degrees), sorted ascending."""
-    return sorted(map(len, cit.pred))
-
-
 # --- preferential attachment -------------------------------------------------------
 
 

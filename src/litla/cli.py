@@ -22,6 +22,7 @@ import time
 import traceback
 import warnings
 from collections import Counter
+from dataclasses import asdict
 from functools import cached_property
 
 from . import citenet as cn
@@ -132,16 +133,12 @@ def stage_ingest(corpus: Corpus, out) -> None:
     })
 
 
-def _series_payload(series: stats.YearSeries) -> dict:
-    return {"years": series.years, "values": series.values}
-
-
 def _fit_payload(fn, *args):
     try:
         fit = fn(*args)
     except (ValueError, RuntimeError) as exc:
         return {"error": str(exc)}
-    return fit.as_dict()
+    return asdict(fit)
 
 
 def stage_stats(corpus: Corpus, out) -> None:
@@ -158,10 +155,10 @@ def stage_stats(corpus: Corpus, out) -> None:
         for facet in stats.FACETS
     }
     write_json(out("stats_summary.json"), {
-        "publications_per_year": _series_payload(pubs),
-        "publications_cumulative": _series_payload(pubs.cumulative()) if pubs.years else {},
-        "authors_per_year": _series_payload(per_year),
-        "authors_cumulative_distinct": _series_payload(cum_authors),
+        "publications_per_year": asdict(pubs),
+        "publications_cumulative": asdict(pubs.cumulative()) if pubs.years else {},
+        "authors_per_year": asdict(per_year),
+        "authors_cumulative_distinct": asdict(cum_authors),
         "quadratic_fit_cumulative_publications":
             _fit_payload(stats.fit_quadratic, pubs.cumulative()) if pubs.years else None,
         "quadratic_fit_cumulative_authors":
@@ -189,7 +186,7 @@ def stage_topics(corpus: Corpus, out) -> None:
     pools = topics.topic_token_pools(assignment, kg.text)
     summaries = topics.ctfidf(pools, top_n=cfg.topics.top_terms) if pools else []
     write_json(out("topic_report.json"), {
-        "n_topics": assignment.n_topics(),
+        "n_topics": len(assignment.topic_sizes),
         "outliers": sum(1 for l in assignment.labels.values() if l == topics.NOISE),
         "topics": [
             {"id": s.topic, "size": assignment.topic_sizes.get(s.topic, 0),
@@ -199,15 +196,14 @@ def stage_topics(corpus: Corpus, out) -> None:
     })
 
     # every member has an embedding: a paper without one is noise
-    centroids = []
-    names = []
-    for topic in sorted(assignment.topic_sizes):
-        rows = [kg.paper(pid)["embedding"] for pid in assignment.members(topic)]
-        names.append(f"T{topic}")
-        # sum() adds rows left to right on every Python; numpy's axis-0 sum may not
-        centroids.append(sum(rows) / len(rows))
-    write_json(out("dendrogram.json"),
-               topics.dendrogram_json(topics.hierarchical_topics(centroids), names))
+    members: dict[int, list] = {topic: [] for topic in assignment.topic_sizes}
+    for pid, label in sorted(assignment.labels.items()):
+        if label != topics.NOISE:
+            members[label].append(kg.paper(pid)["embedding"])
+    # sum() adds rows left to right on every Python; numpy's axis-0 sum may not
+    centroids = [sum(rows) / len(rows) for rows in members.values()]
+    write_json(out("dendrogram.json"), topics.dendrogram_json(
+        topics.hierarchical_topics(centroids), [f"T{topic}" for topic in members]))
 
     if cfg.queries_path is not None:
         queries = topics.load_queries(cfg.queries_path)
@@ -246,8 +242,7 @@ def stage_citenet(corpus: Corpus, out) -> None:
     _check_non_negative(block, "backbone_k", "cd_window")
     cit = corpus.kg.project(PROJECTION_CITATION)
 
-    node_years = [attrs["year"] for attrs in cit.nodes.values()]
-    years = range(min(node_years), max(node_years) + 1) if node_years else []
+    years = corpus.kg.years
     snapshots = [cit.snapshot(y) for y in years]
     n_t = [snap.node_count() for snap in snapshots]
     e_t = [snap.edge_count() for snap in snapshots]
@@ -255,12 +250,12 @@ def stage_citenet(corpus: Corpus, out) -> None:
               list(zip(years, n_t, e_t)))
 
     fits: dict = {"densification": _fit_payload(cn.densification_fit, n_t, e_t)}
-    degrees = [d for d in cn.in_degree_samples(cit) if d >= max(1, block.degree_xmin)]
-    fits["degree_mle"] = _fit_payload(fit_power_law_mle, degrees, block.degree_xmin)
+    fits["degree_mle"] = _fit_payload(fit_power_law_mle, sorted(map(len, cit.pred)),
+                                      block.degree_xmin)
 
     curve, pa_fit = cn.preferential_attachment_curve(snapshots)
     write_csv(out("pref_attachment.csv"), ["mean_prior_citations", "mean_gain"], curve)
-    fits["preferential_attachment"] = pa_fit.as_dict() if pa_fit else None
+    fits["preferential_attachment"] = asdict(pa_fit) if pa_fit else None
     write_json(out("fits.json"), fits)
 
     results = cn.cd_index_all(cit, window=block.window(),
@@ -319,8 +314,8 @@ def stage_collabnet(corpus: Corpus, out) -> None:
         per_year.append(entry)
 
     try:
-        growth_fit = cn.densification_fit([e["nodes"] for e in per_year],
-                                          [e["edges"] for e in per_year]).as_dict()
+        growth_fit = asdict(cn.densification_fit([e["nodes"] for e in per_year],
+                                                 [e["edges"] for e in per_year]))
     except ValueError:  # fewer than 3 years with co-authorships
         growth_fit = None
 
@@ -331,7 +326,7 @@ def stage_collabnet(corpus: Corpus, out) -> None:
 
     scores = co.pagerank(coauth, damping=block.damping, tol=block.tol,
                          max_iter=block.max_iter) if coauth.node_count() else {}
-    between = co.betweenness(coauth) if coauth.node_count() else {}
+    between = co.betweenness(coauth)
 
     k = min(block.top_k, coauth.node_count())
     cliques = {}

@@ -274,13 +274,12 @@ def assortativity_categorical(pg: ProjectedGraph, labels: dict[str, str],
 
 
 def top_active_subnetwork(pg: ProjectedGraph, k: int,
-                          scores: dict[str, float] | None = None) -> ProjectedGraph:
-    """Induced subgraph of the k top-PageRank authors; node attrs carry the
-    score and first-publication year, edges keep co-authorship weights."""
+                          scores: dict[str, float]) -> ProjectedGraph:
+    """Induced subgraph of the k authors with the highest ``scores`` (their
+    PageRank); node attrs carry the score and first-publication year, edges
+    keep co-authorship weights."""
     if k > pg.node_count():
         raise ValueError("k exceeds node count")
-    if scores is None:
-        scores = pagerank(pg)
     top = sorted(pg.nodes, key=lambda u: (-scores[u], u))[:k]
     top_set = set(top)
     nodes = {

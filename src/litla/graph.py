@@ -105,8 +105,11 @@ class KnowledgeGraph:
     the exports write; each edge type's list keeps that order. The sorted
     refs of each node type and the edges of each edge type are kept once,
     at construction; :meth:`nodes_of_type` and :meth:`edges_of_type` return
-    those shared lists, which callers must not mutate. ``text`` indexes the
-    papers' titles and abstracts; :func:`build_graph` fills it.
+    those shared lists, which callers must not mutate. ``years`` is the span
+    of every yearly series, each year from the first paper's to the last
+    paper's; there are no years without papers, so a graph with no paper
+    has an empty span. ``text`` indexes the papers' titles and abstracts;
+    :func:`build_graph` fills it.
     """
 
     text = TextIndex({})
@@ -122,6 +125,8 @@ class KnowledgeGraph:
         self._nodes_by_type: dict[str, list[NodeRef]] = {}
         for ref in sorted(nodes):
             self._nodes_by_type.setdefault(ref.node_type, []).append(ref)
+        lo, hi = corpus_year_range
+        self.years = range(lo, hi + 1) if self.nodes_of_type(NODE_PAPER) else range(0)
         self._edges_by_type: dict[str, list[Edge]] = {}
         for e in self.edges:
             self._edges_by_type.setdefault(e.edge_type, []).append(e)

@@ -23,12 +23,6 @@ class PowerLawFit:
     r_squared: float | None = None   # on log scale, LS only
     x_min: int | None = None         # MLE only
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "method": self.method, "n_samples": self.n_samples,
-            "intercept": self.intercept, "r_squared": self.r_squared, "x_min": self.x_min,
-        }
-
 
 def fit_power_law_ls(x, y) -> PowerLawFit:
     """Least-squares line on (ln x, ln y); the slope is the exponent.
@@ -64,15 +58,14 @@ def fit_power_law_mle(samples, x_min: int = 1, min_samples: int = 50) -> PowerLa
 
         alpha = 1 + n / sum(ln(x_i / (x_min - 0.5)))
 
-    Only samples >= x_min enter the fit; at least ``min_samples`` of them
-    are required. A single-valued sample cannot identify the exponent and
-    raises a divergence error.
+    Only samples >= x_min enter the fit, added in the order given; counts
+    below x_min, zeros included, are left out. At least ``min_samples``
+    samples must enter. A single-valued sample cannot identify the exponent
+    and raises a divergence error.
     """
     if x_min < 1:
         raise ValueError("x_min must be at least 1")
     xs = [int(s) for s in samples if s >= x_min]
-    if any(s < 1 for s in samples):
-        raise ValueError("samples must be positive integers")
     if len(xs) < min_samples:
         raise ValueError(f"need at least {min_samples} samples >= x_min, got {len(xs)}")
     if len(set(xs)) < 2:

@@ -49,43 +49,31 @@ class QuadFit:
     c: float
     r_squared: float
 
-    def as_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "r_squared": self.r_squared}
+
+def _counts_per_year(kg: KnowledgeGraph, years) -> YearSeries:
+    """``years`` counted per year, zero-filled across the corpus's years."""
+    counts = Counter(years)
+    return YearSeries(list(kg.years), [float(counts[y]) for y in kg.years])
 
 
 def publications_per_year(kg: KnowledgeGraph) -> YearSeries:
-    """Paper counts per year, zero-filled across the corpus year range."""
-    papers = kg.nodes_of_type(NODE_PAPER)
-    if not papers:
-        return YearSeries([], [])
-    counts = Counter(kg.nodes[ref]["year"] for ref in papers)
-    lo, hi = kg.corpus_year_range
-    years = list(range(lo, hi + 1))
-    return YearSeries(years, [float(counts.get(y, 0)) for y in years])
+    """Paper counts per year, zero-filled across the corpus's years."""
+    return _counts_per_year(kg, (kg.nodes[ref]["year"] for ref in kg.nodes_of_type(NODE_PAPER)))
 
 
 def authors_per_year(kg: KnowledgeGraph) -> tuple[YearSeries, YearSeries]:
     """(distinct authors publishing each year, cumulative distinct authors).
 
-    Cumulative counts the union of authors seen so far, not the running sum:
-    an author active in several years is counted once.
+    The cumulative series adds each author in the year of their first
+    paper, so an author active in several years is counted once.
     """
     authors = kg.nodes_of_type(NODE_AUTHOR)
     if not authors:
         return YearSeries([], []), YearSeries([], [])
-    by_year: dict[int, set[str]] = {}
-    for ref in authors:
-        for year, _pid, _country in kg.nodes[ref]["incidences"]:
-            by_year.setdefault(year, set()).add(ref.key)
-    lo, hi = kg.corpus_year_range
-    years = list(range(lo, hi + 1))
-    per_year = [float(len(by_year.get(y, ()))) for y in years]
-    seen: set[str] = set()
-    cumulative = []
-    for y in years:
-        seen |= by_year.get(y, set())
-        cumulative.append(float(len(seen)))
-    return YearSeries(years, per_year), YearSeries(years, cumulative)
+    per_year = _counts_per_year(kg, (year for ref in authors
+                                     for year in {y for y, _, _ in kg.nodes[ref]["incidences"]}))
+    firsts = _counts_per_year(kg, (kg.nodes[ref]["year"] for ref in authors))
+    return per_year, firsts.cumulative()
 
 
 def fit_quadratic(series: YearSeries) -> QuadFit:

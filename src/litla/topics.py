@@ -35,12 +35,6 @@ class TopicAssignment:
             sizes = Counter(l for l in self.labels.values() if l != NOISE)
             self.topic_sizes = dict(sorted(sizes.items()))
 
-    def n_topics(self) -> int:
-        return len(self.topic_sizes)
-
-    def members(self, topic: int) -> list[str]:
-        return sorted(pid for pid, l in self.labels.items() if l == topic)
-
 
 @dataclass
 class TopicSummary:
@@ -68,9 +62,13 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
     """Classical DBSCAN with Euclidean distance.
 
     A point's eps-neighborhood includes the point itself; core points have
-    at least ``min_pts`` neighbors. Cluster ids are assigned 0..k-1 in
-    order of descending cluster size (size ties broken by the smallest
-    member index), noise is -1. Deterministic for a fixed input.
+    at least ``min_pts`` neighbors. A border point (not core, but within
+    eps of a core point) joins, of its core neighbours' clusters, the one
+    whose lowest core index is smallest: clusters grow from their core
+    points in index order, and the first to reach a border point keeps it.
+    Cluster ids are assigned 0..k-1 in order of descending cluster size
+    (size ties broken by the smallest member index), noise is -1.
+    Deterministic for a fixed input.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -740,18 +740,18 @@ class TestAssortativity:
 class TestTopActive:
     def test_k_equals_n_keeps_whole_graph(self):
         pg = undirected([("a", "b"), ("b", "c")], years={"a": 2010, "b": 2011, "c": 2012})
-        sub = top_active_subnetwork(pg, 3)
+        sub = top_active_subnetwork(pg, 3, scores=pagerank(pg))
         assert set(sub.nodes) == {"a", "b", "c"}
         assert set(sub.edges) == set(pg.edges)
 
     def test_k_one_single_node_no_edges(self):
         pg = undirected([("a", "b")], years={"a": 2010, "b": 2011})
-        sub = top_active_subnetwork(pg, 1)
+        sub = top_active_subnetwork(pg, 1, scores=pagerank(pg))
         assert len(sub.nodes) == 1 and sub.edge_count() == 0
 
     def test_top5_matches_pagerank_oracle(self):
         pg = random_undirected(77, n_lo=12, n_hi=12, p=0.3)
-        sub = top_active_subnetwork(pg, 5)
+        sub = top_active_subnetwork(pg, 5, scores=pagerank(pg))
         oracle = pagerank_oracle(pg)
         expected = sorted(oracle, key=lambda u: (-oracle[u], u))[:5]
         assert set(sub.nodes) == set(expected)
@@ -761,4 +761,4 @@ class TestTopActive:
     def test_k_above_n_rejected(self):
         pg = undirected([("a", "b")])
         with pytest.raises(ValueError):
-            top_active_subnetwork(pg, 5)
+            top_active_subnetwork(pg, 5, scores=pagerank(pg))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from litla.graph import build_graph, canonical
+from litla.graph import NODE_AUTHOR, NODE_PAPER, build_graph, canonical
 from litla.records import Author, CitationStatement, PaperRecord
 from litla.stats import (
     YearSeries,
@@ -88,6 +88,58 @@ class TestAuthorsPerYear:
         running = np.cumsum(per_year.values)
         for cum, run, py in zip(cumulative.values, running, per_year.values):
             assert py <= cum <= run
+
+
+def publications_per_year_reference(kg):
+    """:func:`publications_per_year` as it was before the knowledge graph
+    held the corpus's ``years``."""
+    papers = kg.nodes_of_type(NODE_PAPER)
+    if not papers:
+        return YearSeries([], [])
+    counts = Counter(kg.nodes[ref]["year"] for ref in papers)
+    lo, hi = kg.corpus_year_range
+    years = list(range(lo, hi + 1))
+    return YearSeries(years, [float(counts.get(y, 0)) for y in years])
+
+
+def authors_per_year_reference(kg):
+    """:func:`authors_per_year` as a running union of each year's authors."""
+    authors = kg.nodes_of_type(NODE_AUTHOR)
+    if not authors:
+        return YearSeries([], []), YearSeries([], [])
+    by_year: dict[int, set[str]] = {}
+    for ref in authors:
+        for year, _pid, _country in kg.nodes[ref]["incidences"]:
+            by_year.setdefault(year, set()).add(ref.key)
+    lo, hi = kg.corpus_year_range
+    years = list(range(lo, hi + 1))
+    per_year = [float(len(by_year.get(y, ()))) for y in years]
+    seen: set[str] = set()
+    cumulative = []
+    for y in years:
+        seen |= by_year.get(y, set())
+        cumulative.append(float(len(seen)))
+    return YearSeries(years, per_year), YearSeries(years, cumulative)
+
+
+# a record: its year and its author names, from a small pool so that authors
+# publish in several years; a name may be listed twice on one record, another
+# spelling may share its canonical key, and a blank name gives no author
+yearly_records = st.lists(
+    st.tuples(st.integers(2000, 2008),
+              st.lists(st.sampled_from(["Ann Lee", "ann  lee", "Bo Chen", "Cy Diaz", " "]),
+                       max_size=4)),
+    max_size=12)
+
+
+@given(yearly_records, st.randoms(use_true_random=False))
+def test_yearly_series_keep_the_reference_bits(drawn, rnd):
+    ids = [f"p{i:02d}" for i in range(len(drawn))]
+    rnd.shuffle(ids)  # ids out of year order
+    kg = build_graph([rec(pid, year, authors=[(name, "X, UK") for name in names])
+                      for pid, (year, names) in zip(ids, drawn)])
+    assert repr(publications_per_year(kg)) == repr(publications_per_year_reference(kg))
+    assert repr(authors_per_year(kg)) == repr(authors_per_year_reference(kg))
 
 
 class TestQuadraticFit:
