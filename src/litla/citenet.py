@@ -17,7 +17,7 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from .errors import ConvergenceError
-from .graph import FLAG_CYCLE, FLAG_TEMPORAL_ANOMALY, ProjectedGraph
+from .graph import ProjectedGraph
 from .powerlaw import PowerLawFit, fit_power_law_ls
 from .stats import YearSeries, ordered_sum
 from .textutil import TextIndex
@@ -82,31 +82,21 @@ class CdResult:
     b_count: int
 
 
-def _valid_edge(attrs: dict) -> bool:
-    return FLAG_TEMPORAL_ANOMALY not in attrs.get("flags", frozenset())
-
-
 def _cd_results(cit: ProjectedGraph, focals, window: int | None,
                 exclude_self_citations: bool) -> list[CdResult]:
-    """CD of the ``focals`` (indices into ``cit.names``). Each paper's valid
-    references and citers are listed once, in one pass over the edges; the
-    sets F and B are built per focal."""
-    refs: list[list[int]] = [[] for _ in cit.names]
-    citers: list[list[int]] = [[] for _ in cit.names]
-    for (u, v), attrs in cit.edges.items():
-        if _valid_edge(attrs):
-            refs[cit.pos[u]].append(cit.pos[v])
-            citers[cit.pos[v]].append(cit.pos[u])
+    """CD of the ``focals`` (indices into ``cit.names``), read from the
+    citation rows: F is a focal's citers and B the citers of its references
+    that are not later than the focal."""
     years = [cit.nodes[u]["year"] for u in cit.names]
-    authors = [cit.nodes[u].get("authors", ()) for u in cit.names]
+    authors = [cit.nodes[u]["authors"] for u in cit.names]
 
     out = []
     for i in focals:
         t0 = years[i]
         t1 = t0 + window if window is not None else math.inf
         own = set(authors[i]) if exclude_self_citations else set()
-        f_all = set(citers[i])
-        b_all = set().union(*(citers[r] for r in refs[i]))
+        f_all = set(cit.pred[i])
+        b_all = set().union(*(cit.pred[r] for r in cit.succ[i] if years[r] <= t0))
         kept = {c for c in f_all | b_all if t0 < years[c] <= t1 and own.isdisjoint(authors[c])}
         if kept:
             f, b = kept & f_all, kept & b_all
@@ -126,9 +116,10 @@ def cd_index(cit: ProjectedGraph, focal: str, window: int | None = None,
         CD = (|F| - 2 |F & B|) / |F | B|     (& intersection, | union)
 
     which is (1/|S|) * sum_i (f_i - 2 f_i b_i) over S = F | B, where f_i /
-    b_i flag whether citer i cites the focal / any reference. Temporally
-    anomalous citations count for neither R nor the citer sets. Papers
-    sharing an author with the focal are dropped from F and B by default.
+    b_i flag whether citer i cites the focal / any reference. A reference
+    later than the focal (a temporally anomalous citation) is not in R, and a
+    citer not later than the focal is in neither F nor B. Papers sharing an
+    author with the focal are dropped from F and B by default.
     Returns None when S is empty (the index is undefined, never 0).
     """
     if focal not in cit.nodes:
@@ -322,7 +313,7 @@ def main_path_backbone(cit: ProjectedGraph, k: int, decay: float = 0.2,
     induced = {
         (u, v) for (u, v), attrs in cit.edges.items()
         if u in top_set and v in top_set
-        and not attrs.get("flags", frozenset()) & {FLAG_TEMPORAL_ANOMALY, FLAG_CYCLE}
+        and not attrs["flags"]
     }
     nodes = {pid: {"score": scores[pid], "year": cit.nodes[pid]["year"],
                    "citations": cit.in_degree(pid)} for pid in top}

@@ -207,15 +207,13 @@ def stage_topics(corpus: Corpus, out) -> None:
 
     if cfg.queries_path is not None:
         queries = topics.load_queries(cfg.queries_path)
-        multilabel = topics.assign_by_query(queries, kg.text)
+        labels = topics.assign_by_query(queries, kg.text)
         write_csv(out("multilabel.csv"), ["paper_id", "topics"],
-                  [(pid, ";".join(sorted(lbls))) for pid, lbls in sorted(multilabel.items())])
-        trend_labels: dict = multilabel
+                  [(pid, ";".join(sorted(lbls))) for pid, lbls in sorted(labels.items())])
     else:
-        trend_labels = assignment.labels
+        labels = {pid: {label} - {topics.NOISE} for pid, label in assignment.labels.items()}
 
-    trends = {mode: topics.topic_trend(trend_labels, years, mode=mode)
-              for mode in ("count", "share")}
+    trends = topics.topic_trend(labels, years)
     for mode, series in trends.items():
         rows = []
         for topic in sorted(series, key=str):

@@ -161,7 +161,7 @@ def load_config(path, output_override=None, seed_override=None) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = tomllib.loads(path.read_text(encoding="utf-8"))
+        data = tomllib.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     base = path.resolve().parent

@@ -189,6 +189,8 @@ def parse_records(stream: IO) -> tuple[list[PaperRecord], list[ParseError]]:
             except UnicodeDecodeError as exc:
                 errors.append(ParseError(lineno, f"invalid UTF-8: {exc}"))
                 continue
+        if lineno == 1:
+            raw = raw.removeprefix("\ufeff")  # a UTF-8 byte-order mark
         line = raw.strip()
         if not line:
             continue

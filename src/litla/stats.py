@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import add
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class YearSeries:
 
     def cumulative(self) -> "YearSeries":
         return YearSeries(list(self.years), list(accumulate(self.values, initial=0.0))[1:])
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.years, self.values))
 
 
 @dataclass
@@ -94,21 +91,15 @@ def fit_quadratic(series: YearSeries) -> QuadFit:
     return QuadFit(a=a, b=b, c=c, r_squared=r2)
 
 
-FACETS = ("venue", "pub_type", "subject_category", "intent", "country")
-
-
-def _facet_values(attrs: dict, facet: str) -> list[str]:
-    if facet == "venue":
-        return [attrs["venue"]] if attrs["venue"] else []
-    if facet == "pub_type":
-        return [attrs["pub_type"]]
-    if facet == "subject_category":
-        return sorted(set(attrs["subject_categories"]))
-    if facet == "intent":
-        return list(attrs["intents"])  # one count per labeled statement
-    if facet == "country":
-        return sorted(set(attrs["countries"]))
-    raise ValueError(f"unknown facet {facet!r}")
+# each facet's labels on one paper node: the stored multi-valued tuples hold
+# each category and country once, and one intent per labeled statement
+FACETS = {
+    "venue": lambda paper: (paper["venue"],) if paper["venue"] else (),
+    "pub_type": lambda paper: (paper["pub_type"],),
+    "subject_category": itemgetter("subject_categories"),
+    "intent": itemgetter("intents"),
+    "country": itemgetter("countries"),
+}
 
 
 def distribution(kg: KnowledgeGraph, facet: str) -> list[tuple[str, int, float]]:
@@ -117,9 +108,10 @@ def distribution(kg: KnowledgeGraph, facet: str) -> list[tuple[str, int, float]]
     Multi-valued facets contribute one count per distinct (paper, value)
     pair, intents one count per labeled citation statement.
     """
+    labels_of = FACETS[facet]
     counts: Counter[str] = Counter()
     for ref in kg.nodes_of_type(NODE_PAPER):
-        counts.update(_facet_values(kg.nodes[ref], facet))
+        counts.update(labels_of(kg.nodes[ref]))
     return _ranked_shares(counts)
 
 

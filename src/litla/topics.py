@@ -5,6 +5,7 @@ trends, emerging-topic ranking and the thresholded theme-linkage matrix.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 import warnings
@@ -359,7 +360,7 @@ def load_queries(path) -> dict[str, str]:
     queries: dict[str, str] = {}
     with open(path, "rb") as fh:
         # bytes.splitlines breaks lines where text mode's universal newlines do
-        lines = fh.read().splitlines()
+        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
     for lineno, raw in enumerate(lines, start=1):
         try:
             line = raw.decode("utf-8").strip()
@@ -380,50 +381,35 @@ def load_queries(path) -> dict[str, str]:
 # --- temporal trends ------------------------------------------------------------
 
 
-def _as_label_sets(labels) -> dict[str, set]:
-    out = {}
-    for pid, val in labels.items():
-        if isinstance(val, (set, frozenset)):
-            out[pid] = set(val)
-        else:
-            out[pid] = set() if val == NOISE else {val}
-    return out
-
-
-def topic_trend(labels: dict, years: dict[str, int], mode: str = "count"
-                ) -> dict[object, YearSeries]:
-    """Per-topic yearly series from single-label or multi-label assignments.
+def topic_trend(labels: dict[str, set], years: dict[str, int]
+                ) -> dict[str, dict[object, YearSeries]]:
+    """Per-topic yearly series of paper -> topic-set ``labels``, as
+    ``{"count": ..., "share": ...}``.
 
     count: papers per topic per year (a paper in several topics counts once
     in each). share: topic count divided by the number of labeled papers
-    that year. Outliers (-1 / empty label sets) never count as labeled.
+    that year. A paper with an empty set, or without a year, never counts.
     """
-    if mode not in ("count", "share"):
-        raise ValueError("mode must be 'count' or 'share'")
-    label_sets = _as_label_sets(labels)
     if not years:
-        return {}
-    lo, hi = min(years.values()), max(years.values())
-    span = list(range(lo, hi + 1))
-    topics = sorted({t for s in label_sets.values() for t in s}, key=str)
-    per_topic = {t: Counter() for t in topics}
+        return {"count": {}, "share": {}}
+    span = range(min(years.values()), max(years.values()) + 1)
+    topics = sorted({t for s in labels.values() for t in s}, key=str)
+    per_topic: dict[object, Counter[int]] = {t: Counter() for t in topics}
     labeled_per_year: Counter[int] = Counter()
-    for pid, topic_set in label_sets.items():
+    for pid, topic_set in labels.items():
         if not topic_set or pid not in years:
             continue
         y = years[pid]
         labeled_per_year[y] += 1
         for t in topic_set:
             per_topic[t][y] += 1
-    out = {}
-    for t in topics:
-        if mode == "count":
-            vals = [float(per_topic[t].get(y, 0)) for y in span]
-        else:
-            vals = [per_topic[t].get(y, 0) / labeled_per_year[y]
-                    if labeled_per_year.get(y) else 0.0 for y in span]
-        out[t] = YearSeries(span, vals)
-    return out
+    return {
+        "count": {t: YearSeries(list(span), [float(per_topic[t][y]) for y in span])
+                  for t in topics},
+        "share": {t: YearSeries(list(span), [per_topic[t][y] / labeled_per_year[y]
+                                             if labeled_per_year[y] else 0.0 for y in span])
+                  for t in topics},
+    }
 
 
 def emerging_topics(trends: dict[object, YearSeries], since_year: int, k: int

@@ -1,3 +1,4 @@
+import codecs
 import gc
 import hashlib
 import json
@@ -114,6 +115,13 @@ class TestTomlSubset:
     def test_bad_value_rejected(self, tmp_path, fixture_dir, capsys):
         err = self.config_error(tmp_path, fixture_dir, capsys, "[topics]\neps = nonsense\n")
         assert "Invalid value (at line 2, column 7)" in err
+
+    def test_byte_order_mark_ignored(self, tmp_path, fixture_dir):
+        body = "[run]\nseed = 3\n"
+        with_bom = load_config(self.write(tmp_path, fixture_dir, codecs.BOM_UTF8 + body.encode()))
+        assert with_bom.seed == 3
+        assert with_bom.config_hash() == load_config(
+            self.write(tmp_path, fixture_dir, body)).config_hash()
 
     def test_non_utf8_config_rejected(self, tmp_path, fixture_dir, capsys):
         err = self.config_error(tmp_path, fixture_dir, capsys, b"\xff\xfe[run]\nseed = 1\n")

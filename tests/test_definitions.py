@@ -1,6 +1,7 @@
 """Oracles written from each algorithm's definition, not from earlier code:
 DBSCAN's core, border and noise rules, the exact discrete power-law MLE, AUC
-by pair counting and the quadratic fit on exact data.
+by pair counting, the quadratic fit on exact data and the CD index on hand
+cases.
 
 The module needs nothing beyond the test extra, so it runs everywhere that
 tier-1 runs.
@@ -13,8 +14,11 @@ from itertools import product
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from litla.citenet import cd_index
+from litla.graph import PROJECTION_CITATION, build_graph
 from litla.powerlaw import fit_power_law_mle
 from litla.predict import evaluate_auc
+from litla.records import Author, PaperRecord
 from litla.stats import YearSeries, fit_quadratic
 from litla.topics import NOISE, dbscan_labels
 from test_powerlaw import sample_discrete_power_law
@@ -153,3 +157,88 @@ def test_quadratic_fit_recovers_exact_integer_data(a, b, c, first, n_years):
                                            for t in range(n_years)]))
     assert abs(fit.a - a) <= 1e-9 and abs(fit.b - b) <= 1e-9 and abs(fit.c - c) <= 1e-9
     assert abs(fit.r_squared - 1.0) <= 1e-12
+
+
+# --- CD index ---------------------------------------------------------------------
+# Funk & Owen-Smith, "A dynamic network measure of technological change"
+# (Management Science 2017). S is the set of papers later than the focal that
+# cite the focal or one of its references R, and
+#     CD = (1/|S|) * sum over i in S of (f_i - 2 * f_i * b_i)
+# with f_i = 1 when i cites the focal and b_i = 1 when i cites a member of R.
+# A reference later than the focal is no member of R. Each case below works
+# the sum by hand; every paper is a record that goes through build_graph.
+
+
+def focal_cd(papers, **kwargs):
+    """``cd_index`` of the paper ``focal`` among ``papers``, each an
+    (id, year, references) or (id, year, references, authors) tuple."""
+    records = [PaperRecord(id=pid, title=pid, year=year, references=list(refs),
+                           authors=[Author(name=a) for a in (rest[0] if rest else ())],
+                           page_count=8)
+               for pid, year, refs, *rest in papers]
+    return cd_index(build_graph(records).project(PROJECTION_CITATION), "focal", **kwargs)
+
+
+def cd_row(res):
+    return None if res is None else (res.cd, res.n_t, res.f_count, res.b_count)
+
+
+def test_cd_citers_of_the_focal_only_give_plus_one():
+    # S = {c1, c2}, each f = 1, b = 0: (1 + 1) / 2 = 1
+    assert cd_row(focal_cd([("ref", 1999, []), ("focal", 2000, ["ref"]),
+                            ("c1", 2001, ["focal"]), ("c2", 2002, ["focal"])])) == (1.0, 2, 2, 0)
+
+
+def test_cd_citers_of_the_focal_and_its_reference_give_minus_one():
+    # S = {c1, c2}, each f = b = 1: ((1 - 2) + (1 - 2)) / 2 = -1
+    assert cd_row(focal_cd([("ref", 1999, []), ("focal", 2000, ["ref"]),
+                            ("c1", 2001, ["focal", "ref"]),
+                            ("c2", 2002, ["focal", "ref"])])) == (-1.0, 2, 2, 2)
+
+
+def test_cd_one_citer_of_each_kind_gives_zero():
+    # S = {c1, c2, c3}: c1 cites the focal only (1), c2 both (1 - 2 = -1),
+    # c3 the reference only (0): (1 - 1 + 0) / 3 = 0
+    assert cd_row(focal_cd([("ref", 1999, []), ("focal", 2000, ["ref"]),
+                            ("c1", 2001, ["focal"]), ("c2", 2001, ["focal", "ref"]),
+                            ("c3", 2001, ["ref"])])) == (0.0, 3, 2, 2)
+
+
+def test_cd_without_a_later_citer_is_undefined():
+    # the only citers share the focal's year or precede it, so S is empty
+    assert focal_cd([("ref", 1999, []), ("focal", 2000, ["ref"]),
+                     ("same", 2000, ["focal", "ref"]), ("early", 1999, ["focal"])]) is None
+
+
+def test_cd_leaves_out_a_citer_outside_the_window():
+    papers = [("ref", 1999, []), ("focal", 2000, ["ref"]),
+              ("near", 2002, ["focal"]), ("far", 2010, ["focal", "ref"])]
+    # S = {near, far}: (1 + (1 - 2)) / 2 = 0
+    assert cd_row(focal_cd(papers)) == (0.0, 2, 2, 1)
+    # within 5 years S = {near}: 1 / 1 = 1
+    assert cd_row(focal_cd(papers, window=5)) == (1.0, 1, 1, 0)
+
+
+def test_cd_leaves_out_a_co_author_citer_by_default():
+    papers = [("ref", 1999, []), ("focal", 2000, ["ref"], ["Ann Smith"]),
+              ("self", 2001, ["focal", "ref"], ["Ann Smith", "Bo Li"]),
+              ("other", 2001, ["focal"], ["Cy Jones"])]
+    # S = {other}: 1 / 1 = 1
+    assert cd_row(focal_cd(papers)) == (1.0, 1, 1, 0)
+    # S = {self, other}: ((1 - 2) + 1) / 2 = 0
+    assert cd_row(focal_cd(papers, exclude_self_citations=False)) == (0.0, 2, 2, 1)
+
+
+def test_cd_forward_reference_pulls_no_citer_into_b():
+    # the focal (2000) cites a 2003 paper, which is no member of R, so its 2005
+    # citer is not in S: S = {c}, 1 / 1 = 1 (counting it would give 1/2)
+    assert cd_row(focal_cd([("focal", 2000, ["late"]), ("late", 2003, []),
+                            ("c", 2004, ["focal"]), ("d", 2005, ["late"])])) == (1.0, 1, 1, 0)
+
+
+def test_cd_citer_earlier_than_the_focal_never_counts():
+    # "early" cites both but precedes the focal, so S = {c}: 1 / 1 = 1
+    # (counting it would give (1 + (1 - 2)) / 2 = 0)
+    assert cd_row(focal_cd([("ref", 1995, []), ("focal", 2000, ["ref"]),
+                            ("early", 1998, ["focal", "ref"]),
+                            ("c", 2001, ["focal"])])) == (1.0, 1, 1, 0)

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import io
 import json
@@ -25,6 +26,7 @@ from litla.records import (
     SchemaError,
     _check_chars,
     apply_exclusions,
+    load_records,
     parse_records,
     rejection_counts,
 )
@@ -202,6 +204,12 @@ class TestParse:
     def test_bytes_stream(self):
         records, errors = parse_records(io.BytesIO(_line().encode() + b"\n"))
         assert len(records) == 1 and not errors
+
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(codecs.BOM_UTF8 + f"{_line()}\n{_line(id='p2')}\n".encode())
+        records, errors = load_records(path)
+        assert [r.id for r in records] == ["p1", "p2"] and not errors
 
     def test_fixture_round_trips_byte_identically(self, fixture_records):
         assert len(fixture_records) == 200

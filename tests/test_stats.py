@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from litla.graph import NODE_AUTHOR, NODE_PAPER, build_graph, canonical
-from litla.records import Author, CitationStatement, PaperRecord
+from litla.records import INTENT_LABELS, PUB_TYPES, Author, CitationStatement, PaperRecord
 from litla.stats import (
+    FACETS,
     YearSeries,
     authors_per_year,
     author_country_tally,
@@ -78,7 +79,8 @@ class TestAuthorsPerYear:
             by_year.setdefault(r.year, set()).update(canonical(a.name) for a in r.authors)
         seen = set()
         for year, cum in zip(cumulative.years, cumulative.values):
-            assert per_year.as_dict()[year] == float(len(by_year.get(year, ())))
+            assert dict(zip(per_year.years, per_year.values))[year] == \
+                float(len(by_year.get(year, ())))
             seen |= by_year.get(year, set())
             assert cum == float(len(seen))
 
@@ -216,3 +218,55 @@ class TestDistribution:
         rows = author_country_tally(kg)
         assert abs(sum(share for _l, _n, share in rows) - 1.0) < 1e-12
         assert sum(n for _l, n, _s in rows) == kg.node_count("author")
+
+
+def facet_values_reference(attrs: dict, facet: str) -> list[str]:
+    """The labels one paper node adds to ``facet``, as :func:`distribution`
+    once chose them per facet name."""
+    if facet == "venue":
+        return [attrs["venue"]] if attrs["venue"] else []
+    if facet == "pub_type":
+        return [attrs["pub_type"]]
+    if facet == "subject_category":
+        return sorted(set(attrs["subject_categories"]))
+    if facet == "intent":
+        return list(attrs["intents"])  # one count per labeled statement
+    if facet == "country":
+        return sorted(set(attrs["countries"]))
+    raise ValueError(f"unknown facet {facet!r}")
+
+
+def distribution_reference(kg, facet: str) -> list[tuple[str, int, float]]:
+    counts = Counter()
+    for ref in kg.nodes_of_type(NODE_PAPER):
+        counts.update(facet_values_reference(kg.nodes[ref], facet))
+    total = sum(counts.values())
+    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(label, n, n / total) for label, n in rows]
+
+
+_AUTHORS = st.lists(st.tuples(st.sampled_from(["Ann Lee", "Bo Li", "Cy Diaz"]),
+                              # no affiliation, one without a country, two countries
+                              st.sampled_from(["", "Lab of Nowhere", "Lab, UK", "Lab, China"])),
+                    max_size=3)
+
+
+@st.composite
+def facet_records(draw):
+    n = draw(st.integers(0, 6))
+    return [PaperRecord(
+        id=f"p{i}", title="t", year=2010, page_count=8,
+        venue=draw(st.sampled_from(["", "GECCO", "CEC"])),
+        pub_type=draw(st.sampled_from(PUB_TYPES)),
+        authors=[Author(name=name, affiliation=aff) for name, aff in draw(_AUTHORS)],
+        subject_categories=draw(st.lists(st.sampled_from(["AI", "OR", "Math"]), max_size=4)),
+        citation_statements=[CitationStatement(text="s", intent=intent) for intent in draw(
+            st.lists(st.sampled_from([None, *INTENT_LABELS]), max_size=4))],
+    ) for i in range(n)]
+
+
+@given(facet_records())
+def test_distribution_matches_reference(records):
+    kg = build_graph(records)
+    for facet in FACETS:
+        assert repr(distribution(kg, facet)) == repr(distribution_reference(kg, facet))

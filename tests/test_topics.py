@@ -1,4 +1,7 @@
+import codecs
+import csv
 import math
+import shutil
 import tracemalloc
 from collections import Counter, deque
 from functools import reduce
@@ -11,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from litla import topics
+from litla.cli import main
 from litla.stats import YearSeries
 from litla.textutil import TextIndex, contains_phrase, tokenize
 from litla.topics import (
@@ -24,6 +28,7 @@ from litla.topics import (
     dendrogram_json,
     emerging_topics,
     hierarchical_topics,
+    load_queries,
     topic_linkage,
     topic_trend,
 )
@@ -417,6 +422,11 @@ class TestHierarchy:
 
 
 class TestQueries:
+    def test_load_queries_ignores_byte_order_mark(self, tmp_path):
+        path = tmp_path / "queries.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"alpha: a\nbeta: b\n")
+        assert load_queries(path) == {"alpha": "a", "beta": "b"}
+
     def test_and_phrase_match(self):
         labels = assign_by_query(
             {"t": '"constrained" AND "multi-objective"'},
@@ -588,15 +598,15 @@ class TestQueryOracle:
 
 class TestTrends:
     def test_single_topic_share_is_one(self):
-        labels = {"a": 0, "b": 0, "c": 0}
+        labels = {"a": {0}, "b": {0}, "c": {0}}
         years = {"a": 2010, "b": 2011, "c": 2011}
-        trends = topic_trend(labels, years, mode="share")
+        trends = topic_trend(labels, years)["share"]
         assert trends[0].values == [1.0, 1.0]
 
     def test_multilabel_counts_once_per_topic(self):
         labels = {"a": {"x", "y"}}
         years = {"a": 2015}
-        trends = topic_trend(labels, years, mode="count")
+        trends = topic_trend(labels, years)["count"]
         assert trends["x"].values == [1.0]
         assert trends["y"].values == [1.0]
 
@@ -604,7 +614,7 @@ class TestTrends:
         sample = fixture_records[:60]
         labels = {r.id: {r.extracted_keywords[0]} for r in sample}
         years = {r.id: r.year for r in sample}
-        trends = topic_trend(labels, years, mode="count")
+        trends = topic_trend(labels, years)["count"]
         for topic, series in trends.items():
             for y, v in zip(series.years, series.values):
                 expected = sum(1 for r in sample
@@ -614,15 +624,121 @@ class TestTrends:
     def test_count_sums_bound_labeled_papers(self):
         labels = {"a": {0, 1}, "b": {1}, "c": set()}
         years = {"a": 2010, "b": 2010, "c": 2010}
-        trends = topic_trend(labels, years, mode="count")
+        trends = topic_trend(labels, years)["count"]
         total = sum(series.values[0] for series in trends.values())
         assert total == 3.0  # >= 2 labeled papers, multi-label inflates
 
     def test_outliers_never_labeled(self):
-        labels = {"a": NOISE, "b": 0}
+        labels = {"a": set(), "b": {0}}
         years = {"a": 2010, "b": 2010}
-        trends = topic_trend(labels, years, mode="share")
+        trends = topic_trend(labels, years)["share"]
         assert trends[0].values == [1.0]
+
+
+def as_label_sets_reference(labels) -> dict[str, set]:
+    """Single labels (``NOISE`` or a topic) and label sets as sets, as
+    :func:`topic_trend` once read them."""
+    out = {}
+    for pid, val in labels.items():
+        if isinstance(val, (set, frozenset)):
+            out[pid] = set(val)
+        else:
+            out[pid] = set() if val == NOISE else {val}
+    return out
+
+
+def topic_trend_reference(labels: dict, years: dict[str, int], mode: str = "count"
+                          ) -> dict[object, YearSeries]:
+    """:func:`topic_trend` as it was when one call gave one mode's series of
+    single-label or multi-label assignments."""
+    if mode not in ("count", "share"):
+        raise ValueError("mode must be 'count' or 'share'")
+    label_sets = as_label_sets_reference(labels)
+    if not years:
+        return {}
+    lo, hi = min(years.values()), max(years.values())
+    span = list(range(lo, hi + 1))
+    topics = sorted({t for s in label_sets.values() for t in s}, key=str)
+    per_topic = {t: Counter() for t in topics}
+    labeled_per_year: Counter[int] = Counter()
+    for pid, topic_set in label_sets.items():
+        if not topic_set or pid not in years:
+            continue
+        y = years[pid]
+        labeled_per_year[y] += 1
+        for t in topic_set:
+            per_topic[t][y] += 1
+    out = {}
+    for t in topics:
+        if mode == "count":
+            vals = [float(per_topic[t].get(y, 0)) for y in span]
+        else:
+            vals = [per_topic[t].get(y, 0) / labeled_per_year[y]
+                    if labeled_per_year.get(y) else 0.0 for y in span]
+        out[t] = YearSeries(span, vals)
+    return out
+
+
+_PIDS = [f"p{i}" for i in range(8)]
+# cluster ids with NOISE, or query topic names: the two label shapes of stage_topics
+_SINGLE_LABELS = st.dictionaries(st.sampled_from(_PIDS), st.integers(NOISE, 11))
+_LABEL_SETS = st.dictionaries(st.sampled_from(_PIDS),
+                              st.sets(st.sampled_from(["alpha", "beta", "gamma", "delta"])))
+_YEARS = st.dictionaries(st.sampled_from(_PIDS), st.integers(1995, 2004))
+
+
+class TestTrendReference:
+    """One :func:`topic_trend` call against both modes of the earlier one,
+    on the labels each path of ``stage_topics`` gives it."""
+
+    @staticmethod
+    def both_modes(labels, years):
+        return {mode: topic_trend_reference(labels, years, mode) for mode in ("count", "share")}
+
+    @given(labels=_SINGLE_LABELS, years=_YEARS)
+    @example(labels={"p0": NOISE, "p1": 10, "p2": 2}, years={"p0": 2000, "p1": 2002})
+    def test_cluster_labels_match_reference(self, labels, years):
+        converted = {pid: {label} - {NOISE} for pid, label in labels.items()}
+        assert repr(topic_trend(converted, years)) == repr(self.both_modes(labels, years))
+
+    @given(labels=_LABEL_SETS, years=_YEARS)
+    @example(labels={"p0": set(), "p1": {"alpha", "beta"}, "p5": {"gamma"}},
+             years={"p0": 2000, "p1": 2003})
+    def test_label_sets_match_reference(self, labels, years):
+        assert repr(topic_trend(labels, years)) == repr(self.both_modes(labels, years))
+
+    def test_trends_without_queries_count_clusters(self, fixture_dir, fixture_records, tmp_path):
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+        text = config.read_text()
+        assert text.count('queries = "queries.txt"\n') == 1
+        config.write_text(text.replace('queries = "queries.txt"\n', ""))
+        out = tmp_path / "out"
+        assert main(["topics", "--config", str(config), "--output", str(out)]) == 0
+        assert not (out / "multilabel.csv").exists()
+
+        def rows(name):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))
+
+        year_of = {r.id: r.year for r in fixture_records}
+        assignments = rows("assignments.csv")
+        assert assignments[0] == ["paper_id", "topic"]
+        assigned = [(pid, int(topic), year_of[pid]) for pid, topic in assignments[1:]]
+        assert any(topic == NOISE for _, topic, _ in assigned)
+        count = Counter((topic, year) for _, topic, year in assigned if topic != NOISE)
+        labeled = Counter(year for _, topic, year in assigned if topic != NOISE)
+        span = range(min(y for *_, y in assigned), max(y for *_, y in assigned) + 1)
+        clusters = sorted({topic for topic, _ in count}, key=str)
+        expected = {
+            "count": [(str(t), y, float(count[t, y])) for t in clusters for y in span],
+            "share": [(str(t), y, count[t, y] / labeled[y] if labeled[y] else 0.0)
+                      for t in clusters for y in span],
+        }
+        for mode, want in expected.items():
+            got = rows(f"topic_trends_{mode}.csv")
+            assert got[0] == ["topic", "year", "value"]
+            assert [(t, int(y), float(v)) for t, y, v in got[1:]] == want
 
 
 class TestEmerging:
