@@ -142,7 +142,8 @@ def train_gbdt(X, y, n_trees: int = 100, max_depth: int = 3,
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, d) with matching labels")
-    if set(np.unique(y)) != {0.0, 1.0}:
+    positive = y == 1.0
+    if not ((positive | (y == 0.0)).all() and positive.any() and not positive.all()):
         raise ValueError("training requires both classes with 0/1 labels")
     if min_leaf < 1:
         raise ValueError("min_leaf must be at least 1")

@@ -701,6 +701,74 @@ class TestCli:
                   "--output", str(tmp_path)])
         assert gc.get_freeze_count() == 0
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("load", ["ok", "raises"])
+    def test_collector_off_during_the_build(self, fixture_dir, monkeypatch, enabled, load):
+        # the build once ran about 140 collections, each walking what it keeps
+        starts, build = [], cli.Corpus.built.func.__code__
+
+        def probe(phase, info):  # a collection started with the build on the stack
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not build:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                starts.append(info["generation"])
+        if load == "raises":
+            def unreadable(path):
+                raise OSError(f"cannot read {path.name}")
+            monkeypatch.setattr(cli, "load_records", unreadable)
+        corpus = cli.Corpus(load_config(fixture_dir / "config.toml"))
+        was = gc.isenabled()
+        gc.callbacks.append(probe)
+        try:
+            gc.enable() if enabled else gc.disable()
+            if load == "raises":
+                with pytest.raises(OSError, match="cannot read"):
+                    corpus.built
+            else:
+                assert corpus.kg.node_count(NODE_PAPER) > 0
+            assert gc.isenabled() == enabled
+            assert starts == []
+        finally:
+            gc.callbacks.remove(probe)
+            gc.enable() if was else gc.disable()
+
+    @pytest.mark.parametrize("launcher", ["module", "script"])
+    def test_exit_codes_of_the_launchers(self, launcher, fixture_dir, tmp_path):
+        # both launchers end the process with os._exit after flushing, so
+        # what the run printed and wrote must be complete when it exits
+        if launcher == "module":
+            argv = [sys.executable, "-m", "litla"]
+        else:
+            import tomllib
+            with open(fixture_dir.parent / "pyproject.toml", "rb") as fh:
+                target = tomllib.load(fh)["project"]["scripts"]["litla"]
+            module, func = target.split(":")
+            # as the wrapper that installing the package writes calls it
+            argv = [sys.executable, "-c", f"import sys; from {module} import {func}; "
+                    f"sys.exit({func}())"]
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = tmp_path / "fixtures" / "config.toml"
+
+        def run(*args):
+            return subprocess.run([*argv, *args], capture_output=True, text=True, timeout=120)
+        ok = run("all", "--config", str(config), "--output", str(tmp_path / "ok"))
+        assert (ok.returncode, ok.stderr) == (0, "")
+        assert [e["status"] for e in read_manifest(tmp_path / "ok")["stages"]] == ["ok"] * 6
+
+        config.write_text(config.read_text().replace("neg_ratio = 5\n", "neg_ratio = 0\n"))
+        failed = run("all", "--config", str(config), "--output", str(tmp_path / "failed"))
+        assert failed.returncode == 1
+        assert failed.stderr.startswith("Traceback (most recent call last):\n")
+        assert failed.stderr.endswith("ValueError: neg_ratio must be at least 1, got 0\n")
+        stages = read_manifest(tmp_path / "failed")["stages"]
+        assert [(e["stage"], e["status"]) for e in stages] == [
+            (name, "failed" if name == "predict" else "ok") for name in STAGES]
+
+        bad = run("stats", "--config", str(tmp_path / "missing.toml"))
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("config error:")
+
     def test_failed_load_fails_every_stage_alike(self, fixture_dir, tmp_path, monkeypatch,
                                                  forking):
         log = ProcessLog(tmp_path / "loads.log")

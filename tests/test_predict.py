@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from functools import reduce
 from itertools import combinations
 from operator import add
@@ -438,6 +440,26 @@ class TestGbdt:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             train_gbdt(np.ones((5, 1)), np.ones(5))
+
+    @pytest.mark.parametrize("y", [
+        [0.0] * 5,                       # one class
+        [0.0, 1.0, 2.0, 1.0, 0.0],       # a label other than 0 or 1
+        [0.0, 1.0, math.nan, 1.0, 0.0],  # NaN is no class
+        [],
+    ])
+    def test_labels_other_than_both_classes_rejected(self, y):
+        with pytest.raises(ValueError, match="training requires both classes with 0/1 labels"):
+            train_gbdt(np.ones((len(y), 1)), np.array(y))
+
+    def test_predict_stage_does_not_load_numpy_ma(self, fixture_dir, tmp_path):
+        # np.unique once loaded numpy.ma into every predict process
+        code = ("import sys; from litla.cli import main; "
+                "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, "predict", "--config",
+                              str(fixture_dir / "config.toml"), "--output", str(tmp_path)],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_min_leaf_respected(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])

@@ -1,9 +1,13 @@
 import codecs
 import csv
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter, deque
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -248,7 +252,7 @@ class TestDbscanBlocks:
         (50, 4, 0.4),    # a single row already exceeds the budget
     ])
     def test_equals_one_shot_tensor_at_exact_eps(self, monkeypatch, n, d, rows):
-        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", int(rows * 8 * n * d))
+        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", int(rows * 8 * n))
         rng = np.random.default_rng(n * d)
         pts = np.round(rng.normal(size=(n, d)), 1)
         radii = exact_radii(pts, 6)
@@ -262,7 +266,7 @@ class TestDbscanBlocks:
         # each pair's distance comes from the block of its first point alone;
         # duplicates sit at distance exactly 0
         n, d = 41, 3
-        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", rows * 8 * n * d)
+        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", rows * 8 * n)
         rng = np.random.default_rng(11)
         base = np.round(rng.normal(size=(29, d)), 1)
         pts = base[rng.permutation(np.concatenate([np.arange(29), rng.integers(0, 29, 12)]))]
@@ -283,17 +287,45 @@ class TestDbscanBlocks:
         assert dbscan_labels(pts, 1.0, min_pts) == dbscan_one_shot(pts, 1.0, min_pts) == [NOISE]
 
     def test_grid_points_at_eps_join(self, monkeypatch):
-        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", 3 * 8 * 11 * 2)
+        monkeypatch.setattr(topics, "_DBSCAN_BLOCK_BYTES", 3 * 8 * 11)
         pts = np.array([[float(i), 0.0] for i in range(10)] + [[30.0, 0.0]])
         assert dbscan_labels(pts, 1.0, 3) == [0] * 10 + [NOISE]
         assert dbscan_labels(pts, 1.0, 3) == dbscan_one_shot(pts, 1.0, 3)
 
     def test_default_budget_matches_one_shot_at_embedding_width(self):
-        # 210 x 384 under the default budget: 13 rows per block, 17 blocks
+        # 210 x 384 under the default budget: 156 rows per block, 2 blocks
         rng = np.random.default_rng(5)
         centers = rng.normal(size=(3, 384)) * 3
         pts = np.concatenate([c + rng.normal(scale=0.05, size=(70, 384)) for c in centers])
         assert dbscan_labels(pts, 1.4, 4) == dbscan_one_shot(pts, 1.4, 4)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12), d=st.integers(1, 384),
+           offset=st.one_of(st.just(0), st.integers(0, 10 ** 8)), rows=st.integers(1, 12),
+           min_pts=st.integers(2, 5))
+    @example(seed=0, n=12, d=384, offset=10 ** 8, rows=1, min_pts=3)
+    @example(seed=1, n=9, d=1, offset=0, rows=1, min_pts=2)
+    def test_band_pairs_decided_as_one_shot(self, seed, n, d, offset, rows, min_pts):
+        # integer-grid points a few unit steps apart, shifted by ``offset``; eps
+        # is the distance of a drawn pair, so some pair sits exactly at eps
+        rng = np.random.default_rng(seed)
+        steps = rng.integers(-1, 2, size=(n, d)) * (rng.random((n, d)) < 4 / d)
+        steps[np.arange(n), rng.integers(0, d, n)] = rng.choice([-1, 1], n)
+        grid = np.cumsum(steps, axis=0) + offset
+        i, j = np.triu_indices(n, 1)
+        dist2 = [int(v) for v in ((grid[i] - grid[j]) ** 2).sum(axis=1)]
+        norms = [int(v) for v in (grid ** 2).sum(axis=1)]
+        eps = math.sqrt(rng.choice([v for v in dist2 if v]))
+        # the stated margin is M = 4(d + 4)u(|a|² + |b|²) + t; a pair within
+        # M / 4 of eps² is in the band whatever the rounding of G, so the
+        # reference expression must decide it
+        quarter = Fraction(d + 4, 2 ** 53)
+        e2 = Fraction(eps * eps)
+        assert any(abs(dd - e2) <= quarter * (norms[a] + norms[b])
+                   for dd, a, b in zip(dist2, i, j))
+        pts = grid.astype(float)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topics, "_DBSCAN_BLOCK_BYTES", min(rows, n) * 8 * n)
+            assert dbscan_labels(pts, eps, min_pts) == dbscan_one_shot(pts, eps, min_pts)
 
     def test_memory_bounded_at_400_by_384(self):
         # a one-shot 400 x 400 x 384 float64 tensor alone would be ~470 MiB
@@ -319,6 +351,48 @@ class TestDbscanBlocks:
             tracemalloc.stop()
         assert labels == [0] * 3000
         assert peak < 60 * 2 ** 20
+
+
+def cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+# OpenBLAS core type -> the /proc/cpuinfo flag its kernels need (pni is SSE3)
+BLAS_KERNELS = {"Prescott": "pni", "Haswell": "avx2", "SkylakeX": "avx512f"}
+
+
+def topics_assignments(config, out, **env) -> bytes:
+    """``assignments.csv`` of ``python -m litla topics`` run with ``env`` set and
+    no other OpenBLAS setting."""
+    env = {**{k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}, **env}
+    subprocess.run([sys.executable, "-m", "litla", "topics", "--config", str(config),
+                    "--output", str(out)], env=env, check=True, capture_output=True,
+                   timeout=120)
+    return (out / "assignments.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def default_assignments(fixture_dir, tmp_path_factory):
+    return topics_assignments(fixture_dir / "config.toml", tmp_path_factory.mktemp("default"))
+
+
+@pytest.mark.parametrize("env", [{"OPENBLAS_NUM_THREADS": "1"}] + [
+    {"OPENBLAS_CORETYPE": kernel} for kernel in BLAS_KERNELS], ids=lambda env: "-".join(env.values()))
+def test_assignments_same_under_every_blas_kernel(env, fixture_dir, tmp_path,
+                                                  default_assignments):
+    # DBSCAN decides each pair without BLAS, so the labels cannot depend on
+    # the kernel, its thread count or its summation order
+    kernel = env.get("OPENBLAS_CORETYPE")
+    if kernel and BLAS_KERNELS[kernel] not in cpu_flags():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernels")
+    labels = {row[1] for row in csv.reader(default_assignments.decode().splitlines()[1:])}
+    assert len(labels - {"-1"}) > 1
+    assert topics_assignments(fixture_dir / "config.toml", tmp_path, **env) == default_assignments
 
 
 class TestCtfidf:
