@@ -144,10 +144,6 @@ _US_STATES = {
 }
 _US_STATE_CODES = frozenset(c.lower() for c in _US_STATES.values())
 
-# Longest variants first so the longest suffix wins; ties broken by the
-# longer matched string, then alphabetically for determinism.
-_VARIANTS = sorted(_GAZETTEER, key=lambda k: (-len(k), k))
-
 _ZIP_RE = re.compile(r"\b\d{5}(?:-\d{4})?$")
 
 
@@ -155,8 +151,10 @@ def _normalize(address: str) -> str:
     return " ".join(re.sub(r"[^a-z0-9]+", " ", address.lower()).split())
 
 
-def _ends_with(text: str, suffix: str) -> bool:
-    return text == suffix or text.endswith(" " + suffix)
+def _suffixes(text: str) -> list[str]:
+    """The word suffixes of ``text``, longest first."""
+    words = text.split(" ")
+    return [" ".join(words[i:]) for i in range(len(words))]
 
 
 @lru_cache(maxsize=4096)  # a corpus repeats a few addresses across many authors
@@ -168,14 +166,13 @@ def infer_country(address: str) -> str:
     norm = _normalize(address)
     if not norm:
         return UNKNOWN
-    for variant in _VARIANTS:
-        if _ends_with(norm, variant):
-            return _GAZETTEER[variant]
+    for suffix in _suffixes(norm):
+        if suffix in _GAZETTEER:
+            return _GAZETTEER[suffix]
     # US heuristic: trailing "<state> <zip>" or bare trailing state.
     tail = _ZIP_RE.sub("", norm).strip()
-    for state in _US_STATES:
-        if _ends_with(tail, state):
-            return "US"
+    if any(suffix in _US_STATES for suffix in _suffixes(tail)):
+        return "US"
     last = tail.rsplit(" ", 1)[-1] if tail else ""
     if last in _US_STATE_CODES and tail != last:
         return "US"

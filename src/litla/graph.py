@@ -64,69 +64,67 @@ def institution_key(affiliation: str) -> str:
     return canonical(affiliation.split(",", 1)[0])
 
 
-class NodeRef(NamedTuple("NodeRef", [("node_type", str), ("key", str)])):
+class NodeRef(NamedTuple):
     """A typed node key. A tuple, so hashing and ordering run in C; it
     compares equal to the plain ``(node_type, key)`` pair."""
 
-    __slots__ = ()
-
-    def __new__(cls, node_type: str, key: str):
-        if node_type not in NODE_TYPES:
-            raise ValueError(f"unknown node type {node_type!r}")
-        if not key:
-            raise ValueError("node key must be non-empty")
-        return tuple.__new__(cls, (node_type, key))
+    node_type: str
+    key: str
 
 
-class Edge(NamedTuple("Edge", [("src", NodeRef), ("dst", NodeRef), ("edge_type", str),
-                               ("weight", float), ("year", int), ("flags", frozenset[str])])):
+class Edge(NamedTuple):
     """A typed, weighted edge; a tuple like :class:`NodeRef`."""
 
-    __slots__ = ()
-
-    def __new__(cls, src: NodeRef, dst: NodeRef, edge_type: str, weight: float = 1.0,
-                year: int = 0, flags: frozenset[str] = NO_FLAGS):
-        expect = _EDGE_ENDPOINTS.get(edge_type)
-        if expect is None:
-            raise ValueError(f"unknown edge type {edge_type!r}")
-        if (src.node_type, dst.node_type) != expect:
-            raise ValueError(
-                f"{edge_type} edge requires endpoints {expect}, got "
-                f"({src.node_type}, {dst.node_type})")
-        if weight < 0:
-            raise ValueError("edge weight must be non-negative")
-        return tuple.__new__(cls, (src, dst, edge_type, weight, year, flags))
+    src: NodeRef
+    dst: NodeRef
+    edge_type: str
+    weight: float = 1.0
+    year: int = 0
+    flags: frozenset[str] = NO_FLAGS
 
 
 class KnowledgeGraph:
     """Immutable-after-build typed multigraph.
 
-    ``edges`` are sorted once, by (src, dst, edge_type, year), the order
-    the exports write; each edge type's list keeps that order. The sorted
-    refs of each node type and the edges of each edge type are kept once,
-    at construction; :meth:`nodes_of_type` and :meth:`edges_of_type` return
-    those shared lists, which callers must not mutate. ``years`` is the span
-    of every yearly series, each year from the first paper's to the last
-    paper's; there are no years without papers, so a graph with no paper
-    has an empty span. ``text`` indexes the papers' titles and abstracts;
-    :func:`build_graph` fills it.
+    The constructor checks each node key and edge once (known types,
+    non-empty keys, endpoint types, non-negative weights, no dangling
+    endpoint). ``edges`` are sorted once, by (src, dst, edge_type, year),
+    the order the exports write; each edge type's list keeps that order.
+    :meth:`nodes_of_type` and :meth:`edges_of_type` return lists shared
+    with the graph, which callers must not mutate. ``corpus_year_range`` is
+    the first and last paper's year, ``(0, 0)`` without papers, and
+    ``years`` is the span of every yearly series, empty without papers.
+    ``text`` indexes the papers' titles and abstracts.
     """
 
-    text = TextIndex({})
-
-    def __init__(self, nodes: dict[NodeRef, dict], edges: list[Edge],
-                 corpus_year_range: tuple[int, int]):
-        for e in edges:
-            if e.src not in nodes or e.dst not in nodes:
-                raise ValueError(f"dangling edge endpoint: {e.src} -> {e.dst}")
-        self.nodes = nodes
-        self.edges = sorted(edges, key=itemgetter(0, 1, 2, 4))
-        self.corpus_year_range = corpus_year_range
+    def __init__(self, nodes: dict[NodeRef, dict], edges: list[Edge], *,
+                 text: TextIndex | None = None):
         self._nodes_by_type: dict[str, list[NodeRef]] = {}
         for ref in sorted(nodes):
-            self._nodes_by_type.setdefault(ref.node_type, []).append(ref)
-        lo, hi = corpus_year_range
-        self.years = range(lo, hi + 1) if self.nodes_of_type(NODE_PAPER) else range(0)
+            node_type, key = ref
+            if node_type not in NODE_TYPES:
+                raise ValueError(f"unknown node type {node_type!r}")
+            if not key:
+                raise ValueError("node key must be non-empty")
+            self._nodes_by_type.setdefault(node_type, []).append(ref)
+        for src, dst, edge_type, weight, _, _ in edges:
+            expect = _EDGE_ENDPOINTS.get(edge_type)
+            if expect is None:
+                raise ValueError(f"unknown edge type {edge_type!r}")
+            if (src.node_type, dst.node_type) != expect:
+                raise ValueError(
+                    f"{edge_type} edge requires endpoints {expect}, got "
+                    f"({src.node_type}, {dst.node_type})")
+            if weight < 0:
+                raise ValueError("edge weight must be non-negative")
+            if src not in nodes or dst not in nodes:
+                raise ValueError(f"dangling edge endpoint: {src} -> {dst}")
+        self.nodes = nodes
+        self.edges = sorted(edges, key=itemgetter(0, 1, 2, 4))
+        self.text = TextIndex({}) if text is None else text
+        years = [nodes[ref]["year"] for ref in self.nodes_of_type(NODE_PAPER)]
+        lo, hi = self.corpus_year_range = (min(years), max(years)) if years else (0, 0)
+        self.years = range(lo, hi + 1) if years else range(0)
         self._edges_by_type: dict[str, list[Edge]] = {}
         for e in self.edges:
             self._edges_by_type.setdefault(e.edge_type, []).append(e)
@@ -320,8 +318,6 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     the first of those papers. An author, venue, keyword or institution is
     dated by its first paper and named by its first record in id order.
     """
-    if not records:
-        return KnowledgeGraph({}, [], (0, 0))
     paper_years = {r.id: r.year for r in records}
     if len(paper_years) != len(records):
         dupes = sorted(k for k, c in Counter(r.id for r in records).items() if c > 1)
@@ -337,7 +333,12 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
     shared: list[tuple[tuple[NodeRef, NodeRef, str], int]] = []  # (edge key, year) per joint paper
     cites_pairs: list[tuple[str, str]] = []
 
-    # an entity is named by its first record, which dates it until its edges are in
+    def meet(ref: NodeRef, year: int, **attrs) -> dict:
+        """The entity ``ref``, named by its first record, dated by its first paper so far."""
+        node = nodes.setdefault(ref, {**attrs, "year": year})
+        node["year"] = min(node["year"], year)
+        return node
+
     for rec in records:
         paper_ref = refs(NODE_PAPER, rec.id)
         author_refs = []
@@ -348,16 +349,14 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
                 continue
             country = infer_country(a.affiliation) if a.affiliation else UNKNOWN
             author_ref = refs(NODE_AUTHOR, akey)
-            author = nodes.setdefault(author_ref, {"name": a.name, "year": rec.year,
-                                                   "incidences": []})
+            author = meet(author_ref, rec.year, name=a.name, incidences=[])
             author["incidences"].append((rec.year, rec.id, country))
             author_refs.append(author_ref)
             countries.append(country)
             ikey = institution_key(a.affiliation)
             if ikey:
                 inst_ref = refs(NODE_INSTITUTION, ikey)
-                nodes.setdefault(inst_ref, {"name": a.affiliation.split(",", 1)[0].strip(),
-                                            "year": rec.year})
+                meet(inst_ref, rec.year, name=a.affiliation.split(",", 1)[0].strip())
                 shared.append(((author_ref, inst_ref, EDGE_AFFILIATED_WITH), rec.year))
         author_refs = list(dict.fromkeys(author_refs))  # dedupe, keep order
 
@@ -389,22 +388,16 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
             edges.append(Edge(author_ref, paper_ref, EDGE_AUTHOR_OF, 1.0, rec.year))
         if vkey:
             venue_ref = refs(NODE_VENUE, vkey)
-            nodes.setdefault(venue_ref, {"name": rec.venue, "year": rec.year})
+            meet(venue_ref, rec.year, name=rec.venue)
             edges.append(Edge(paper_ref, venue_ref, EDGE_PUBLISHED_AT, 1.0, rec.year))
         for kw in all_keywords:
             kw_ref = refs(NODE_KEYWORD, kw)
-            nodes.setdefault(kw_ref, {"year": rec.year})
+            meet(kw_ref, rec.year)
             edges.append(Edge(paper_ref, kw_ref, EDGE_MENTIONS_KEYWORD, 1.0, rec.year))
         cites_pairs.extend((rec.id, tgt) for tgt in in_refs)
 
     for (src, dst, edge_type), (count, first) in _tally(shared).items():
         edges.append(Edge(src, dst, edge_type, float(count), first))
-    # each edge so far is dated by a paper of both its endpoints, and a
-    # paper's by its own year, so an entity's first paper dates its earliest edge
-    for src, dst, _, _, year, _ in edges:
-        for ref in (src, dst):
-            if year < nodes[ref]["year"]:
-                nodes[ref]["year"] = year
 
     # cycle detection runs on temporally valid edges only
     valid_adj: dict[str, list[str]] = {pid: [] for pid in paper_years}
@@ -418,8 +411,7 @@ def build_graph(records: list[PaperRecord]) -> KnowledgeGraph:
         edges.append(Edge(refs(NODE_PAPER, src), refs(NODE_PAPER, dst), EDGE_CITES, 1.0,
                           paper_years[src], flags=flags))
 
-    kg = KnowledgeGraph(nodes, edges, (min(paper_years.values()), max(paper_years.values())))
-    for ref in kg.nodes_of_type(NODE_AUTHOR):
-        nodes[ref]["incidences"] = tuple(sorted(nodes[ref]["incidences"]))
-    kg.text = text
-    return kg
+    for ref, attrs in nodes.items():
+        if ref.node_type == NODE_AUTHOR:
+            attrs["incidences"] = tuple(sorted(attrs["incidences"]))
+    return KnowledgeGraph(nodes, edges, text=text)

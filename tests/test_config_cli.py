@@ -1311,7 +1311,7 @@ def typed_value_kg() -> KnowledgeGraph:
     # every third edge takes its year from the mixed values too
     edges = [Edge(refs[i + 1], refs[i], EDGE_CITES, value,
                   value if i % 3 == 0 else 2000 + i % 2) for i, value in enumerate(values)]
-    return KnowledgeGraph({ref: {"year": 2000} for ref in refs}, edges, (2000, 2001))
+    return KnowledgeGraph({ref: {"year": 2000} for ref in refs}, edges)
 
 
 def kg_export_bytes(kg: KnowledgeGraph, tmp) -> tuple[bytes, bytes]:

@@ -1,4 +1,7 @@
-from litla.countries import UNKNOWN, infer_country
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from litla.countries import _GAZETTEER, _US_STATES, _ZIP_RE, UNKNOWN, _normalize, infer_country
 
 # hand-labeled answer key for the resolution-rate check
 LABELED = [
@@ -95,3 +98,47 @@ def test_labeled_batch_resolution_rate():
     assert correct >= 48, [
         (a, g, e) for (a, e), g in zip(LABELED, got) if g != e
     ]
+
+
+def variant_loop_country(address: str) -> str:
+    """Reference resolution: every gazetteer variant tried longest first
+    (then alphabetically) as a word suffix of the normalized address, then
+    every US state name and the trailing state code of the ZIP-stripped tail."""
+    def ends_with(text, suffix):
+        return text == suffix or text.endswith(" " + suffix)
+
+    norm = _normalize(address)
+    if not norm:
+        return UNKNOWN
+    for variant in sorted(_GAZETTEER, key=lambda k: (-len(k), k)):
+        if ends_with(norm, variant):
+            return _GAZETTEER[variant]
+    tail = _ZIP_RE.sub("", norm).strip()
+    for state in _US_STATES:
+        if ends_with(tail, state):
+            return "US"
+    last = tail.rsplit(" ", 1)[-1] if tail else ""
+    if last in {c.lower() for c in _US_STATES.values()} and tail != last:
+        return "US"
+    return UNKNOWN
+
+
+# address pieces: gazetteer variants (cased and spaced as written, and
+# fused or split), state names and codes, ZIP codes, plain words
+_pieces = st.one_of(
+    st.sampled_from(sorted(_GAZETTEER)),
+    st.sampled_from(sorted(_GAZETTEER)).map(str.upper),
+    st.sampled_from(sorted(_US_STATES)),
+    st.sampled_from(sorted(_US_STATES.values())),
+    st.from_regex(r"\d{5}(-\d{4})?", fullmatch=True),
+    st.sampled_from(["north", "south", "republic of", "the", "new", "r", "u", "s", "a",
+                     "univ", "dept", "lab", "x", ""]),
+)
+_separators = st.sampled_from(["", " ", ", ", ",", ". ", "-", "  ", "\t", " (", ") "])
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(_pieces, _separators), max_size=6))
+def test_suffix_lookup_matches_variant_loop(parts):
+    address = "".join(piece + sep for piece, sep in parts)
+    assert infer_country(address) == variant_loop_country(address)

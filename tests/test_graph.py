@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from litla import graph
@@ -165,30 +165,50 @@ class TestBuild:
 class TestValidation:
     def test_unknown_node_type_and_empty_key(self):
         with pytest.raises(ValueError, match="unknown node type 'journal'"):
-            NodeRef("journal", "x")
+            KnowledgeGraph({NodeRef("journal", "x"): {}}, [])
         with pytest.raises(ValueError, match="node key must be non-empty"):
-            NodeRef(NODE_PAPER, "")
+            KnowledgeGraph({NodeRef(NODE_PAPER, ""): {"year": 2010}}, [])
 
     def test_unknown_edge_type(self):
+        a, b = NodeRef(NODE_PAPER, "a"), NodeRef(NODE_PAPER, "b")
         with pytest.raises(ValueError, match="unknown edge type 'likes'"):
-            Edge(NodeRef(NODE_PAPER, "a"), NodeRef(NODE_PAPER, "b"), "likes")
+            KnowledgeGraph({a: {"year": 2010}, b: {"year": 2010}}, [Edge(a, b, "likes")])
 
     def test_wrong_endpoint_types(self):
+        a, b = NodeRef(NODE_PAPER, "a"), NodeRef(NODE_AUTHOR, "b")
         with pytest.raises(ValueError) as err:
-            Edge(NodeRef(NODE_PAPER, "a"), NodeRef(NODE_AUTHOR, "b"), EDGE_AUTHOR_OF)
+            KnowledgeGraph({a: {"year": 2010}, b: {"year": 2010}}, [Edge(a, b, EDGE_AUTHOR_OF)])
         assert str(err.value) == ("author_of edge requires endpoints ('author', 'paper'), "
                                   "got (paper, author)")
 
     def test_negative_weight(self):
         a, b = NodeRef(NODE_AUTHOR, "a"), NodeRef(NODE_AUTHOR, "b")
+        nodes = {a: {"year": 2010}, b: {"year": 2010}}
         with pytest.raises(ValueError, match="edge weight must be non-negative"):
-            Edge(a, b, EDGE_COAUTHORS_WITH, -0.5)
-        assert Edge(a, b, EDGE_COAUTHORS_WITH, 0.0).weight == 0.0
+            KnowledgeGraph(nodes, [Edge(a, b, EDGE_COAUTHORS_WITH, -0.5)])
+        kg = KnowledgeGraph(nodes, [Edge(a, b, EDGE_COAUTHORS_WITH, 0.0)])
+        assert kg.edges[0].weight == 0.0
 
     def test_dangling_endpoint(self):
         a, b = NodeRef(NODE_PAPER, "a"), NodeRef(NODE_PAPER, "b")
         with pytest.raises(ValueError, match="dangling edge endpoint"):
-            KnowledgeGraph({a: {"year": 2010}}, [Edge(a, b, EDGE_CITES)], (2010, 2010))
+            KnowledgeGraph({a: {"year": 2010}}, [Edge(a, b, EDGE_CITES)])
+
+    def test_span_follows_the_paper_nodes(self):
+        nodes = {NodeRef(NODE_PAPER, "a"): {"year": 2003}, NodeRef(NODE_PAPER, "b"): {"year": 2001},
+                 NodeRef(NODE_AUTHOR, "x"): {"year": 1999}}
+        kg = KnowledgeGraph(nodes, [])
+        assert kg.corpus_year_range == (2001, 2003)
+        assert kg.years == range(2001, 2004)
+
+    def test_no_papers_no_span(self):
+        kg = KnowledgeGraph({NodeRef(NODE_AUTHOR, "x"): {"year": 1999}}, [])
+        assert kg.corpus_year_range == (0, 0)
+        assert list(kg.years) == []
+
+    def test_text_index_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            KnowledgeGraph({NodeRef(NODE_PAPER, "a"): {"year": 2010}}, [], (2010, 2010))
 
     def test_edge_defaults(self):
         e = Edge(NodeRef(NODE_PAPER, "a"), NodeRef(NODE_PAPER, "b"), EDGE_CITES)
@@ -444,7 +464,7 @@ def test_snapshot_monotone_property(specs):
                 max_size=10))
 def test_kg_edge_orders_match_reference_sorts(edges):
     nodes = {ref: {"year": 2000} for e in edges for ref in (e.src, e.dst)}
-    kg = KnowledgeGraph(nodes, edges, (2000, 2003))
+    kg = KnowledgeGraph(nodes, edges)
     assert [_fields(e) for e in kg.edges] == \
         [_fields(e) for e in sorted(edges, key=edge_sort_key)]
     # each type's list runs by (src, dst, year)
@@ -467,7 +487,7 @@ def test_per_type_lists_match_scan_and_sort(data):
         if srcs and dsts:
             edges.append(Edge(data.draw(st.sampled_from(srcs)), data.draw(st.sampled_from(dsts)),
                               edge_type, 1.0, data.draw(st.integers(2000, 2003))))
-    kg = KnowledgeGraph(nodes, edges, (2000, 2003))
+    kg = KnowledgeGraph(nodes, edges)
     assert kg.node_count(absent) == 0 and kg.nodes_of_type(absent) == []
     for node_type in NODE_TYPES + ("unknown",):
         expected = sorted(ref for ref in kg.nodes if ref.node_type == node_type)
@@ -577,6 +597,11 @@ def shared_paper_records(draw):
 
 
 @given(shared_paper_records())
+# the author's first record in id order (p1) is later than another of theirs
+# (p2): named from p1, dated by p2
+@example([rec("p1", 2012, authors=[("Jia Li", "X Univ, UK")], venue="Venue A", kws=["Alpha"]),
+          rec("p2", 2010, authors=[("jia  LI", "x univ, China")], venue="venue  a",
+              kws=["alpha"])])
 def test_shared_paper_rule_by_definition(records):
     """Every non-citation edge's weight and year, every entity's name and
     year and every author's incidences, computed from the records alone:
