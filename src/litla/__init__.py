@@ -1,36 +1,9 @@
 """litla: bibliographic knowledge-graph construction and literature-landscape
 analytics (descriptive statistics, topics, citation and collaboration
-networks, keyword link prediction)."""
+networks, keyword link prediction).
 
-from .graph import (
-    Edge,
-    KnowledgeGraph,
-    NodeRef,
-    ProjectedGraph,
-    build_graph,
-)
-from .records import (
-    ExclusionPolicy,
-    PaperRecord,
-    ParseError,
-    apply_exclusions,
-    load_records,
-    parse_records,
-)
+The package imports none of its modules, so that ``litla.cli`` loads numpy
+and the analysis modules only when a stage runs.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Edge",
-    "ExclusionPolicy",
-    "KnowledgeGraph",
-    "NodeRef",
-    "PaperRecord",
-    "ParseError",
-    "ProjectedGraph",
-    "apply_exclusions",
-    "build_graph",
-    "load_records",
-    "parse_records",
-    "__version__",
-]

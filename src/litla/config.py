@@ -14,8 +14,7 @@ import json
 import tomllib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-
-from .records import ExclusionPolicy
+from typing import Collection
 
 
 class ConfigError(ValueError):
@@ -23,6 +22,18 @@ class ConfigError(ValueError):
 
 
 # --- typed blocks -----------------------------------------------------------------
+
+
+@dataclass
+class ExclusionPolicy:
+    """The ``[exclusions]`` block of the run config. Languages and document
+    types compare case-insensitively."""
+    min_pages: int = 4
+    allowed_languages: Collection[str] = field(default_factory=lambda: ["English"])
+    excluded_doc_types: Collection[str] = field(
+        default_factory=lambda: ["book", "keynote", "workshop paper", "unpublished"])
+    drop_extended_versions: bool = False
+    extended_version_ids: Collection[str] = field(default_factory=list)
 
 
 @dataclass

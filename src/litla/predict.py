@@ -14,13 +14,6 @@ from .gbdt import GbdtModel, train_gbdt
 from .graph import ProjectedGraph
 from .stats import ordered_sum
 
-FEATURE_NAMES = (
-    "deg_u", "deg_v", "deg_sum", "deg_product", "common_neighbors",
-    "jaccard", "adamic_adar", "deg_u_delta", "deg_v_delta",
-    "common_neighbors_delta",
-)
-
-
 @dataclass
 class PairSample:
     u: str

@@ -13,9 +13,11 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import IO, Collection
+from typing import IO
 
 import numpy as np
+
+from .config import ExclusionPolicy
 
 PUB_TYPES = ("journal", "conference", "other")
 INTENT_LABELS = ("background", "method", "extension", "comparison")
@@ -231,18 +233,6 @@ REASON_LANGUAGE = "language"
 REASON_MIN_PAGES = "min_pages"
 REASON_DOC_TYPE = "doc_type"
 REASON_EXTENDED = "extended_version"
-
-
-@dataclass
-class ExclusionPolicy:
-    """The ``[exclusions]`` block of the run config. Languages and document
-    types compare case-insensitively."""
-    min_pages: int = 4
-    allowed_languages: Collection[str] = field(default_factory=lambda: ["English"])
-    excluded_doc_types: Collection[str] = field(
-        default_factory=lambda: ["book", "keynote", "workshop paper", "unpublished"])
-    drop_extended_versions: bool = False
-    extended_version_ids: Collection[str] = field(default_factory=list)
 
 
 def apply_exclusions(

@@ -29,7 +29,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from litla import citenet, cli, collabnet, powerlaw, predict, textutil, topics
+from litla import citenet, cli, collabnet, exports, powerlaw, predict, textutil, topics
+from litla import stages as litla_stages
 from litla.cli import STAGES, main
 from litla.config import ConfigError, load_config
 from litla.exports import (
@@ -440,7 +441,7 @@ class TestCli:
         # the CI runs Python 3.11 and 3.12, whose float sums differ in the last bits
         argv = ["all", "--config", str(fixture_dir / "config.toml"), "--seed", "7", "--output"]
         assert main(argv + [str(tmp_path / "plain")]) == 0
-        for module in (cli, citenet, collabnet, powerlaw, predict, topics):
+        for module in (litla_stages, citenet, collabnet, powerlaw, predict, topics):
             monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
         assert main(argv + [str(tmp_path / "compensated")]) == 0
         assert differences(tmp_path / "plain", tmp_path / "compensated") == []
@@ -544,8 +545,8 @@ class TestCli:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(cli, "load_records")
-        counted(cli, "build_graph")
+        counted(litla_stages, "load_records")
+        counted(litla_stages, "build_graph")
         counted(citenet, "cd_index_all")
         counted(topics, "dbscan_labels")
         counted(collabnet, "components")
@@ -609,13 +610,13 @@ class TestCli:
         # the corpus once cached the parsed and the screened records for the
         # whole run, although only ingest read them
         held = []
-        build_graph = cli.build_graph
+        build_graph = litla_stages.build_graph
 
         def watched(records):
             held.extend(weakref.ref(rec) for rec in records)
             return build_graph(records)
-        monkeypatch.setattr(cli, "build_graph", watched)
-        corpus = cli.Corpus(load_config(fixture_dir / "config.toml"))
+        monkeypatch.setattr(litla_stages, "build_graph", watched)
+        corpus = litla_stages.Corpus(load_config(fixture_dir / "config.toml"))
         assert corpus.kg.node_count(NODE_PAPER) == len(held) > 0
         gc.collect()
         assert [ref for ref in held if ref() is not None] == []
@@ -648,7 +649,7 @@ class TestCli:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            corpus = cli.Corpus(cfg)
+            corpus = litla_stages.Corpus(cfg)
             papers = corpus.kg.node_count(NODE_PAPER)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - base
@@ -661,14 +662,14 @@ class TestCli:
     def test_collector_frozen_only_during_the_run(self, fixture_dir, tmp_path, monkeypatch,
                                                   forking, fail):
         log = ProcessLog(tmp_path / "seen.log")
-        stage_stats = cli.stage_stats
+        stage_stats = litla_stages.stage_stats
 
         def probed(corpus, outdir):
             log.append(gc.get_freeze_count())
             if fail:
                 raise RuntimeError("probe")
             return stage_stats(corpus, outdir)
-        monkeypatch.setitem(cli._STAGE_FUNCS, "stats", probed)
+        monkeypatch.setitem(litla_stages.STAGE_FUNCS, "stats", probed)
         before = gc.get_freeze_count()
         assert before == 0
         code = main(["all", "--config", str(fixture_dir / "config.toml"),
@@ -695,7 +696,7 @@ class TestCli:
     def test_collector_restored_when_run_raises(self, fixture_dir, tmp_path, monkeypatch):
         def unwritable(path, payload):
             raise OSError("disk full")
-        monkeypatch.setattr(cli, "write_json", unwritable)
+        monkeypatch.setattr(exports, "write_json", unwritable)
         with pytest.raises(OSError, match="disk full"):
             main(["stats", "--config", str(fixture_dir / "config.toml"),
                   "--output", str(tmp_path)])
@@ -705,7 +706,7 @@ class TestCli:
     @pytest.mark.parametrize("load", ["ok", "raises"])
     def test_collector_off_during_the_build(self, fixture_dir, monkeypatch, enabled, load):
         # the build once ran about 140 collections, each walking what it keeps
-        starts, build = [], cli.Corpus.built.func.__code__
+        starts, build = [], litla_stages.Corpus.built.func.__code__
 
         def probe(phase, info):  # a collection started with the build on the stack
             frame = sys._getframe(1)
@@ -716,8 +717,8 @@ class TestCli:
         if load == "raises":
             def unreadable(path):
                 raise OSError(f"cannot read {path.name}")
-            monkeypatch.setattr(cli, "load_records", unreadable)
-        corpus = cli.Corpus(load_config(fixture_dir / "config.toml"))
+            monkeypatch.setattr(litla_stages, "load_records", unreadable)
+        corpus = litla_stages.Corpus(load_config(fixture_dir / "config.toml"))
         was = gc.isenabled()
         gc.callbacks.append(probe)
         try:
@@ -776,7 +777,7 @@ class TestCli:
         def unreadable(path):
             log.append(path)
             raise OSError(f"cannot read {path.name}")
-        monkeypatch.setattr(cli, "load_records", unreadable)
+        monkeypatch.setattr(litla_stages, "load_records", unreadable)
         assert main(["all", "--config", str(fixture_dir / "config.toml"),
                      "--output", str(tmp_path)]) == 1
         loads = log.lines()
@@ -962,7 +963,7 @@ class TestCli:
 # predict worker in a sleep once it has touched argv[2].
 _LOGGED_FORK_RUN = """
 import os, sys, time
-from litla import cli
+from litla import cli, stages
 
 log, ready = sys.argv[1], sys.argv[2]
 fork = os.fork
@@ -980,7 +981,7 @@ def stuck(corpus, out):
 
 os.fork = logged_fork
 os.sched_getaffinity = lambda pid: {0, 1}
-cli._STAGE_FUNCS["predict"] = stuck
+stages.STAGE_FUNCS["predict"] = stuck
 sys.exit(cli.main(sys.argv[3:]))
 """
 
@@ -1002,7 +1003,7 @@ class TestWorkers:
         def killed(corpus, outdir):
             assert os.getpid() != parent, "citenet ran in the test process"
             os.kill(os.getpid(), signal.SIGKILL)
-        monkeypatch.setitem(cli._STAGE_FUNCS, "citenet", killed)
+        monkeypatch.setitem(litla_stages.STAGE_FUNCS, "citenet", killed)
         with time_limit(60):
             code = main(["all", "--config", str(fixture_dir / "config.toml"),
                          "--output", str(tmp_path)])
@@ -1023,7 +1024,7 @@ class TestWorkers:
             log.append(os.getpid())
             os.kill(parent, signal.SIGINT)
             time.sleep(60)
-        monkeypatch.setitem(cli._STAGE_FUNCS, "predict", stuck)
+        monkeypatch.setitem(litla_stages.STAGE_FUNCS, "predict", stuck)
         with time_limit(60), pytest.raises(KeyboardInterrupt):
             main(["all", "--config", str(fixture_dir / "config.toml"),
                   "--output", str(tmp_path / "out")])
@@ -1048,7 +1049,8 @@ class TestWorkers:
                 os.kill(os.getpid(), signal.SIGINT)
             return pid
         monkeypatch.setattr(os, "fork", fork_then_interrupt)
-        monkeypatch.setitem(cli._STAGE_FUNCS, "predict", lambda corpus, out: time.sleep(60))
+        monkeypatch.setitem(litla_stages.STAGE_FUNCS, "predict",
+                            lambda corpus, out: time.sleep(60))
         with time_limit(60), pytest.raises(KeyboardInterrupt):
             main(["all", "--config", str(fixture_dir / "config.toml"),
                   "--output", str(tmp_path / "out")])
@@ -1160,14 +1162,14 @@ class TestWorkers:
         parent = os.getpid()
         sent = [f"UserWarning: distinct warning {i:04d}" for i in range(3000)]
         assert len(json.dumps(sent)) > 1 << 16
-        stage_stats = cli.stage_stats
+        stage_stats = litla_stages.stage_stats
 
         def chatty(corpus, out):
             assert os.getpid() != parent, "stats ran in the test process"
             for i in range(3000):
                 warnings.warn(f"distinct warning {i:04d}")
             stage_stats(corpus, out)
-        monkeypatch.setitem(cli._STAGE_FUNCS, "stats", chatty)
+        monkeypatch.setitem(litla_stages.STAGE_FUNCS, "stats", chatty)
         with time_limit(60):
             assert main(["all", "--config", str(fixture_dir / "config.toml"),
                          "--output", str(tmp_path)]) == 0
@@ -1182,7 +1184,7 @@ class TestWorkers:
         def exits(corpus, out):
             assert os.getpid() != parent, "stats ran in the test process"
             os._exit(3)
-        monkeypatch.setitem(cli._STAGE_FUNCS, "stats", exits)
+        monkeypatch.setitem(litla_stages.STAGE_FUNCS, "stats", exits)
         with time_limit(60):
             assert main(["all", "--config", str(fixture_dir / "config.toml"),
                          "--output", str(tmp_path)]) == 1
@@ -1359,17 +1361,37 @@ class TestExports:
         assert _escape(text) == saxutils.escape(text)
         assert _quoteattr(text) == saxutils.quoteattr(text)
 
-    def test_cli_import_loads_no_network_modules(self):
+    def test_cli_import_loads_no_network_modules(self, fixture_dir):
         # xml.sax.saxutils imports urllib.request, http.client and email,
         # about 30-45 ms at the start of every litla process
         # nor multiprocessing, which only a run that forks stage workers
-        # imports, nor concurrent.futures, which no part of litla uses
-        code = ("import sys, litla.cli; print(sorted(m for m in sys.modules if m in "
+        # imports, nor concurrent.futures, which no part of litla uses;
+        # nor numpy and the analysis modules, which only a running stage
+        # reads: they once took about half of the start-up
+        code = ("import sys, litla.cli; from litla.config import load_config; "
+                "load_config(sys.argv[1]); print(sorted(m for m in sys.modules if m in "
                 "('xml.sax', 'urllib.request', 'http.client', 'email', "
-                "'multiprocessing', 'concurrent.futures')))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True).stdout
+                "'multiprocessing', 'concurrent.futures', 'numpy', 'litla.graph', "
+                "'litla.records', 'litla.topics', 'litla.citenet', 'litla.collabnet', "
+                "'litla.predict', 'litla.gbdt')))")
+        out = subprocess.run([sys.executable, "-c", code, str(fixture_dir / "config.toml")],
+                             capture_output=True, text=True, check=True).stdout
         assert out == "[]\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    @pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "caller_sets_2"])
+    def test_blas_runs_one_thread_unless_the_caller_sets_it(self, setting):
+        # OpenBLAS starts a thread per CPU as numpy loads, which spins on the
+        # CPUs the stage workers need; a caller's own setting still wins
+        if setting and len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if setting:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        code = "import os, litla.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == f"{setting or 1}\n"
 
     def test_cli_import_needs_no_ctypes(self):
         # only a forked stage worker imports ctypes; numpy 2 loads it when it

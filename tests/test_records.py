@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from litla.config import ExclusionPolicy
 from litla.graph import build_graph
 from litla.records import (
     INTENT_LABELS,
@@ -21,7 +22,6 @@ from litla.records import (
     YEAR_MIN,
     Author,
     CitationStatement,
-    ExclusionPolicy,
     PaperRecord,
     SchemaError,
     _check_chars,
