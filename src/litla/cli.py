@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import os
 
-# litla forks one worker per usable CPU and its BLAS calls are tiny, so a
-# BLAS thread pool would only spin on CPUs the workers need. Set before
+# litla forks one worker per usable CPU, so a BLAS thread pool would only
+# spin on CPUs the workers need; DBSCAN's product, the largest BLAS call,
+# runs on one thread beside the predict worker that overlaps it. Set before
 # anything can load numpy; a caller's own setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

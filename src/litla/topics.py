@@ -23,9 +23,13 @@ from .textutil import STOPWORDS, TextIndex, tokenize
 NOISE = -1
 
 # Size of one block of DBSCAN's pair matrices (rows x n float64), and of
-# one chunk of the band's gathered rows. Measured at 600 x 384, 1,500 x 5 and
-# 5,211 x 384: blocks of 256 KiB to 1 MiB ran alike, 4 MiB and more slower.
-_DBSCAN_BLOCK_BYTES = 2 ** 18
+# one chunk of the band's gathered rows. Each block's product reads and packs
+# all n points, so few rows per block cost most at large n, while larger
+# blocks fall out of the cache in the elementwise passes at small d. On one
+# BLAS thread, against 1 MiB, 2 MiB ran 19,300 x 384 in 28 s instead of
+# 45-53 s and 5,211 x 384 in 1.1-1.3 s instead of 1.4 s, but 1,448 x 5 in
+# 47 ms instead of 40 ms; 4 MiB took 20 s at 19,300 x 384 but 54 ms at 1,448 x 5.
+_DBSCAN_BLOCK_BYTES = 2 ** 21
 
 
 @dataclass
@@ -74,9 +78,9 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
     Deterministic for a fixed input.
 
     A pair (a, b) is within eps when ``np.sum((a - b) ** 2) <= eps * eps``,
-    the reference expression R <= E. Each row block first computes
-    G = (|a|² + |b|²) - 2 a·b with one product and no BLAS call, and only the
-    pairs with |G - E| <= M, where
+    the reference expression R <= E. Each block of rows first computes
+    G = (|a|² + |b|²) - 2 a·b against every point with one BLAS product, and
+    only the pairs with |G - E| <= M, where
 
         M = c S + t,  c = 4 (d + 4) u,  u = 2⁻⁵³,  S = fl(|a|² + |b|²),
 
@@ -114,17 +118,15 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
     d = pts.shape[1]
     c, t = 4 * (d + 4) * 2.0 ** -53, (d + 4) * 2.0 ** -1072  # M = c S + t, see above
     squares = np.einsum("ik,ik->i", pts, pts)
-    # Rows are compared with the later points a block at a time, so memory
-    # stays O(block * n) and each pair is decided once. The band's pairs
-    # are gathered a block's worth at a time.
+    # Each block of rows is compared with every point, so memory stays
+    # O(block * n). The band's pairs are gathered a block's worth at a time.
     rows = max(1, _DBSCAN_BLOCK_BYTES // (8 * n))
     pairs = max(1, _DBSCAN_BLOCK_BYTES // (8 * max(d, 1)))
-    upper = []  # upper[i]: the neighbours j > i, ascending
-    n_lower = np.zeros(n, dtype=np.int64)
+    neighbours = []  # neighbours[i]: every j within eps of i, i itself included, ascending
     for s in range(0, n, rows):
-        a, b = pts[s:s + rows], pts[s:]
-        margin = squares[s:s + rows, None] + squares[None, s:]
-        gap = np.einsum("ik,jk->ij", a, b)
+        a = pts[s:s + rows]
+        margin = squares[s:s + rows, None] + squares
+        gap = a @ pts.T
         gap *= -2.0
         gap += margin
         gap -= e2
@@ -132,25 +134,15 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
         margin += t
         within = gap < -margin
         np.abs(gap, out=gap)
-        bi, bj = np.nonzero(np.triu(~(gap > margin), 1))
+        bi, bj = np.nonzero(~(gap > margin))
         for k in range(0, len(bi), pairs):
             i, j = bi[k:k + pairs], bj[k:k + pairs]
-            within[i, j] = np.sum((a[i] - b[j]) ** 2, axis=-1) <= e2
-        within = np.triu(within, 1)
+            within[i, j] = np.sum((a[i] - pts[j]) ** 2, axis=-1) <= e2
         # one int32 array per block, split into per-row views (an int32 copy
         # per row interleaves small allocations and raises the peak RSS)
-        cols = (np.nonzero(within)[1] + s).astype(np.int32)
-        upper.extend(np.split(cols, np.cumsum(within.sum(axis=1))[:-1]))
-        n_lower += np.bincount(cols, minlength=n)
-    # the mirrored neighbours i < j of each j, CSR-style, ascending because
-    # the sources are visited in ascending order
-    start = np.concatenate(([0], np.cumsum(n_lower)))
-    lower = np.empty(start[-1], dtype=np.int32)
-    fill = start[:-1].copy()
-    for i, nb in enumerate(upper):
-        lower[fill[nb]] = i
-        fill[nb] += 1
-    is_core = n_lower + 1 + np.array([len(nb) for nb in upper]) >= min_pts  # + 1: the point itself
+        cols = np.nonzero(within)[1].astype(np.int32)
+        neighbours.extend(np.split(cols, np.cumsum(within.sum(axis=1))[:-1]))
+    is_core = np.array([len(nb) for nb in neighbours]) >= min_pts
 
     # NOISE marks a point no cluster has reached yet; one never reached stays noise
     reached = np.full(n, NOISE)
@@ -164,11 +156,10 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> list[int]:
             i = queue.popleft()
             if not is_core[i]:
                 continue  # border points join but never expand
-            # lower then upper is the ascending order of the whole neighbourhood
-            for nb in (lower[start[i]:start[i + 1]], upper[i]):
-                new = nb[reached[nb] == NOISE]
-                reached[new] = cluster
-                queue.extend(new)
+            nb = neighbours[i]
+            new = nb[reached[nb] == NOISE]
+            reached[new] = cluster
+            queue.extend(new)
         cluster += 1
     labels = reached.tolist()
 

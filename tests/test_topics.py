@@ -1,5 +1,6 @@
 import codecs
 import csv
+import json
 import math
 import os
 import shutil
@@ -207,11 +208,13 @@ class TestDbscan:
 
 
 def dbscan_one_shot(points, eps, min_pts):
-    """DBSCAN over one n*n*d difference tensor, written out independently of
-    ``dbscan_labels``: same neighbourhoods, expansion and size ranking."""
+    """DBSCAN over the full n*n matrix of elementwise squared distances,
+    written out independently of ``dbscan_labels``: same neighbourhoods,
+    expansion and size ranking. Each row comes from that point's n*d
+    difference matrix, so memory stays O(n*(n + d)) at embedding width."""
     pts = np.asarray(points, dtype=float)
-    within = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1) <= eps * eps
     n = len(pts)
+    within = np.array([np.sum((p - pts) ** 2, axis=-1) <= eps * eps for p in pts])
     core = within.sum(axis=1) >= min_pts
     labels = [None] * n
     k = 0
@@ -293,10 +296,11 @@ class TestDbscanBlocks:
         assert dbscan_labels(pts, 1.0, 3) == dbscan_one_shot(pts, 1.0, 3)
 
     def test_default_budget_matches_one_shot_at_embedding_width(self):
-        # 210 x 384 under the default budget: 156 rows per block, 2 blocks
+        # 600 x 384 under the default 2 MiB budget: 436 rows per block, 2 blocks
         rng = np.random.default_rng(5)
         centers = rng.normal(size=(3, 384)) * 3
-        pts = np.concatenate([c + rng.normal(scale=0.05, size=(70, 384)) for c in centers])
+        pts = np.concatenate([c + rng.normal(scale=0.05, size=(200, 384)) for c in centers])
+        assert topics._DBSCAN_BLOCK_BYTES // (8 * len(pts)) < len(pts)
         assert dbscan_labels(pts, 1.4, 4) == dbscan_one_shot(pts, 1.4, 4)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12), d=st.integers(1, 384),
@@ -366,13 +370,16 @@ def cpu_flags() -> set[str]:
 BLAS_KERNELS = {"Prescott": "pni", "Haswell": "avx2", "SkylakeX": "avx512f"}
 
 
+def blas_env(**env) -> dict[str, str]:
+    """This process's environment with ``env`` set and no other OpenBLAS setting."""
+    return {**{k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}, **env}
+
+
 def topics_assignments(config, out, **env) -> bytes:
-    """``assignments.csv`` of ``python -m litla topics`` run with ``env`` set and
-    no other OpenBLAS setting."""
-    env = {**{k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}, **env}
+    """``assignments.csv`` of ``python -m litla topics`` run under ``blas_env(**env)``."""
     subprocess.run([sys.executable, "-m", "litla", "topics", "--config", str(config),
-                    "--output", str(out)], env=env, check=True, capture_output=True,
-                   timeout=120)
+                    "--output", str(out)], env=blas_env(**env), check=True,
+                   capture_output=True, timeout=120)
     return (out / "assignments.csv").read_bytes()
 
 
@@ -385,14 +392,56 @@ def default_assignments(fixture_dir, tmp_path_factory):
     {"OPENBLAS_CORETYPE": kernel} for kernel in BLAS_KERNELS], ids=lambda env: "-".join(env.values()))
 def test_assignments_same_under_every_blas_kernel(env, fixture_dir, tmp_path,
                                                   default_assignments):
-    # DBSCAN decides each pair without BLAS, so the labels cannot depend on
-    # the kernel, its thread count or its summation order
+    # DBSCAN's forward-error margin holds for any summation order, so a BLAS
+    # product can only move a pair into or out of the band that the
+    # elementwise expression decides: the labels cannot depend on the kernel,
+    # its thread count or its summation order
     kernel = env.get("OPENBLAS_CORETYPE")
     if kernel and BLAS_KERNELS[kernel] not in cpu_flags():
         pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernels")
     labels = {row[1] for row in csv.reader(default_assignments.decode().splitlines()[1:])}
     assert len(labels - {"-1"}) > 1
     assert topics_assignments(fixture_dir / "config.toml", tmp_path, **env) == default_assignments
+
+
+# 4 planted clusters of 250 points at embedding width, rounded to 0.1; eps is
+# the distance from point 0 to its nearest neighbour, exact in float64, so
+# pairs sit exactly at eps and most points are noise. Deciding pairs by the
+# product alone changes these labels under one kernel and not another. At
+# 1,000 points a block's product is large enough for OpenBLAS to split
+# over threads.
+PLANTED_DBSCAN = """
+import json, math
+import numpy as np
+from litla.topics import dbscan_labels
+rng = np.random.default_rng(7)
+centers = rng.normal(scale=3.0, size=(4, 384))
+pts = np.round(np.concatenate([c + rng.normal(scale=0.5, size=(250, 384)) for c in centers]), 1)
+d2 = np.sort(np.sum((pts[0] - pts[1:250]) ** 2, axis=-1))
+eps = next(math.sqrt(v) for v in d2 if math.sqrt(v) ** 2 == v)
+print(json.dumps(dbscan_labels(pts, eps, 5)))
+"""
+
+
+def planted_labels(**env) -> list[int]:
+    return json.loads(subprocess.run([sys.executable, "-c", PLANTED_DBSCAN], env=blas_env(**env),
+                                     check=True, capture_output=True, timeout=120).stdout)
+
+
+@pytest.fixture(scope="module")
+def default_planted_labels():
+    return planted_labels()
+
+
+@pytest.mark.parametrize("env", [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}] + [
+    {"OPENBLAS_CORETYPE": kernel} for kernel in BLAS_KERNELS], ids=lambda env: "-".join(env.values()))
+def test_embedding_labels_same_under_every_blas_kernel_and_thread_count(env,
+                                                                        default_planted_labels):
+    kernel = env.get("OPENBLAS_CORETYPE")
+    if kernel and BLAS_KERNELS[kernel] not in cpu_flags():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernels")
+    assert NOISE in default_planted_labels and max(default_planted_labels) == 3
+    assert planted_labels(**env) == default_planted_labels
 
 
 class TestCtfidf:
