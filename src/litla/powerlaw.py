@@ -12,6 +12,7 @@ from .stats import ordered_sum
 
 METHOD_LS = "loglog_ls"
 METHOD_MLE = "discrete_mle"
+MLE_MIN_SAMPLES = 50  # fewest samples >= x_min that the MLE fit accepts
 
 
 @dataclass
@@ -52,22 +53,22 @@ def fit_power_law_ls(x, y) -> PowerLawFit:
                        intercept=float(intercept), r_squared=r2)
 
 
-def fit_power_law_mle(samples, x_min: int = 1, min_samples: int = 50) -> PowerLawFit:
+def fit_power_law_mle(samples, x_min: int = 1) -> PowerLawFit:
     """Discrete power-law exponent via the continuous approximation to the
     discrete MLE:
 
         alpha = 1 + n / sum(ln(x_i / (x_min - 0.5)))
 
     Only samples >= x_min enter the fit, added in the order given; counts
-    below x_min, zeros included, are left out. At least ``min_samples``
+    below x_min, zeros included, are left out. At least ``MLE_MIN_SAMPLES``
     samples must enter. A single-valued sample cannot identify the exponent
     and raises a divergence error.
     """
     if x_min < 1:
         raise ValueError("x_min must be at least 1")
     xs = [int(s) for s in samples if s >= x_min]
-    if len(xs) < min_samples:
-        raise ValueError(f"need at least {min_samples} samples >= x_min, got {len(xs)}")
+    if len(xs) < MLE_MIN_SAMPLES:
+        raise ValueError(f"need at least {MLE_MIN_SAMPLES} samples >= x_min, got {len(xs)}")
     if len(set(xs)) < 2:
         raise ValueError("divergence: all samples equal, exponent unidentifiable")
     denom = ordered_sum(math.log(s / (x_min - 0.5)) for s in xs)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -149,31 +149,18 @@ def train_link_model(samples: list[PairSample], n_trees: int = 100,
                       learning_rate=learning_rate, min_leaf=min_leaf)
 
 
-def all_unconnected_pairs(g: ProjectedGraph) -> list[tuple[str, str]]:
-    """Every canonical unconnected pair of nodes with at least one neighbour
-    (degree-0 keywords carry no structural signal)."""
-    nodes = [u for u, row in zip(g.names, g.succ) if row]
-    return [(u, v) for u, v in combinations(nodes, 2) if not g.has_edge(u, v)]
-
-
 def predict_links(model: GbdtModel, snapshots: dict[int, ProjectedGraph], year: int,
-                  candidates: list[tuple[str, str]], top_n: int | None = None
-                  ) -> list[tuple[tuple[str, str], float]]:
-    """Rank candidate pairs by connection probability, descending; ties
-    break by canonical pair order. Candidates must be unconnected at
-    ``year``."""
+                  top_n: int | None = None) -> list[tuple[tuple[str, str], float]]:
+    """Rank every pair unconnected at ``year`` by connection probability,
+    descending; ties break by canonical pair order. Nodes without a
+    neighbour are left out: degree-0 keywords carry no structural signal."""
     if top_n is not None and top_n < 0:
         raise ValueError(f"top_n must be non-negative, got {top_n}")
     g = snapshots[year]
-    pairs = []
-    for pair in candidates:
-        pair = canonical_pair(*pair)
-        if g.has_edge(*pair):
-            raise ValueError(f"candidate {pair} is already connected at {year}")
-        pairs.append(pair)
-    if not pairs:
-        return []
-    X = np.array([pair_features(snapshots, p, year) for p in pairs], dtype=float)
+    nodes = [u for u, row in zip(g.names, g.succ) if row]
+    pairs = [(u, v) for u, v in combinations(nodes, 2) if not g.has_edge(u, v)]
+    X = np.fromiter(chain.from_iterable(pair_features(snapshots, p, year) for p in pairs),
+                    dtype=float, count=10 * len(pairs)).reshape(len(pairs), 10)
     probs = model.predict_proba(X)
     ranked = sorted(zip(pairs, probs), key=lambda r: (-r[1], r[0]))
     if top_n is not None:

@@ -9,6 +9,7 @@ analysis module, so :mod:`litla.cli` imports it only when a run begins.
 from __future__ import annotations
 
 import gc
+import math
 from collections import Counter
 from dataclasses import asdict
 from functools import cached_property
@@ -397,9 +398,9 @@ def stage_predict(corpus: Corpus, out) -> None:
     except (pr.DegenerateYearError, ValueError) as exc:
         eval_payload = {"year": eval_year, "error": str(exc)}
 
-    candidates = pr.all_unconnected_pairs(snapshots[eval_year])
-    ranked = pr.predict_links(model, snapshots, eval_year, candidates,
-                              top_n=block.top_n)
+    ranked = pr.predict_links(model, snapshots, eval_year, top_n=block.top_n)
+    held_out = snapshots[eval_year]
+    linked = sum(1 for row in held_out.succ if row)  # the nodes predict_links pairs
     write_csv(out("predictions.csv"),
               ["keyword_a", "keyword_b", "probability", "rank"],
               [(u, v, p, i + 1) for i, ((u, v), p) in enumerate(ranked)])
@@ -409,7 +410,7 @@ def stage_predict(corpus: Corpus, out) -> None:
         "train_positives": sum(1 for s in train_samples if s.label == 1),
         "final_train_loss": model.loss_curve[-1],
         "heldout": eval_payload,
-        "candidates_scored": len(candidates),
+        "candidates_scored": math.comb(linked, 2) - held_out.edge_count(),
     })
 
 

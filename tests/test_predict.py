@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 from operator import add
@@ -17,7 +18,6 @@ from litla.gbdt import LEAF_CLIP, MODEL_FORMAT, MODEL_VERSION, GbdtModel, train_
 from litla.graph import ProjectedGraph
 from litla.predict import (
     DegenerateYearError,
-    all_unconnected_pairs,
     build_training_set,
     evaluate_auc,
     pair_features,
@@ -50,7 +50,7 @@ def auc_reference(scores, labels) -> float:
 
 
 def unconnected_pairs_reference(g: ProjectedGraph) -> list[tuple[str, str]]:
-    """:func:`all_unconnected_pairs` as a nested index loop."""
+    """The pairs :func:`predict_links` scores, as a nested index loop."""
     nodes = [u for u in sorted(g.nodes) if g.degree(u) >= 1]
     out = []
     for i, u in enumerate(nodes):
@@ -92,6 +92,14 @@ def negative_pairs_reference(prev: ProjectedGraph, curr: ProjectedGraph, count: 
             if len(chosen) >= count:
                 break
     return sorted(chosen)
+
+
+def link_model() -> GbdtModel:
+    """A small model over the 10 pair features, for the ranking tests."""
+    rng = np.random.default_rng(2)
+    X = rng.random((40, 10))
+    y = (X[:, 4] > 0.5).astype(float)
+    return train_gbdt(X, y, n_trees=5, max_depth=2)
 
 
 def kw_graph(edges, year=2010):
@@ -275,6 +283,15 @@ def _graph(edges) -> ProjectedGraph:
                           {e: {"year": 2000, "weight": 1.0} for e in edges})
 
 
+def assert_scores_unconnected_pairs(g: ProjectedGraph) -> None:
+    """:func:`predict_links` ranks each pair of the reference once, and
+    their count is C(k, 2) - E for the k nodes with a neighbour."""
+    ranked = predict_links(link_model(), {2000: g}, 2000)
+    assert sorted(pair for pair, _p in ranked) == unconnected_pairs_reference(g)
+    linked = sum(1 for u in g.nodes if g.degree(u) >= 1)
+    assert len(ranked) == math.comb(linked, 2) - g.edge_count()
+
+
 @given(st.sets(st.integers(0, len(_PAIRS) - 1), max_size=12),
        st.sets(st.integers(0, len(_PAIRS) - 1), max_size=6),
        st.integers(0, 20), st.integers(0, 3))
@@ -286,13 +303,13 @@ def test_pair_enumeration_matches_loop_references(free, closed, count, seed):
     curr = _graph(prev_edges + [_PAIRS[i] for i in free & closed])
     assert sample_negative_pairs(prev, curr, count, seed) == \
         negative_pairs_reference(prev, curr, count, seed)
-    assert all_unconnected_pairs(curr) == unconnected_pairs_reference(curr)
+    assert_scores_unconnected_pairs(curr)
 
 
 @given(st.sets(st.integers(0, len(_PAIRS) - 1), max_size=40))
 def test_unconnected_pairs_of_a_sparse_graph_match_loop_reference(edges):
     g = _graph([_PAIRS[i] for i in edges])  # most keywords have no neighbour
-    assert all_unconnected_pairs(g) == unconnected_pairs_reference(g)
+    assert_scores_unconnected_pairs(g)
 
 
 @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan, math.inf]) |
@@ -496,57 +513,66 @@ class TestPredictLinks:
     def trained(self):
         g = kw_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "c"), ("b", "d"),
                       ("d", "e"), ("e", "f")])
-        snaps = {2010: g}
-        rng = np.random.default_rng(2)
-        X = rng.random((40, 10))
-        y = (X[:, 4] > 0.5).astype(float)
-        model = train_gbdt(X, y, n_trees=5, max_depth=2)
-        return model, snaps, g
+        return link_model(), {2010: g}, g
 
     def test_empty_candidates(self):
-        model, snaps, _g = self.trained()
-        assert predict_links(model, snaps, 2010, []) == []
-
-    def test_single_candidate_returned(self):
-        model, snaps, _g = self.trained()
-        ranked = predict_links(model, snaps, 2010, [("a", "f")])
-        assert [pair for pair, _p in ranked] == [("a", "f")]
+        # every pair of the nodes with a neighbour is linked; "z" has none
+        g = ProjectedGraph(False, {u: {"year": 2010} for u in "abcz"},
+                           {e: {"year": 2010, "weight": 1.0}
+                            for e in [("a", "b"), ("a", "c"), ("b", "c")]})
+        assert predict_links(link_model(), {2010: g}, 2010) == []
 
     def test_order_matches_score_then_sort_oracle(self):
         model, snaps, g = self.trained()
-        candidates = all_unconnected_pairs(g)
-        ranked = predict_links(model, snaps, 2010, candidates)
-        X = np.array([pair_features(snaps, p, 2010) for p in sorted(candidates)])
+        ranked = predict_links(model, snaps, 2010)
+        candidates = unconnected_pairs_reference(g)
+        X = np.array([pair_features(snaps, p, 2010) for p in candidates])
         probs = model.predict_proba(X)
-        oracle = sorted(zip(sorted(candidates), probs), key=lambda r: (-r[1], r[0]))
-        assert [(pair, pytest.approx(float(p))) for pair, p in oracle] == ranked
+        oracle = sorted(zip(candidates, probs), key=lambda r: (-r[1], r[0]))
+        assert [(pair, float(p)) for pair, p in oracle] == ranked
 
     def test_probabilities_in_open_interval(self):
-        model, snaps, g = self.trained()
-        for _pair, p in predict_links(model, snaps, 2010, all_unconnected_pairs(g)):
+        model, snaps, _g = self.trained()
+        for _pair, p in predict_links(model, snaps, 2010):
             assert 0.0 < p < 1.0
 
-    def test_connected_candidate_rejected(self):
-        model, snaps, _g = self.trained()
-        with pytest.raises(ValueError):
-            predict_links(model, snaps, 2010, [("a", "b")])
-
     def test_top_n_truncation(self):
-        model, snaps, g = self.trained()
-        full = predict_links(model, snaps, 2010, all_unconnected_pairs(g))
-        assert predict_links(model, snaps, 2010, all_unconnected_pairs(g), top_n=3) \
-            == full[:3]
+        model, snaps, _g = self.trained()
+        full = predict_links(model, snaps, 2010)
+        assert predict_links(model, snaps, 2010, top_n=3) == full[:3]
 
     def test_ranking_invariant_to_monotone_transform(self):
         # sorting by probability must equal sorting by raw margin
         model, snaps, g = self.trained()
-        candidates = all_unconnected_pairs(g)
-        ranked = predict_links(model, snaps, 2010, candidates)
-        X = np.array([pair_features(snaps, p, 2010) for p in sorted(candidates)])
+        ranked = predict_links(model, snaps, 2010)
+        candidates = unconnected_pairs_reference(g)
+        X = np.array([pair_features(snaps, p, 2010) for p in candidates])
         margins = model.decision_function(X)
-        by_margin = sorted(zip(sorted(candidates), margins),
-                           key=lambda r: (-r[1], r[0]))
+        by_margin = sorted(zip(candidates, margins), key=lambda r: (-r[1], r[0]))
         assert [pair for pair, _m in by_margin] == [pair for pair, _p in ranked]
+
+    def test_peak_memory_per_scored_pair(self):
+        # 250 keywords, about 10 edge draws each over four years: 28,725
+        # unconnected pairs at 2013. Listing the pairs a second time, or one
+        # Python list of floats per pair, costs over 600 bytes per pair.
+        rng = random.Random(1)
+        names = [f"kw{i:04d}" for i in range(250)]
+        edges = {}
+        for _ in range(2500):
+            edges.setdefault(tuple(sorted(rng.sample(names, 2))),
+                             {"year": rng.randint(2010, 2013), "weight": 1.0})
+        full = ProjectedGraph(False, {u: {"year": 2010} for u in names}, edges)
+        snaps = {y: full.snapshot(y) for y in range(2010, 2014)}
+        model = link_model()
+        tracemalloc.start()
+        try:
+            ranked = predict_links(model, snaps, 2013, top_n=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = math.comb(250, 2) - snaps[2013].edge_count()
+        assert (len(ranked), pairs) == (100, 28725)
+        assert peak < 450 * pairs
 
 
 class TestAuc:

@@ -295,6 +295,17 @@ class TestDbscanBlocks:
         assert dbscan_labels(pts, 1.0, 3) == [0] * 10 + [NOISE]
         assert dbscan_labels(pts, 1.0, 3) == dbscan_one_shot(pts, 1.0, 3)
 
+    @pytest.mark.parametrize("d, offset", [(1, 2 ** 27), (2, 3 * 2 ** 26), (5, 10 ** 8)])
+    def test_unit_chain_far_from_origin(self, d, offset):
+        # 10 runs of 3 points 1 apart, the runs 2 apart, all shifted by
+        # ``offset``: |a|² is near 2⁵⁴ or more, so G's rounding error exceeds
+        # eps² and only the band decides which neighbours lie within eps. At
+        # d = 1 each product is one rounded multiply, so G is the same on any CPU.
+        pts = np.full((30, d), float(offset))
+        pts[1:, 0] += np.cumsum(([1, 1, 2] * 10)[:-1])
+        labels = [k for k in range(10) for _ in range(3)]
+        assert dbscan_labels(pts, 1.0, 2) == dbscan_one_shot(pts, 1.0, 2) == labels
+
     def test_default_budget_matches_one_shot_at_embedding_width(self):
         # 600 x 384 under the default 2 MiB budget: 436 rows per block, 2 blocks
         rng = np.random.default_rng(5)
