@@ -1,10 +1,10 @@
 """Run configuration: a single TOML file drives every pipeline stage.
 
 The file is TOML 1.0, read by the standard library's ``tomllib``. Every
-value must have the type of the field it sets, so a value of a type no
-field takes (a date, a table where an array belongs) is rejected. Unknown
-keys are rejected, and relative paths resolve against the config file's
-directory.
+section passes one check: it must be a table, unknown keys are rejected,
+and every value must have the type of the field it sets, so a value of a
+type no field takes (a date, a table where an array belongs) is rejected.
+Relative paths resolve against the config file's directory.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tomllib
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Collection
 
@@ -86,16 +86,6 @@ class PredictBlock:
     top_n: int = 100
 
 
-_BLOCK_TYPES = {
-    "exclusions": ExclusionPolicy,
-    "topics": TopicsBlock,
-    "linkage": LinkageBlock,
-    "citenet": CitenetBlock,
-    "collabnet": CollabnetBlock,
-    "predict": PredictBlock,
-}
-
-
 @dataclass
 class RunConfig:
     records_path: Path
@@ -123,6 +113,16 @@ class RunConfig:
             json.dumps(payload, sort_keys=True, default=str).encode("utf-8")).hexdigest()
 
 
+# the analysis blocks: the RunConfig fields that default to a typed block
+_BLOCK_TYPES = {f.name: f.default_factory for f in fields(RunConfig)
+                if is_dataclass(f.default_factory)}
+# every section's keys, each with a default of the type its values take
+_SECTION_KEYS = {
+    "run": {"seed": 0}, "input": {"records": "", "queries": ""}, "output": {"dir": ""},
+    **{section: {f.name: f.default if f.default is not MISSING else f.default_factory()
+                 for f in fields(cls)} for section, cls in _BLOCK_TYPES.items()}}
+
+
 def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -135,36 +135,38 @@ def _expected(value, default) -> str | None:
         return None if type(value) is int else "an integer"
     if isinstance(default, float):
         return None if type(value) in (int, float) else "a number"
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
     if isinstance(default, list):
         return None if _is_strings(value) else "an array of strings"
     return None
 
 
-def _build_block(cls, data: dict, section: str):
-    """The ``cls`` block of ``data``; each value must have the type of its
-    field's default, and passes through unconverted."""
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+def _section(data: dict, section: str, defaults: dict) -> dict:
+    """The ``[section]`` table of ``data`` (empty when absent). It takes only
+    the keys of ``defaults``, each value with the type of its default, and
+    its values pass through unconverted."""
+    table = data.get(section, {})
+    if not isinstance(table, dict):
+        raise ConfigError(f"[{section}] must be a section")
+    unknown = set(table) - set(defaults)
     if unknown:
         raise ConfigError(f"[{section}] unknown keys: {sorted(unknown)}")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in data:
+    for key, default in defaults.items():
+        if key not in table:
             continue
-        value = data[f.name]
-        if f.name == "themes":
+        value = table[key]
+        if key == "themes":
             if not isinstance(value, dict):
                 raise ConfigError(f"[{section}.themes] must map names to keyword arrays")
             for name, keywords in value.items():
                 if not _is_strings(keywords):
                     raise ConfigError(f"[{section}.themes] {name} must be an array of strings, "
                                       f"got {keywords!r}")
-        default = f.default if f.default is not MISSING else f.default_factory()
         expected = _expected(value, default)
         if expected:
-            raise ConfigError(f"[{section}] {f.name} must be {expected}, got {value!r}")
-        kwargs[f.name] = value
-    return cls(**kwargs)
+            raise ConfigError(f"[{section}] {key} must be {expected}, got {value!r}")
+    return table
 
 
 def load_config(path, output_override=None, seed_override=None) -> RunConfig:
@@ -177,26 +179,14 @@ def load_config(path, output_override=None, seed_override=None) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     base = path.resolve().parent
 
-    known_sections = {"run", "input", "output"} | set(_BLOCK_TYPES)
-    unknown = set(data) - known_sections
+    unknown = set(data) - set(_SECTION_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections/keys: {sorted(unknown)}")
+    tables = {section: _section(data, section, keys) for section, keys in _SECTION_KEYS.items()}
 
-    run = data.get("run", {})
-    if not isinstance(run, dict) or set(run) - {"seed"}:
-        raise ConfigError("[run] allows only seed")
-    inp = data.get("input", {})
-    if not isinstance(inp, dict) or set(inp) - {"records", "queries"}:
-        raise ConfigError("[input] allows only records and queries")
+    run, inp, out = tables["run"], tables["input"], tables["output"]
     if "records" not in inp:
         raise ConfigError("[input] records is required")
-    out = data.get("output", {})
-    if not isinstance(out, dict) or set(out) - {"dir"}:
-        raise ConfigError("[output] allows only dir")
-    for section, block in (("input", inp), ("output", out)):
-        for key, value in block.items():
-            if not isinstance(value, str):
-                raise ConfigError(f"[{section}] {key} must be a string, got {value!r}")
 
     records_path = (base / inp["records"]).resolve()
     if not records_path.is_file():
@@ -214,17 +204,11 @@ def load_config(path, output_override=None, seed_override=None) -> RunConfig:
     else:
         raise ConfigError("output directory required ([output] dir or --output)")
 
-    blocks = {}
-    for section, cls in _BLOCK_TYPES.items():
-        section_data = data.get(section, {})
-        if not isinstance(section_data, dict):
-            raise ConfigError(f"[{section}] must be a section")
-        blocks[section] = _build_block(cls, section_data, section)
-
     seed = seed_override if seed_override is not None else run.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
 
     return RunConfig(records_path=records_path, output_dir=output_dir,
                      seed=seed, queries_path=queries_path,
-                     input_refs=dict(inp), **blocks)
+                     input_refs=dict(inp),
+                     **{section: cls(**tables[section]) for section, cls in _BLOCK_TYPES.items()})

@@ -1,4 +1,5 @@
 import codecs
+import copy
 import gc
 import hashlib
 import json
@@ -13,11 +14,13 @@ import sys
 import tempfile
 import threading
 import time
+import tomllib
 import tracemalloc
 import warnings
 import weakref
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import MISSING, asdict, fields
 from functools import reduce
 from operator import add
 import xml.etree.ElementTree as ET
@@ -26,13 +29,23 @@ from xml.sax import saxutils
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litla import citenet, cli, collabnet, exports, powerlaw, predict, textutil, topics
 from litla import stages as litla_stages
 from litla.cli import STAGES, main
-from litla.config import ConfigError, load_config
+from litla.config import (
+    CitenetBlock,
+    CollabnetBlock,
+    ConfigError,
+    ExclusionPolicy,
+    LinkageBlock,
+    PredictBlock,
+    RunConfig,
+    TopicsBlock,
+    load_config,
+)
 from litla.exports import (
     _attr_str,
     _dot_id,
@@ -57,6 +70,8 @@ from litla.graph import (
     build_graph,
 )
 from litla.records import Author, PaperRecord, apply_exclusions, load_records
+
+from conftest import FIXTURE_DIR
 
 
 class TestTomlSubset:
@@ -264,6 +279,258 @@ class TestRunConfig:
             assert cfg.records_path == (tmp_path / where / "records.jsonl").resolve()
             hashes.add(cfg.config_hash())
         assert hashes == {load_config(fixture_dir / "config.toml").config_hash()}
+
+
+# load_config as it was when [run], [input] and [output] had hand-written
+# checks and the blocks had their own checker; the oracle of load_config
+
+
+def is_strings_reference(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def expected_reference(value, default) -> str | None:
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "a boolean"
+    if isinstance(default, int):
+        return None if type(value) is int else "an integer"
+    if isinstance(default, float):
+        return None if type(value) in (int, float) else "a number"
+    if isinstance(default, list):
+        return None if is_strings_reference(value) else "an array of strings"
+    return None
+
+
+def build_block_reference(cls, data: dict, section: str):
+    allowed = {f.name for f in fields(cls)}
+    unknown = set(data) - allowed
+    if unknown:
+        raise ConfigError(f"[{section}] unknown keys: {sorted(unknown)}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if f.name == "themes":
+            if not isinstance(value, dict):
+                raise ConfigError(f"[{section}.themes] must map names to keyword arrays")
+            for name, keywords in value.items():
+                if not is_strings_reference(keywords):
+                    raise ConfigError(f"[{section}.themes] {name} must be an array of strings, "
+                                      f"got {keywords!r}")
+        default = f.default if f.default is not MISSING else f.default_factory()
+        expected = expected_reference(value, default)
+        if expected:
+            raise ConfigError(f"[{section}] {f.name} must be {expected}, got {value!r}")
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+BLOCK_TYPES_REFERENCE = {
+    "exclusions": ExclusionPolicy,
+    "topics": TopicsBlock,
+    "linkage": LinkageBlock,
+    "citenet": CitenetBlock,
+    "collabnet": CollabnetBlock,
+    "predict": PredictBlock,
+}
+
+
+def load_config_reference(path, output_override=None, seed_override=None) -> RunConfig:
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        data = tomllib.loads(path.read_text(encoding="utf-8-sig"))
+    except (OSError, UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    base = path.resolve().parent
+
+    known_sections = {"run", "input", "output"} | set(BLOCK_TYPES_REFERENCE)
+    unknown = set(data) - known_sections
+    if unknown:
+        raise ConfigError(f"unknown config sections/keys: {sorted(unknown)}")
+
+    run = data.get("run", {})
+    if not isinstance(run, dict) or set(run) - {"seed"}:
+        raise ConfigError("[run] allows only seed")
+    inp = data.get("input", {})
+    if not isinstance(inp, dict) or set(inp) - {"records", "queries"}:
+        raise ConfigError("[input] allows only records and queries")
+    if "records" not in inp:
+        raise ConfigError("[input] records is required")
+    out = data.get("output", {})
+    if not isinstance(out, dict) or set(out) - {"dir"}:
+        raise ConfigError("[output] allows only dir")
+    for section, block in (("input", inp), ("output", out)):
+        for key, value in block.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"[{section}] {key} must be a string, got {value!r}")
+
+    records_path = (base / inp["records"]).resolve()
+    if not records_path.is_file():
+        raise ConfigError(f"records file not found: {records_path}")
+    queries_path = None
+    if "queries" in inp:
+        queries_path = (base / inp["queries"]).resolve()
+        if not queries_path.is_file():
+            raise ConfigError(f"queries file not found: {queries_path}")
+
+    if output_override is not None:
+        output_dir = Path(output_override)
+    elif "dir" in out:
+        output_dir = base / out["dir"]
+    else:
+        raise ConfigError("output directory required ([output] dir or --output)")
+
+    blocks = {}
+    for section, cls in BLOCK_TYPES_REFERENCE.items():
+        section_data = data.get(section, {})
+        if not isinstance(section_data, dict):
+            raise ConfigError(f"[{section}] must be a section")
+        blocks[section] = build_block_reference(cls, section_data, section)
+
+    seed = seed_override if seed_override is not None else run.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError("seed must be an integer")
+
+    return RunConfig(records_path=records_path, output_dir=output_dir,
+                     seed=seed, queries_path=queries_path,
+                     input_refs=dict(inp), **blocks)
+
+
+def toml_value(value) -> str:
+    """``value`` as a TOML value, tables inline."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, list):
+        return "[" + ", ".join(map(toml_value, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{toml_value(k)} = {toml_value(v)}"
+                               for k, v in value.items()) + "}"
+    return value.isoformat()
+
+
+def toml_text(config: dict) -> str:
+    """``config`` as TOML, one top-level key per section."""
+    return "".join(f"{toml_value(k)} = {toml_value(v)}\n" for k, v in config.items())
+
+
+SECTIONS = ["run", "input", "output", "exclusions", "topics", "linkage", "citenet", "collabnet",
+            "predict"]
+FIXTURE_CONFIG = tomllib.loads((FIXTURE_DIR / "config.toml").read_text())
+# every key some section takes, so that one added to another section is unknown there
+CONFIG_KEYS = sorted({f.name for cls in BLOCK_TYPES_REFERENCE.values() for f in fields(cls)}
+                     | {"seed", "records", "queries", "dir", "bogus"})
+_toml_scalars = st.one_of(
+    st.booleans(), st.integers(-2, 3000), st.floats(allow_nan=False),
+    st.sampled_from(["records.jsonl", "queries.txt", "out", "", "missing.jsonl"]),
+    st.text('ab #"\\é', max_size=4), st.dates())
+_toml_values = st.recursive(
+    _toml_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text("ab é", max_size=3), inner, max_size=3)),
+    max_leaves=4)
+
+
+@st.composite
+def mutated_configs(draw) -> dict:
+    """The fixture config with keys added, dropped or given values of any
+    type, and sections replaced by a scalar or an array, or dropped."""
+    config = copy.deepcopy(FIXTURE_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(SECTIONS + ["bogus"]))
+        table = config.get(section)
+        op = draw(st.sampled_from(["retype", "add", "drop", "section_value", "drop_section"]))
+        if op in ("retype", "add"):
+            if not isinstance(table, dict):
+                table = config[section] = {}
+            keys = sorted(table) if op == "retype" and table else CONFIG_KEYS
+            table[draw(st.sampled_from(keys))] = draw(_toml_values)
+        elif op == "drop" and isinstance(table, dict) and table:
+            del table[draw(st.sampled_from(sorted(table)))]
+        elif op == "section_value":
+            config[section] = draw(st.one_of(_toml_scalars, st.lists(_toml_values, max_size=2)))
+        elif op == "drop_section":
+            config.pop(section, None)
+    return config
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(fixture_dir, tmp_path_factory) -> Path:
+    """A directory with the fixture's records and queries, for configs to read."""
+    where = tmp_path_factory.mktemp("oracle")
+    for name in ("records.jsonl", "queries.txt"):
+        shutil.copyfile(fixture_dir / name, where / name)
+    return where
+
+
+def loaded(loader, path, **overrides):
+    """What ``loader`` makes of ``path``: the config as a dict and its hash,
+    or None when it raises ConfigError."""
+    try:
+        cfg = loader(path, **overrides)
+    except ConfigError:
+        return None
+    return asdict(cfg), cfg.config_hash()
+
+
+class TestSectionChecker:
+    """Every section of the config passes one checker."""
+
+    @pytest.mark.parametrize("kind", ["unknown_key", "not_a_table", "mistyped"])
+    @pytest.mark.parametrize("section, key, value, expected", [
+        ("run", "seed", "5", "an integer"),
+        ("input", "records", 5, "a string"),
+        ("output", "dir", 5, "a string"),
+        ("exclusions", "min_pages", "4", "an integer"),
+        ("topics", "eps", "1.4", "a number"),
+        ("linkage", "epsilon", True, "a number"),
+        ("citenet", "cd_exclude_self", 1, "a boolean"),
+        ("collabnet", "top_k", 2.5, "an integer"),
+        ("predict", "learning_rate", [0.2], "a number"),
+    ], ids=SECTIONS)
+    def test_bad_section_exits_two_naming_it(self, fixture_dir, tmp_path, capsys, kind, section,
+                                             key, value, expected):
+        shutil.copytree(fixture_dir, tmp_path / "fixtures")
+        config = copy.deepcopy(FIXTURE_CONFIG)
+        message = {"unknown_key": f"[{section}] unknown keys: ['bogus']",
+                   "not_a_table": f"[{section}] must be a section",
+                   "mistyped": f"[{section}] {key} must be {expected}, got {value!r}"}[kind]
+        if kind == "unknown_key":
+            config[section]["bogus"] = 1
+        elif kind == "not_a_table":
+            config[section] = 5
+        else:
+            config[section][key] = value
+        path = tmp_path / "fixtures" / "config.toml"
+        path.write_text(toml_text(config))
+        assert main(["all", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert f"config error: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fixture_written_back_loads_alike(self, fixture_dir):
+        path = fixture_dir / "config.toml"
+        assert tomllib.loads(toml_text(FIXTURE_CONFIG)) == FIXTURE_CONFIG
+        assert loaded(load_config, path) == loaded(load_config_reference, path)
+
+    @settings(max_examples=300)
+    @given(mutated_configs(), st.sampled_from([None, "elsewhere"]), st.sampled_from([None, 7]))
+    def test_same_configs_as_the_reference(self, oracle_dir, config, output, seed):
+        path = oracle_dir / "config.toml"
+        path.write_text(toml_text(config), encoding="utf-8")
+        overrides = {"output_override": output, "seed_override": seed}
+        got = loaded(load_config, path, **overrides)
+        run = config.get("run")
+        if seed is not None and isinstance(run, dict) and type(run.get("seed", 0)) is not int:
+            # a [run] seed of the wrong type is rejected even when --seed replaces it
+            assert got is None
+        else:
+            assert got == loaded(load_config_reference, path, **overrides)
 
 
 class ProcessLog:
